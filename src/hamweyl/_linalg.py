@@ -22,7 +22,6 @@ __all__ = [
     "max_eig_herm",
     "sqrtm_spd",
     "invsqrtm_spd",
-    "solve",
     "rsolve",
     "haar_unitary",
 ]
@@ -66,9 +65,16 @@ def opnorm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def rcond(a: np.ndarray) -> float:
-    """Reciprocal 2-norm condition number, 0.0 for exactly singular input."""
+def rcond(a: np.ndarray):
+    """Reciprocal 2-norm condition number, 0.0 for exactly singular input.
+
+    A float for one matrix, an array of them for a stack of matrices.
+    """
     s = np.linalg.svd(a, compute_uv=False)
+    if s.ndim > 1:
+        smax = s[..., 0]
+        return np.divide(s[..., -1], smax, out=np.zeros_like(smax),
+                         where=smax > 0.0)
     if s.size == 0 or s[0] == 0.0:
         return 0.0
     return float(s[-1] / s[0])
@@ -114,11 +120,6 @@ def invsqrtm_spd(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     if w[0] <= 0.0:
         raise ValueError(f"matrix is not positive definite (min eigenvalue {w[0]:.3e})")
     return (v / np.sqrt(w)) @ v.conj().T
-
-
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A^{-1} B through factorization (never forms the inverse)."""
-    return np.linalg.solve(a, b)
 
 
 def rsolve(b: np.ndarray, a: np.ndarray) -> np.ndarray:

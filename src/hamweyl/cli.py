@@ -16,17 +16,17 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import _linalg as la
 from . import green as hgreen
+from . import propagate as hprop
 from . import system as hsystem
 from . import testkit as htestkit
 from . import weyl as hweyl
-from .errors import HamweylError, InputError
+from .errors import EigenvalueHitError, HamweylError, InputError
 
 __all__ = ["main", "build_parser"]
 
@@ -144,7 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", help="site window lo,hi")
     p.add_argument("--pairs", help="kernel evaluation pairs 'k,l;k,l'")
     p.add_argument("--impulse-site", type=int)
-    p.add_argument("--workers", type=int, default=4)
+    p.add_argument("--workers", type=int, default=4,
+                   help="accepted and ignored: every command runs in one "
+                        "thread (mfun evaluates its grid in one batch)")
     return p
 
 
@@ -297,20 +299,19 @@ def cmd_mfun(args) -> int:
     zs = _z_list(args)
     if np.any(zs.imag == 0):
         raise UsageError("all grid points must satisfy Im z != 0")
-
-    def one(z):
-        ctx = hweyl.disk_context(sys_, complex(z), args.k0, args.ell, alpha)
-        mf = hweyl.m_regular(sys_, ctx, beta)
-        herg = la.min_eig_herm(ctx.sigma * la.imag_part(mf.M))
-        return z, mf, herg
-
-    with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
-        results = list(pool.map(one, zs))
+    hweyl.disk_context(sys_, complex(zs[0]), args.k0, args.ell, alpha)
+    ev = hweyl.regular_m_evaluator(sys_, args.k0, args.ell, alpha, beta)
+    Ms, smins, _, hits = ev.extract(zs)
+    if np.any(hits):
+        i = int(np.argmax(hits))
+        raise EigenvalueHitError(complex(zs[i]), float(smins[i]))
     rows = []
-    for z, mf, herg in results:
+    for z, M, smin in zip(zs, Ms, smins):
+        herg = la.min_eig_herm(hweyl.sigma_of(args.ell, args.k0, z)
+                               * la.imag_part(M))
         row = {"z_re": float(z.real), "z_im": float(z.imag)}
-        row.update(_complex_columns("M", mf.M))
-        row["smin_bphi"] = mf.smin
+        row.update(_complex_columns("M", M))
+        row["smin_bphi"] = float(smin)
         row["herglotz_min_eig"] = herg
         row["herglotz_ok"] = bool(herg > 0)
         rows.append(row)
@@ -340,10 +341,12 @@ def cmd_disk(args) -> int:
     rows = []
     for ell in schedule:
         ctx = hweyl.disk_context(sys_, z, args.k0, ell, alpha)
-        mf = hweyl.m_regular(sys_, ctx, beta)
-        e_val = hweyl.e_functional(sys_, ctx, mf.M)
+        fund = hprop.fundamental(sys_, z, args.k0, alpha,
+                                 (min(args.k0, ell), max(args.k0, ell)))
+        mf = hweyl.m_regular(sys_, ctx, beta, fund=fund)
+        e_val = hweyl.e_functional(sys_, ctx, mf.M, fund=fund)
         verdict = hweyl.disk_membership(e_val, tol=args.tol)
-        diam = hweyl.disk_diameter_estimate(sys_, ctx, n_samples=8)
+        diam = hweyl.disk_diameter_estimate(sys_, ctx, n_samples=8, fund=fund)
         row = {"ell": ell, "membership": verdict,
                "E_norm": la.opnorm(e_val), "diameter": diam}
         row.update(_complex_columns("M", mf.M))
@@ -519,7 +522,7 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
-    except HamweylError as e:
+    except (HamweylError, np.linalg.LinAlgError, FloatingPointError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
     except OSError as e:

@@ -19,7 +19,7 @@ K(z, k, ell) = K(conj z, ell, k)* rather than re-derived.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -390,10 +390,9 @@ def alternative_representation(kernel: GreensKernel, k: int, ell: int) -> np.nda
 
 
 def alternative_representation_conj(kernel: GreensKernel, k: int, ell: int):
-    inner = GreensKernel(**{**kernel.__dict__, "conjugated": False,
-                            "z": kernel.z_pos,
-                            "M_plus": kernel.M_plus.conj().T,
-                            "M_minus": kernel.M_minus.conj().T})
+    inner = replace(kernel, conjugated=False, z=kernel.z_pos,
+                    M_plus=kernel.M_plus.conj().T,
+                    M_minus=kernel.M_minus.conj().T)
     return alternative_representation(inner, ell, k).conj().T
 
 
@@ -596,10 +595,10 @@ def diagonal_riccati_blocks(kernel: GreensKernel, sites=None) -> dict:
         th_m_c = kernel._um_zb(k)[m:]
         blk = np.empty((2 * m, 2 * m), dtype=complex)
         blk[:m, :m] = core
-        blk[:m, m:] = core @ la.solve(phi_m_c.conj().T, th_m_c.conj().T)
+        blk[:m, m:] = core @ np.linalg.solve(phi_m_c.conj().T, th_m_c.conj().T)
         blk[m:, :m] = la.rsolve(th_m, phi_m) @ core
         blk[m:, m:] = la.rsolve(th_m, phi_m) @ core \
-            @ la.solve(phi_p_c.conj().T, th_p_c.conj().T)
+            @ np.linalg.solve(phi_p_c.conj().T, th_p_c.conj().T)
         out["blocks"][k] = blk
         out["defect"][k] = la.opnorm(blk - kernel._at_pos(k, k))
         out["V_plus"][k] = v_p

@@ -8,8 +8,14 @@ backward steps solve the two coupled first-order recurrences
     rho(k-1) psi1(k-1) = P21(k) psi1(k) + P22(k) psi2(k),
 
 with P = z A + B, by factorized linear solves of the off-diagonal pencil
-blocks (never explicit inversion); the reciprocal condition of each solve is
-checked against ``rcond_min``.
+blocks (never explicit inversion). One kernel, :func:`propagate_hats`, does
+this for an array of z (a scalar z is a batch of one) and for every caller,
+here, in :mod:`hamweyl.weyl` and in the eigenvalue scan, with one pencil
+check: a (2,1) block (forward) or (1,2) block (backward) whose 2-norm
+reciprocal condition is below ``rcond_min`` at any z raises
+:class:`SteppingError`. Where that block of A vanishes, the pencil block is
+B's for every z: its condition is computed once per system and site, and
+its solve factorizes once for the whole batch.
 
 Trajectories are stored densely with no re-orthogonalization. Column norms
 beyond 1e150 raise a scale warning; for long ranges at |Im z| away from zero
@@ -38,6 +44,7 @@ __all__ = [
     "HatState",
     "HatTrajectory",
     "FundamentalMatrix",
+    "propagate_hats",
     "step_forward",
     "step_backward",
     "hat_trajectory",
@@ -51,6 +58,7 @@ __all__ = [
 ]
 
 SCALE_LIMIT = 1e150
+_RENORM_LIMIT = 1e100
 
 
 @dataclass(frozen=True)
@@ -87,12 +95,77 @@ def _as_state_data(data, m: int) -> np.ndarray:
     return arr
 
 
-def _checked_solve(mat: np.ndarray, rhs: np.ndarray, site: int, which: str,
-                   rcond_min: float) -> np.ndarray:
-    rc = la.rcond(mat)
+def _solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve mat X = rhs for an (N, m, r) stack; one (m, m) matrix is
+    factorized once for the whole batch, an (N, m, m) stack per z."""
+    n, m, r = rhs.shape
+    if mat.ndim == 3 or n == 1:
+        return np.linalg.solve(mat, rhs)
+    x = np.linalg.solve(mat, rhs.transpose(1, 0, 2).reshape(m, n * r))
+    return x.reshape(m, n, r).transpose(1, 0, 2)
+
+
+def _pencil_solve(sys: HamiltonianSystem, z: np.ndarray, state: np.ndarray,
+                  k: int, d: int, rcond_min: float):
+    """First half of a step from site k in direction d = +1 or -1.
+
+    Returns (x, p): x is psi1(k+1) (forward) or psi2(k) (backward) from the
+    checked off-diagonal pencil solve, p the (N, 2m, 2m) pencil of the step.
+    """
+    # a is the half the pencil solve replaces, b the half carried over
+    a, b = (slice(None, sys.m), slice(sys.m, None))[::d]
+    which = "(2,1)" if d > 0 else "(1,2)"
+    site = max(k, k + d)
+    i = sys._index(site)
+    p = z[:, None, None] * sys._A[i] + sys._B[i]
+    rhs = sys.rho(k) @ state[:, a] - p[:, b, b] @ state[:, b]
+    static, rc_static = sys._offdiag_static[which]
+    if static[i]:
+        blk, rc = sys._B[i][b, a], rc_static[i]
+    else:
+        blk = p[:, b, a]
+        rc = float(np.min(la.rcond(blk)))
     if rc < rcond_min:
         raise SteppingError(site=site, rcond=rc, which=which)
-    return np.linalg.solve(mat, rhs)
+    return _solve(blk, rhs), p
+
+
+def propagate_hats(sys: HamiltonianSystem, z, k_start: int, init, k_end: int,
+                   *, trajectory: bool = False, renormalize: bool = False,
+                   rcond_min: float = RCOND_MIN) -> np.ndarray:
+    """Step hat states from ``k_start`` to ``k_end`` at every z of a batch.
+
+    ``z`` is a scalar or a 1-d array of N spectral parameters and ``init`` a
+    (2m, r) hat shared by all of them or an (N, 2m, r) stack. Returns the
+    (N, 2m, r) hats at ``k_end``, or with ``trajectory`` the
+    (|k_end - k_start| + 1, N, 2m, r) hats of every site in step order from
+    ``init``. With ``renormalize``, a hat whose largest entry exceeds 1e100
+    after a step is divided by that entry (M and the disk functional are
+    invariant under a common column scale). Forward steps check and solve
+    the (2,1) pencil block at the target site, backward steps the (1,2)
+    block at the departing site.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    state = np.empty(z.shape + np.shape(init)[-2:], dtype=complex)
+    state[...] = init
+    d = 1 if k_end >= k_start else -1
+    out = None
+    if trajectory:
+        out = np.empty((abs(k_end - k_start) + 1,) + state.shape, dtype=complex)
+        out[0] = state
+    a, b = (slice(None, sys.m), slice(sys.m, None))[::d]
+    for j, k in enumerate(range(k_start, k_end, d), 1):
+        x, p = _pencil_solve(sys, z, state, k, d, rcond_min)
+        y = _solve(sys.rho(k + d), p[:, a, a] @ x + p[:, a, b] @ state[:, b])
+        state = np.concatenate((x, y)[::d], axis=1)
+        if renormalize:
+            scale = np.max(np.abs(state), axis=(1, 2))
+            big = scale > _RENORM_LIMIT
+            if np.any(big):
+                state[big] /= scale[big, None, None]
+        if trajectory:
+            out[j] = state
+    return out if trajectory else state
 
 
 def step_forward(sys: HamiltonianSystem, z: complex, state: HatState,
@@ -102,13 +175,9 @@ def step_forward(sys: HamiltonianSystem, z: complex, state: HatState,
     Solves the (2,1) pencil at the target site for psi1(k+1), then recovers
     psi2(k+2) from the weight at k+1.
     """
-    k = state.k
-    p11, p12, p21, p22 = sys.pencil_blocks(z, k + 1)
-    rhs = sys.rho(k) @ state.psi1 - p22 @ state.psi2_next
-    psi1_next = _checked_solve(p21, rhs, k + 1, "(2,1)", rcond_min)
-    psi2_next2 = np.linalg.solve(sys.rho(k + 1),
-                                 p11 @ psi1_next + p12 @ state.psi2_next)
-    return HatState(k=k + 1, z=z, data=np.vstack([psi1_next, psi2_next2]))
+    k = state.k + 1
+    return HatState(k, z, propagate_hats(sys, z, state.k, state.data, k,
+                                         rcond_min=rcond_min)[0])
 
 
 def step_backward(sys: HamiltonianSystem, z: complex, state: HatState,
@@ -118,13 +187,9 @@ def step_backward(sys: HamiltonianSystem, z: complex, state: HatState,
     Solves the (1,2) pencil at the departing site for psi2(k), then recovers
     psi1(k-1) from the weight at k-1.
     """
-    k = state.k
-    p11, p12, p21, p22 = sys.pencil_blocks(z, k)
-    rhs = sys.rho(k) @ state.psi2_next - p11 @ state.psi1
-    psi2_here = _checked_solve(p12, rhs, k, "(1,2)", rcond_min)
-    psi1_prev = np.linalg.solve(sys.rho(k - 1),
-                                p21 @ state.psi1 + p22 @ psi2_here)
-    return HatState(k=k - 1, z=z, data=np.vstack([psi1_prev, psi2_here]))
+    k = state.k - 1
+    return HatState(k, z, propagate_hats(sys, z, state.k, state.data, k,
+                                         rcond_min=rcond_min)[0])
 
 
 class HatTrajectory:
@@ -183,13 +248,13 @@ class HatTrajectory:
         """psi2 at site k itself.
 
         Interior sites read it from the neighbouring hat; at the lower edge
-        it is recovered by one (1,2)-pencil solve.
+        it is recovered by the pencil half of a backward step.
         """
         if k - 1 >= self.k_lo:
             return self.hat(k - 1)[self.m:]
-        p11, p12, _, _ = self.sys.pencil_blocks(self.z, k)
-        rhs = self.sys.rho(k) @ self.psi2_next(k) - p11 @ self.psi1(k)
-        return _checked_solve(p12, rhs, k, "(1,2)", RCOND_MIN)
+        x, _ = _pencil_solve(self.sys, np.array([self.z], dtype=complex),
+                             self.hat(k)[None], k, -1, RCOND_MIN)
+        return x[0]
 
     def plain(self, k: int) -> np.ndarray:
         """Plain solution value (psi1(k); psi2(k)) as a (2m, r) array."""
@@ -207,18 +272,11 @@ def hat_trajectory(sys: HamiltonianSystem, z: complex, k_start: int, init,
     lo, hi = int(krange[0]), int(krange[1])
     if not lo <= k_start <= hi:
         raise InputError(f"k_start={k_start} outside requested range [{lo},{hi}]")
-    n = hi - lo + 1
-    data = np.empty((n, init.shape[0], init.shape[1]), dtype=complex)
-    data[k_start - lo] = init
-    state = HatState(k=k_start, z=z, data=init)
-    for k in range(k_start, hi):
-        state = step_forward(sys, z, state, rcond_min)
-        data[state.k - lo] = state.data
-    state = HatState(k=k_start, z=z, data=init)
-    for k in range(k_start, lo, -1):
-        state = step_backward(sys, z, state, rcond_min)
-        data[state.k - lo] = state.data
-    return HatTrajectory(sys, z, lo, data)
+    fwd = propagate_hats(sys, z, k_start, init, hi, trajectory=True,
+                         rcond_min=rcond_min)
+    bwd = propagate_hats(sys, z, k_start, init, lo, trajectory=True,
+                         rcond_min=rcond_min)
+    return HatTrajectory(sys, z, lo, np.concatenate([bwd[:0:-1, 0], fwd[:, 0]]))
 
 
 class FundamentalMatrix(HatTrajectory):
@@ -262,18 +320,24 @@ class FundamentalMatrix(HatTrajectory):
         return self.plain(k)[self.m:, self.m:]
 
 
+def _weighted(bd, sys: HamiltonianSystem, k: int) -> np.ndarray:
+    """Boundary data weighted at site k; an m x 2m array is taken as already
+    weighted."""
+    if isinstance(bd, BoundaryData):
+        return weighted_boundary(bd, sys, k)
+    at = la.as_complex_matrix(bd)
+    if at.shape != (sys.m, 2 * sys.m):
+        raise InputError(f"weighted boundary matrix must be m x 2m, got {at.shape}")
+    return at
+
+
 def initial_hat(sys: HamiltonianSystem, k0: int, alpha) -> tuple[np.ndarray, np.ndarray]:
     """Initial fundamental hat value at k0 and the weighted boundary matrix.
 
     ``alpha`` may be :class:`BoundaryData` (weighted internally) or an m x 2m
     array already in weighted form.
     """
-    if isinstance(alpha, BoundaryData):
-        at = weighted_boundary(alpha, sys, k0)
-    else:
-        at = la.as_complex_matrix(alpha)
-        if at.shape != (sys.m, 2 * sys.m):
-            raise InputError(f"weighted boundary matrix must be m x 2m, got {at.shape}")
+    at = _weighted(alpha, sys, k0)
     j = symplectic_unit(sys.m)
     cols = np.hstack([at.conj().T, j @ at.conj().T])
     init = np.linalg.solve(sys.i_rho(k0), cols)
@@ -335,22 +399,25 @@ def lagrange_telescoping_check(sys: HamiltonianSystem, z1: complex, z2: complex,
     identity is bilinear, hence invariant under a shared rescaling).
     """
     m = sys.m
-    if init1 is None:
-        init1 = np.eye(2 * m, dtype=complex)
-    if init2 is None:
-        init2 = np.eye(2 * m, dtype=complex)
-    s1 = HatState(k=k0, z=z1, data=_as_state_data(init1, m))
-    s2 = HatState(k=k0, z=z2, data=_as_state_data(init2, m))
+    h1, h2 = (_as_state_data(np.eye(2 * m) if h is None else h, m)
+              for h in (init1, init2))
+    r1, r2 = h1.shape[1], h2.shape[1]
+    # both trajectories step as one batch; the narrower one is padded with
+    # zero columns, which the linear recurrence keeps zero
+    hats = np.zeros((2, 2 * m, max(r1, r2)), dtype=complex)
+    hats[0, :, :r1], hats[1, :, :r2] = h1, h2
+
+    def states(k, h):
+        return HatState(k, z1, h[0, :, :r1]), HatState(k, z2, h[1, :, :r2])
+
     worst = 0.0
-    for _ in range(steps):
-        n1 = step_forward(sys, z1, s1)
-        n2 = step_forward(sys, z2, s2)
-        worst = max(worst, lagrange_step_defect(sys, s1, n1, s2, n2))
+    for k in range(k0, k0 + steps):
+        new = propagate_hats(sys, [z1, z2], k, hats, k + 1)
+        (p1, p2), (c1, c2) = states(k, hats), states(k + 1, new)
+        worst = max(worst, lagrange_step_defect(sys, p1, c1, p2, c2))
         if renormalize:
-            scale = max(np.max(np.abs(n1.data)), np.max(np.abs(n2.data)), 1.0)
-            n1 = HatState(n1.k, z1, n1.data / scale)
-            n2 = HatState(n2.k, z2, n2.data / scale)
-        s1, s2 = n1, n2
+            new /= max(np.max(np.abs(new)), 1.0)
+        hats = new
     return worst
 
 

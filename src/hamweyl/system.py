@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -160,6 +161,23 @@ def _coerce_site_values(values, window, m, name):
     raise InputError(f"{name}: expected shape ({n},{m},{m}), got {arr.shape}")
 
 
+def _policy_index(k: int, k_min: int, n: int, extension: str) -> int:
+    """Stored position of site k in an n-site window starting at k_min.
+
+    "constant-edge" clamps to the nearest stored site, "periodic" wraps,
+    "error" raises :class:`DomainError` outside the window.
+    """
+    i = k - k_min
+    if 0 <= i < n:
+        return i
+    if extension == "constant-edge":
+        return min(max(i, 0), n - 1)
+    if extension == "periodic":
+        return i % n
+    raise DomainError(f"site {k} outside window [{k_min},{k_min + n - 1}] "
+                      "under 'error' extension")
+
+
 class JacobiCoefficients:
     """Derived three-term coefficients of a Sturm-Liouville difference system.
 
@@ -180,22 +198,11 @@ class JacobiCoefficients:
     def k_max(self) -> int:
         return self.k_min + len(self.p) - 1
 
-    def _index(self, k: int, name: str) -> int:
-        n = len(self.p)
-        i = k - self.k_min
-        if 0 <= i < n:
-            return i
-        if self.extension == "constant-edge":
-            return min(max(i, 0), n - 1)
-        if self.extension == "periodic":
-            return i % n
-        raise DomainError(f"{name}({k}) outside window under 'error' extension")
-
     def p_at(self, k: int) -> np.ndarray:
-        return self.p[self._index(k, "p")]
+        return self.p[_policy_index(k, self.k_min, len(self.p), self.extension)]
 
     def q_at(self, k: int) -> np.ndarray:
-        return self.q[self._index(k, "q")]
+        return self.q[_policy_index(k, self.k_min, len(self.q), self.extension)]
 
     def a(self, k: int) -> np.ndarray:
         """Off-diagonal coefficient a(k) = -p(k+1)."""
@@ -265,18 +272,7 @@ class HamiltonianSystem:
         return range(self.k_min, self.k_max + 1)
 
     def _index(self, k: int) -> int:
-        i = k - self.k_min
-        n = self.n_sites
-        if 0 <= i < n:
-            return i
-        if self.extension == "constant-edge":
-            return min(max(i, 0), n - 1)
-        if self.extension == "periodic":
-            return i % n
-        raise DomainError(
-            f"site {k} outside window [{self.k_min},{self.k_max}] "
-            "under 'error' extension"
-        )
+        return _policy_index(k, self.k_min, self.n_sites, self.extension)
 
     def in_reach(self, k: int) -> bool:
         """True when site k is resolvable under the extension policy."""
@@ -302,6 +298,16 @@ class HamiltonianSystem:
         p = self.pencil(z, k)
         m = self.m
         return p[:m, :m], p[:m, m:], p[m:, :m], p[m:, m:]
+
+    @cached_property
+    def _offdiag_static(self) -> dict:
+        """Per off-diagonal pencil block ("(2,1)", "(1,2)") and stored site:
+        whether that block of A vanishes, so the pencil block is B's for
+        every z, and the 2-norm rcond of B's block."""
+        top, bot = slice(None, self.m), slice(self.m, None)
+        return {which: (~np.any(self._A[:, r, c], axis=(1, 2)),
+                        la.rcond(self._B[:, r, c]))
+                for which, r, c in (("(2,1)", bot, top), ("(1,2)", top, bot))}
 
     def j_rho(self, k: int) -> np.ndarray:
         return J_rho(self.rho(k))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg as la
-from ._batch import batch_boundary_smin
 from .errors import ConvergenceError, GenerationError, InputError, UnsupportedError
 from .system import (
     DEFAULT_Z_SAMPLE,
@@ -25,8 +24,8 @@ from .system import (
     dirac_system,
     jacobi_system,
     validate_pointwise,
-    weighted_boundary,
 )
+from .weyl import regular_m_evaluator
 
 __all__ = [
     "RegularBVP",
@@ -148,13 +147,11 @@ def eig_via_detPhi(sys: HamiltonianSystem, k0: int, ell: int,
     lo, hi = float(search_interval[0]), float(search_interval[1])
     if not hi > lo:
         raise InputError("search interval must be nondegenerate")
-    at = weighted_boundary(alpha, sys, k0)
-    bt = weighted_boundary(beta, sys, ell)
+    extract = regular_m_evaluator(sys, k0, ell, alpha, beta).extract
     grid = np.linspace(lo, hi, int(grid_n))
 
     def smin_of(z_vals) -> np.ndarray:
-        return batch_boundary_smin(sys, np.asarray(z_vals, dtype=complex),
-                                   k0, ell, at, bt)
+        return extract(z_vals)[1]
 
     s = smin_of(grid)
     scale = max(1.0, float(np.median(s)))

@@ -25,16 +25,14 @@ import numpy as np
 import scipy.linalg
 
 from . import _linalg as la
-from ._batch import batch_m_regular
 from .errors import EigenvalueHitError, InputError, TransformPoleError
 from .propagate import (
     FundamentalMatrix,
-    HatState,
     WeylTrajectory,
+    _weighted,
     fundamental,
     initial_hat,
-    step_backward,
-    step_forward,
+    propagate_hats,
     weyl_solution,
 )
 from .system import (
@@ -42,7 +40,6 @@ from .system import (
     BoundaryData,
     HamiltonianSystem,
     dirichlet,
-    weighted_boundary,
 )
 
 __all__ = [
@@ -190,30 +187,51 @@ class MFunction:
         return self.M.shape[0]
 
 
+def _extract_m(hats: np.ndarray, bt: np.ndarray, singular_tol: float = 1e-13):
+    """M = -[bt Phi^]^{-1} [bt Theta^] from an (N, 2m, 2m) stack of hats at ell.
+
+    The one rule for "z is on an eigenvalue": the weighted right block is
+    singular when its 2-norm rcond, or its smallest singular value against
+    the scale of the whole boundary-weighted row, is below ``singular_tol``.
+    Returns (M, smin, rcond, hit) over the stack, with M NaN where ``hit``.
+    """
+    m = hats.shape[1] // 2
+    btheta = bt @ hats[:, :, :m]
+    bphi = bt @ hats[:, :, m:]
+    s = np.linalg.svd(bphi, compute_uv=False)
+    smin, smax = s[:, -1], s[:, 0]
+    rc = np.divide(smin, smax, out=np.zeros_like(smax), where=smax > 0.0)
+
+    def tiny(norm_theta, sel):
+        # judge singularity against the whole boundary-weighted row: a right
+        # block that is tiny relative to the left block is a pole of M even
+        # when it is perfectly conditioned on its own (always so for m = 1)
+        row = np.maximum(np.maximum(norm_theta, smax[sel]), 1e-300)
+        return smin[sel] < singular_tol * row
+
+    # the 2-norm of the left block is taken only where its Frobenius bound
+    # (with a margin for rounding) leaves the decision open
+    hit = rc < singular_tol
+    frobenius = np.linalg.norm(btheta, axis=(1, 2)) * (1.0 + 1e-10)
+    sel = ~hit & tiny(frobenius, slice(None))
+    hit[sel] = tiny(np.linalg.svd(btheta[sel], compute_uv=False)[:, 0], sel)
+    ok = ~hit
+    M = np.full_like(btheta, np.nan)
+    M[ok] = -np.linalg.solve(bphi[ok], btheta[ok])
+    return M, smin, rc, hit
+
+
 def m_from_hat(sys: HamiltonianSystem, hat: np.ndarray, ell: int, beta,
                singular_tol: float = 1e-13):
     """M from one fundamental hat value at ell; returns (M, smin, rcond).
 
     ``beta`` is :class:`BoundaryData` (weighted at ell) or an m x 2m array
-    already in weighted form.
+    already in weighted form. M is None when the weighted right block is
+    singular by the rule of the batched extraction.
     """
-    m = hat.shape[0] // 2
-    if isinstance(beta, BoundaryData):
-        bt = weighted_boundary(beta, sys, ell)
-    else:
-        bt = la.as_complex_matrix(beta)
-    btheta = bt @ hat[:, :m]
-    bphi = bt @ hat[:, m:]
-    s = np.linalg.svd(bphi, compute_uv=False)
-    smin = float(s[-1])
-    rc = float(s[-1] / s[0]) if s[0] > 0 else 0.0
-    # judge singularity against the whole boundary-weighted row: a right
-    # block that is tiny relative to the left block is a pole of M even when
-    # it is perfectly conditioned on its own (always so for m = 1)
-    scale = max(la.opnorm(btheta), la.opnorm(bphi), 1e-300)
-    if rc < singular_tol or smin < singular_tol * scale:
-        return None, smin, rc
-    return -np.linalg.solve(bphi, btheta), smin, rc
+    M, smin, rc, hit = _extract_m(hat[None], _weighted(beta, sys, ell),
+                                  singular_tol)
+    return (None if hit[0] else M[0]), float(smin[0]), float(rc[0])
 
 
 def m_regular(sys: HamiltonianSystem, ctx: DiskContext, beta,
@@ -308,17 +326,16 @@ def disk_diameter_estimate(sys: HamiltonianSystem, ctx: DiskContext,
     up to sampling error because the disks nest.
     """
     fund = _fundamental_for(sys, ctx, fund)
-    hat = fund.hat(ctx.ell)
-    points = []
-    for bd in boundary_family(sys.m, n_samples):
-        M, _, _ = m_from_hat(sys, hat, ctx.ell, bd)
-        if M is not None:
-            points.append(M)
-    best = 0.0
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            best = max(best, la.opnorm(points[i] - points[j]))
-    return best
+    return _sampled_diameter(sys, fund.hat(ctx.ell), ctx.ell, n_samples)
+
+
+def _sampled_diameter(sys, hat: np.ndarray, ell: int, n_samples: int) -> float:
+    """Max pairwise distance of the circle points at ell over the sampled family."""
+    points = [M for M, _, _ in (m_from_hat(sys, hat, ell, bd)
+                                for bd in boundary_family(sys.m, n_samples))
+              if M is not None]
+    return max((la.opnorm(p - q) for i, p in enumerate(points)
+                for q in points[i + 1:]), default=0.0)
 
 
 @dataclass
@@ -415,31 +432,24 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
         raise InputError("empty far-site schedule (window too small)")
     sigma = sigma_of(k0 + direction, k0, z)
 
-    init, _ = initial_hat(sys, k0, alpha)
-    state = HatState(k=k0, z=z, data=init)
-    step = step_forward if direction > 0 else step_backward
-
+    hat, k = initial_hat(sys, k0, alpha)[0], k0
     ells, values, gaps = [], [], []
     hats_at = {}
     prev = None
     converged = False
     note = ""
     for ell in schedule:
-        while state.k != ell:
-            state = step(sys, z, state)
-            scale = np.max(np.abs(state.data))
-            if scale > 1e100:
-                state = HatState(state.k, z, state.data / scale)
-        if not la.all_finite(state.data):
+        hat, k = propagate_hats(sys, z, k, hat, ell, renormalize=True)[0], ell
+        if not la.all_finite(hat):
             note = f"propagation lost finiteness before ell={ell}"
             break
-        M, smin, _ = m_from_hat(sys, state.data, ell, beta)
+        M, smin, _ = m_from_hat(sys, hat, ell, beta)
         if M is None:
             note = f"far boundary block singular at ell={ell} (smin={smin:.2e})"
             break
         ells.append(ell)
         values.append(M)
-        hats_at[ell] = state.data.copy()
+        hats_at[ell] = hat
         if prev is not None:
             gap = la.opnorm(M - prev) / (1.0 + la.opnorm(M))
             gaps.append(gap)
@@ -458,18 +468,8 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
     ell_final = ells[-1]
     scale = 1.0 + la.opnorm(M_final)
 
-    def diameter_at(ell) -> float:
-        hat = hats_at[ell]
-        pts = [m for m, _, _ in
-               (m_from_hat(sys, hat, ell, bd)
-                for bd in boundary_family(sys.m, opts.n_samples)) if m is not None]
-        best = 0.0
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                best = max(best, la.opnorm(pts[i] - pts[j]))
-        return best
-
-    diameters = [diameter_at(ell) for ell in ells[-3:]]
+    diameters = [_sampled_diameter(sys, hats_at[ell], ell, opts.n_samples)
+                 for ell in ells[-3:]]
     diam = diameters[-1]
 
     # limit point: the chase converged and the disks have collapsed.
@@ -569,21 +569,30 @@ def regular_m_evaluator(sys: HamiltonianSystem, k0: int, ell: int, alpha, beta):
     """Vectorized z -> M(z) for the regular two-point problem.
 
     The returned callable accepts a scalar (returning (m, m)) or an array
-    (returning (N, m, m)); it carries ``accepts_arrays = True``.
+    (returning (N, m, m)); it carries ``accepts_arrays = True``. All z of a
+    call go through one batched propagation with the pencil check of
+    :func:`hamweyl.propagate.propagate_hats`, so a near-singular pencil
+    raises :class:`SteppingError` as in :func:`m_regular`. M is extracted by
+    the singularity rule of :func:`m_regular`: where m_regular raises
+    :class:`EigenvalueHitError` the evaluator returns NaN. Its ``extract``
+    attribute maps a z array to the full (M, smin, rcond, hit) tuple.
     """
-    at = weighted_boundary(alpha, sys, k0) if isinstance(alpha, BoundaryData) \
-        else la.as_complex_matrix(alpha)
-    bt = weighted_boundary(beta, sys, ell) if isinstance(beta, BoundaryData) \
-        else la.as_complex_matrix(beta)
+    if ell == k0:
+        raise InputError("ell must differ from k0")
+    init, _ = initial_hat(sys, k0, alpha)
+    bt = _weighted(beta, sys, ell)
+
+    def extract(z):
+        return _extract_m(propagate_hats(sys, z, k0, init, ell), bt)
 
     def ev(z):
         arr = np.asarray(z, dtype=complex)
-        scalar = arr.ndim == 0
-        M, _ = batch_m_regular(sys, arr.reshape(-1), k0, ell, at, bt)
-        return M[0] if scalar else M
+        M = extract(arr.reshape(-1))[0]
+        return M[0] if arr.ndim == 0 else M
 
     ev.accepts_arrays = True
     ev.m = sys.m
+    ev.extract = extract
     return ev
 
 

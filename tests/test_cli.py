@@ -94,6 +94,33 @@ def test_mfun_grid_herglotz_column(free_fixture, tmp_path):
     assert all(r.split(",")[ok_col] == "True" for r in rows)
 
 
+def test_numerical_failures_exit_3(free_fixture, tmp_path):
+    # below the spectrum the ell=1000 scan overflows; the numpy failure maps
+    # to exit 3 instead of escaping main
+    path = tmp_path / "long.json"
+    hsys.save_coefficients(make_free_jacobi((0, 1000)), path)
+    rc = main(["eig", "--input", str(path), "--ell", "1000",
+               "--interval=-3,-1", "--grid-n", "101",
+               "--output", str(tmp_path / "e.csv"), "--no-timestamp"])
+    assert rc == 3
+    # a grid point on a Dirichlet eigenvalue of [0, 11] is an M hit
+    lam = float(2 - 2 * np.cos(np.pi / 11))
+    rc2 = main(["mfun", "--input", free_fixture, "--ell", "11",
+                f"--z={lam!r},1e-15", "--output", str(tmp_path / "m.csv"),
+                "--no-timestamp"])
+    assert rc2 == 3
+
+
+def test_workers_flag_is_ignored(free_fixture, tmp_path):
+    outs = [tmp_path / "w1.csv", tmp_path / "w4.csv"]
+    for out, workers in zip(outs, ("1", "4")):
+        rc = main(["mfun", "--input", free_fixture, "--ell", "11",
+                   "--z-grid=-1:5:4,0.1:1:3", "--workers", workers,
+                   "--output", str(out), "--no-timestamp"])
+        assert rc == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_outputs_are_deterministic(free_fixture, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):

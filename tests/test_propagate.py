@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hamweyl import propagate as hp
 from hamweyl import system as hsys
 from hamweyl import testkit as htk
-from hamweyl.errors import InputError
+from hamweyl.errors import InputError, SteppingError
 
 from conftest import make_free_jacobi
 
@@ -63,6 +63,40 @@ def test_step_roundtrip_random_systems(seed):
     bwd = hp.step_backward(sysr, z, state)
     fwd2 = hp.step_forward(sysr, z, bwd)
     assert np.linalg.norm(fwd2.data - data) < 1e-12 * (1 + np.linalg.norm(data))
+
+
+def test_batched_kernel_matches_scalar_steps():
+    # one kernel for every caller: each z of a batch gets the hats of the
+    # scalar trajectory bit for bit, forward and backward
+    for cls, m in (("jacobi", 2), ("dirac", 1), ("general_A12zero", 3)):
+        sysr = htk.random_system(m, (0, 16), seed=41, cls=cls)
+        init = np.eye(2 * m, dtype=complex)[:, :m]
+        zs = np.array([0.3 + 0.2j, -1.1 + 0.7j, 2.0 - 0.4j])
+        for k_end in (16, 0):
+            batch = hp.propagate_hats(sysr, zs, 8, init, k_end)
+            for i, z in enumerate(zs):
+                traj = hp.hat_trajectory(sysr, z, 8, init, (0, 16))
+                assert np.array_equal(batch[i], traj.hat(k_end))
+
+
+def test_pencil_check_on_z_dependent_block():
+    # A21 = A12 = 1: the off-diagonal pencil blocks z + 1 depend on z and
+    # vanish at z = -1; the check runs at every z of a batch, both ways
+    A = np.array([[1.0, 1.0], [1.0, 1.0]])
+    B = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sysg = hsys.HamiltonianSystem(1, (0, 6), A, B, 1.0)
+    init = np.eye(2, dtype=complex)
+    zs = np.array([0.3 + 0.2j, -0.5 + 1.0j])
+    fwd = hp.propagate_hats(sysg, zs, 0, init, 6)
+    for i, z in enumerate(zs):
+        traj = hp.hat_trajectory(sysg, z, 0, init, (0, 6))
+        assert np.array_equal(fwd[i], traj.hat(6))
+    back = hp.propagate_hats(sysg, zs, 6, fwd, 0)
+    assert np.allclose(back, init, atol=1e-10)
+    for k_end, which in ((6, "(2,1)"), (-3, "(1,2)")):
+        with pytest.raises(SteppingError) as err:
+            hp.propagate_hats(sysg, np.append(zs, -1.0), 0, init, k_end)
+        assert err.value.which == which and err.value.rcond == 0.0
 
 
 def test_linearity_of_propagation():

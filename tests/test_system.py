@@ -354,6 +354,8 @@ def test_extension_policies():
                             extension="error")
     with pytest.raises(DomainError):
         ee.B(3)
+    # plain values at the lower window edge need no site below the window
+    assert hsys.check_definiteness(ee, 1j, (0, 2)).definite
 
 
 def test_coefficient_file_roundtrip(tmp_path):

@@ -6,7 +6,7 @@ from hamweyl import propagate as hp
 from hamweyl import system as hsys
 from hamweyl import testkit as htk
 from hamweyl import weyl as hwl
-from hamweyl.errors import EigenvalueHitError, InputError
+from hamweyl.errors import EigenvalueHitError, InputError, SteppingError
 
 from conftest import make_free_jacobi
 
@@ -125,6 +125,48 @@ def test_m_regular_eigenvalue_hit():
     ctx = hwl.disk_context(sysj, complex(lam, 1e-15), 0, 11, al)
     with pytest.raises(EigenvalueHitError):
         hwl.m_regular(sysj, ctx, be)
+
+
+def test_evaluator_nan_where_m_regular_hits():
+    # one singularity rule: at the hit of the test above the batched
+    # evaluator returns NaN, and neighbouring z in the batch stay finite
+    sysj = make_free_jacobi((0, 12))
+    al = be = hsys.dirichlet(1)
+    z = complex(2 - 2 * np.cos(np.pi / 11), 1e-15)
+    ev = hwl.regular_m_evaluator(sysj, 0, 11, al, be)
+    assert np.all(np.isnan(ev(z)))
+    both = ev(np.array([z, 0.5 + 0.5j]))
+    assert np.all(np.isnan(both[0])) and np.all(np.isfinite(both[1]))
+
+
+def test_evaluator_pencil_check_matches_m_regular():
+    # a singular (2,1) pencil at one site (B21 zeroed where A21 vanishes)
+    # raises the same typed error on the batched path as on the scalar one
+    sysj = make_free_jacobi((0, 12))
+    B = sysj._B.copy()
+    B[5, 1, 0] = 0.0
+    bad = hsys.HamiltonianSystem(1, sysj.window, sysj._A, B, sysj._rho)
+    al = be = hsys.dirichlet(1)
+    with pytest.raises(SteppingError):
+        hwl.m_regular(bad, hwl.disk_context(bad, 0.5 + 0.5j, 0, 11, al), be)
+    ev = hwl.regular_m_evaluator(bad, 0, 11, al, be)
+    with pytest.raises(SteppingError):
+        ev(np.array([0.5 + 0.5j, 1.0 + 0.2j]))
+
+
+def test_evaluator_equals_m_regular_bitwise():
+    # the system of test_m_regular_conjugation_and_herglotz (non-unit rho):
+    # batched and scalar evaluation run the same kernel and extraction
+    sysr = htk.random_system(2, (0, 14), seed=15, cls="general_A12zero")
+    al = hsys.dirichlet(2)
+    zs = np.array([0.5 + 0.75j, -1.2 + 0.4j])
+    for bd in zero_boundary_family(2, 4):
+        ev = hwl.regular_m_evaluator(sysr, 1, 11, al, bd)
+        batch = ev(zs)
+        for i, z in enumerate(zs):
+            m_z = hwl.m_regular(sysr, hwl.disk_context(sysr, z, 1, 11, al), bd).M
+            assert np.array_equal(ev(z), m_z)
+            assert np.array_equal(batch[i], m_z)
 
 
 def test_disk_context_validation():
