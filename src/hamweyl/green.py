@@ -25,7 +25,12 @@ import numpy as np
 
 from . import _linalg as la
 from .errors import InputError, KernelConstructionError
-from .propagate import fundamental, weyl_solution
+from .propagate import (
+    HatTrajectory,
+    _pairing_defects,
+    fundamental,
+    weyl_solution,
+)
 from .system import HamiltonianSystem
 
 __all__ = [
@@ -43,38 +48,13 @@ __all__ = [
 ]
 
 
-class _PlainTrajectory:
-    """Plain (psi1(k); psi2(k)) values of an m-column family over a window."""
-
-    def __init__(self, k_lo: int, values: np.ndarray):
-        self.k_lo = k_lo
-        self.values = values  # (n, 2m, m)
-
-    def __call__(self, k: int) -> np.ndarray:
-        i = k - self.k_lo
-        if not 0 <= i < len(self.values):
-            raise InputError(f"site {k} outside kernel window")
-        return self.values[i]
-
-    def hat(self, k: int) -> np.ndarray:
-        m = self.values.shape[1] // 2
-        here = self(k)
-        nxt = self(k + 1)
-        return np.vstack([here[:m], nxt[m:]])
-
-
-def _plain_family(traj, window) -> _PlainTrajectory:
-    lo, hi = window
-    vals = np.stack([traj.plain(k) for k in range(lo, hi + 1)])
-    return _PlainTrajectory(lo, vals)
-
-
 @dataclass
 class GreensKernel:
     """Evaluator for a 2m x 2m Green's matrix over a finite window.
 
     ``at(k, ell)`` returns the kernel block; trajectories of the coupled
-    solution families at z and conj(z) are cached over the window. For the
+    solution families at z and conj(z) cover the window and one site above
+    it, with their plain values computed once. For the
     whole-line variant the coupling matrix is (M_minus - M_plus)^{-1}; the
     half-line variants couple through +I and -I respectively.
     """
@@ -88,11 +68,11 @@ class GreensKernel:
     omega: np.ndarray
     M_plus: np.ndarray | None
     M_minus: np.ndarray | None
-    # plain families in the +/- roles at z_pos and conj(z_pos)
-    _up_z: _PlainTrajectory = None
-    _up_zb: _PlainTrajectory = None
-    _um_z: _PlainTrajectory = None
-    _um_zb: _PlainTrajectory = None
+    # solution families in the +/- roles at z_pos and conj(z_pos)
+    _up_z: HatTrajectory = None
+    _up_zb: HatTrajectory = None
+    _um_z: HatTrajectory = None
+    _um_zb: HatTrajectory = None
     _fund_z: object = None
     _fund_zb: object = None
     conjugated: bool = False
@@ -110,15 +90,15 @@ class GreensKernel:
         m = self.m
         om = self.omega
         if k > ell:
-            return self._up_z(k) @ om @ self._um_zb(ell).conj().T
+            return self._up_z.plain(k) @ om @ self._um_zb.plain(ell).conj().T
         if k < ell:
-            return self._um_z(k) @ om @ self._up_zb(ell).conj().T
-        phi_p = self._up_z(k)[:m]
-        th_p_conj = self._up_zb(k)[m:]
-        phi_p_conj = self._up_zb(k)[:m]
-        th_m = self._um_z(k)[m:]
-        phi_m_conj = self._um_zb(k)[:m]
-        th_m_conj = self._um_zb(k)[m:]
+            return self._um_z.plain(k) @ om @ self._up_zb.plain(ell).conj().T
+        phi_p = self._up_z.plain(k)[:m]
+        th_p_conj = self._up_zb.plain(k)[m:]
+        phi_p_conj = self._up_zb.plain(k)[:m]
+        th_m = self._um_z.plain(k)[m:]
+        phi_m_conj = self._um_zb.plain(k)[:m]
+        th_m_conj = self._um_zb.plain(k)[m:]
         out = np.empty((2 * m, 2 * m), dtype=complex)
         out[:m, :m] = phi_p @ om @ phi_m_conj.conj().T
         out[:m, m:] = phi_p @ om @ th_m_conj.conj().T
@@ -130,12 +110,12 @@ class GreensKernel:
         """The other admissible row mixing of the diagonal block."""
         m = self.m
         om = self.omega
-        phi_m = self._um_z(k)[:m]
-        th_p = self._up_z(k)[m:]
-        phi_p_conj = self._up_zb(k)[:m]
-        th_p_conj = self._up_zb(k)[m:]
-        phi_m_conj = self._um_zb(k)[:m]
-        th_m_conj = self._um_zb(k)[m:]
+        phi_m = self._um_z.plain(k)[:m]
+        th_p = self._up_z.plain(k)[m:]
+        phi_p_conj = self._up_zb.plain(k)[:m]
+        th_p_conj = self._up_zb.plain(k)[m:]
+        phi_m_conj = self._um_zb.plain(k)[:m]
+        th_m_conj = self._um_zb.plain(k)[m:]
         out = np.empty((2 * m, 2 * m), dtype=complex)
         out[:m, :m] = phi_m @ om @ phi_p_conj.conj().T
         out[:m, m:] = phi_m @ om @ th_p_conj.conj().T
@@ -174,28 +154,6 @@ def _herglotz_sign_check(M: np.ndarray, want_positive: bool, label: str) -> None
             f"(offending eigenvalue {lo:.3e})")
 
 
-def _pairing_defect(sys, fam_l: _PlainTrajectory, fam_r: _PlainTrajectory,
-                    window, target: np.ndarray, k0: int) -> tuple[float, float]:
-    """Relative deviation of hat_l(conj z,k)* J_rho(k) hat_r(z,k) from target.
-
-    Normalized per site by the product of the paired family norms. Returns
-    (near, drift): the max over sites within 8 steps of k0 and over the
-    whole window. The pairing is exactly constant in k; far-site drift
-    measures float cancellation in the decaying family, not a formula error.
-    """
-    lo, hi = window
-    near = drift = 0.0
-    for k in range(lo, hi):  # hat needs the neighbour above
-        hl, hr = fam_l.hat(k), fam_r.hat(k)
-        g = hl.conj().T @ sys.j_rho(k) @ hr
-        scale = 1.0 + la.opnorm(hl) * la.opnorm(hr) * la.opnorm(sys.rho(k))
-        d = la.opnorm(g - target) / scale
-        drift = max(drift, d)
-        if abs(k - k0) <= 8:
-            near = max(near, d)
-    return near, drift
-
-
 def _certify(kernel: GreensKernel, n_probe: int = 4) -> None:
     lo, hi = kernel.window
     candidates = [kernel.k0 + d for d in (-2, -1, 1, 2, 3)]
@@ -219,22 +177,26 @@ def _certify(kernel: GreensKernel, n_probe: int = 4) -> None:
             RuntimeWarning, stacklevel=3)
 
 
+def _operator_residual(sys: HamiltonianSystem, z: complex, y, k: int) -> np.ndarray:
+    """((S_rho - zA - B) y)(k) for a family ``y`` of (2m, r) site values."""
+    m = sys.m
+    py = sys.pencil(z, k) @ y(k)
+    return np.vstack([sys.rho(k) @ y(k + 1)[m:] - py[:m],
+                      sys.rho(k - 1) @ y(k - 1)[:m] - py[m:]])
+
+
 def _delta_residual_with_diag(kernel: GreensKernel, ell: int,
                               diag_block: np.ndarray) -> float:
-    sys = kernel.sys
-    z = kernel.z_pos
-    m = kernel.m
     lo, hi = kernel.window
+
+    def column(k):
+        return diag_block if k == ell else kernel._at_pos(k, ell)
+
     worst = 0.0
     for k in range(lo + 1, hi):
-        kk = diag_block if k == ell else kernel._at_pos(k, ell)
-        k_up = diag_block if k + 1 == ell else kernel._at_pos(k + 1, ell)
-        k_dn = diag_block if k - 1 == ell else kernel._at_pos(k - 1, ell)
-        top = sys.rho(k) @ k_up[m:] - (sys.pencil(z, k) @ kk)[:m]
-        bot = sys.rho(k - 1) @ k_dn[:m] - (sys.pencil(z, k) @ kk)[m:]
-        res = np.vstack([top, bot])
+        res = _operator_residual(kernel.sys, kernel.z_pos, column, k)
         if k == ell:
-            res = res - np.eye(2 * m)
+            res = res - np.eye(2 * kernel.m)
         worst = max(worst, la.opnorm(res))
     return worst
 
@@ -288,24 +250,21 @@ def _build(sys, z, k0, alpha, window, variant, M_plus, M_minus, certify=True):
     fund_z = fundamental(sys, z_pos, k0, alpha, (lo, hi + 1))
     fund_zb = fundamental(sys, np.conj(z_pos), k0, alpha, (lo, hi + 1))
 
-    def family(fund, M):
-        return _plain_family(weyl_solution(fund, M), (lo, hi + 1))
+    def weyl_roles(M):
+        return weyl_solution(fund_z, M), weyl_solution(fund_zb, M.conj().T)
 
-    def phi_family(fund):
-        vals = np.stack([fund.Phi(k) for k in range(lo, hi + 2)])
-        return _PlainTrajectory(lo, vals)
+    def phi_roles():
+        # the base-boundary roles are the fundamental's own Phi columns
+        return fund_z._columns(slice(m, None)), fund_zb._columns(slice(m, None))
 
     if variant == "whole":
-        up_z, up_zb = family(fund_z, mp), family(fund_zb, mp.conj().T)
-        um_z, um_zb = family(fund_z, mm), family(fund_zb, mm.conj().T)
+        (up_z, up_zb), (um_z, um_zb) = weyl_roles(mp), weyl_roles(mm)
         target = mm - mp
     elif variant == "half_plus":
-        up_z, up_zb = family(fund_z, mp), family(fund_zb, mp.conj().T)
-        um_z, um_zb = phi_family(fund_z), phi_family(fund_zb)
+        (up_z, up_zb), (um_z, um_zb) = weyl_roles(mp), phi_roles()
         target = np.eye(m, dtype=complex)
     else:
-        up_z, up_zb = phi_family(fund_z), phi_family(fund_zb)
-        um_z, um_zb = family(fund_z, mm), family(fund_zb, mm.conj().T)
+        (up_z, up_zb), (um_z, um_zb) = phi_roles(), weyl_roles(mm)
         target = -np.eye(m, dtype=complex)
 
     kernel = GreensKernel(variant=variant, z=z, k0=k0, alpha=alpha,
@@ -317,7 +276,13 @@ def _build(sys, z, k0, alpha, window, variant, M_plus, M_minus, certify=True):
                           _up_z=up_z, _up_zb=up_zb, _um_z=um_z, _um_zb=um_zb,
                           _fund_z=fund_z, _fund_zb=fund_zb,
                           conjugated=conjugated)
-    near, drift = _pairing_defect(sys, um_zb, up_z, (lo, hi), target, k0)
+    # the pairing is exactly constant in k; far-site drift measures float
+    # cancellation in the decaying family, not a formula error
+    near = drift = 0.0
+    for k, d in _pairing_defects(um_zb, up_z, range(lo, hi), target):
+        drift = max(drift, d)
+        if abs(k - k0) <= 8:
+            near = max(near, d)
     kernel.diagnostics["coupling_defect"] = near
     kernel.diagnostics["coupling_drift"] = drift
     if variant == "whole":
@@ -479,14 +444,11 @@ def solve_nonhomogeneous(kernel: GreensKernel, f) -> NonhomogeneousSolve:
             continue
         if kernel.variant == "half_minus" and k >= kernel.k0:
             continue
-        fv = fd.get(k, np.zeros((2 * m, r), dtype=complex))
-        top = sys.rho(k) @ y[k + 1][m:] - (sys.pencil(z, k) @ y[k])[:m] \
-            - (sys.A(k) @ fv)[:m]
-        bot = sys.rho(k - 1) @ y[k - 1][:m] - (sys.pencil(z, k) @ y[k])[m:] \
-            - (sys.A(k) @ fv)[m:]
+        af = sys.A(k) @ fd.get(k, np.zeros((2 * m, r), dtype=complex))
+        res = _operator_residual(sys, z, y.__getitem__, k) - af
         scale = 1.0 + la.opnorm(y[k]) * la.opnorm(sys.pencil(z, k)) \
-            + la.opnorm(sys.A(k) @ fv)
-        residual_by_site[k] = la.opnorm(np.vstack([top, bot])) / scale
+            + la.opnorm(af)
+        residual_by_site[k] = la.opnorm(res) / scale
 
     lhs = 0.0
     rhs = 0.0
@@ -575,8 +537,8 @@ def diagonal_riccati_blocks(kernel: GreensKernel, sites=None) -> dict:
     sites = range(lo, hi) if sites is None else sites
     out = {"blocks": {}, "defect": {}, "errors": {}, "V_plus": {}, "V_minus": {}}
     for k in sites:
-        up = kernel._up_z
-        um = kernel._um_z
+        up = kernel._up_z.plain
+        um = kernel._um_z.plain
         phi_p, th_p = up(k)[:m], up(k)[m:]
         phi_m, th_m = um(k)[:m], um(k)[m:]
         if min(la.rcond(phi_p), la.rcond(phi_m)) < 1e-13:
@@ -589,10 +551,10 @@ def diagonal_riccati_blocks(kernel: GreensKernel, sites=None) -> dict:
             out["errors"][k] = "V_plus - V_minus singular"
             continue
         core = np.linalg.inv(diff)
-        phi_p_c = kernel._up_zb(k)[:m]
-        th_p_c = kernel._up_zb(k)[m:]
-        phi_m_c = kernel._um_zb(k)[:m]
-        th_m_c = kernel._um_zb(k)[m:]
+        phi_p_c = kernel._up_zb.plain(k)[:m]
+        th_p_c = kernel._up_zb.plain(k)[m:]
+        phi_m_c = kernel._um_zb.plain(k)[:m]
+        th_m_c = kernel._um_zb.plain(k)[m:]
         blk = np.empty((2 * m, 2 * m), dtype=complex)
         blk[:m, :m] = core
         blk[:m, m:] = core @ np.linalg.solve(phi_m_c.conj().T, th_m_c.conj().T)

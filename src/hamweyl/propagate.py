@@ -12,20 +12,23 @@ blocks (never explicit inversion). One kernel, :func:`propagate_hats`, does
 this for an array of z (a scalar z is a batch of one) and for every caller,
 here, in :mod:`hamweyl.weyl` and in the eigenvalue scan, with one pencil
 check: a (2,1) block (forward) or (1,2) block (backward) whose 2-norm
-reciprocal condition is below ``rcond_min`` at any z raises
+reciprocal condition is below ``RCOND_MIN`` at any z raises
 :class:`SteppingError`. Where that block of A vanishes, the pencil block is
 B's for every z: its condition is computed once per system and site, and
 its solve factorizes once for the whole batch.
 
 Trajectories are stored densely with no re-orthogonalization. Column norms
 beyond 1e150 raise a scale warning; for long ranges at |Im z| away from zero
-use the Riccati form instead.
+use the Riccati form instead. One trajectory type serves every caller: the
+fundamental system, Weyl solutions and the role families of the Green's
+kernels; it computes its plain values once, on first read.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -106,7 +109,7 @@ def _solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _pencil_solve(sys: HamiltonianSystem, z: np.ndarray, state: np.ndarray,
-                  k: int, d: int, rcond_min: float):
+                  k: int, d: int):
     """First half of a step from site k in direction d = +1 or -1.
 
     Returns (x, p): x is psi1(k+1) (forward) or psi2(k) (backward) from the
@@ -125,14 +128,14 @@ def _pencil_solve(sys: HamiltonianSystem, z: np.ndarray, state: np.ndarray,
     else:
         blk = p[:, b, a]
         rc = float(np.min(la.rcond(blk)))
-    if rc < rcond_min:
+    if rc < RCOND_MIN:
         raise SteppingError(site=site, rcond=rc, which=which)
     return _solve(blk, rhs), p
 
 
 def propagate_hats(sys: HamiltonianSystem, z, k_start: int, init, k_end: int,
-                   *, trajectory: bool = False, renormalize: bool = False,
-                   rcond_min: float = RCOND_MIN) -> np.ndarray:
+                   *, trajectory: bool = False,
+                   renormalize: bool = False) -> np.ndarray:
     """Step hat states from ``k_start`` to ``k_end`` at every z of a batch.
 
     ``z`` is a scalar or a 1-d array of N spectral parameters and ``init`` a
@@ -155,7 +158,7 @@ def propagate_hats(sys: HamiltonianSystem, z, k_start: int, init, k_end: int,
         out[0] = state
     a, b = (slice(None, sys.m), slice(sys.m, None))[::d]
     for j, k in enumerate(range(k_start, k_end, d), 1):
-        x, p = _pencil_solve(sys, z, state, k, d, rcond_min)
+        x, p = _pencil_solve(sys, z, state, k, d)
         y = _solve(sys.rho(k + d), p[:, a, a] @ x + p[:, a, b] @ state[:, b])
         state = np.concatenate((x, y)[::d], axis=1)
         if renormalize:
@@ -168,32 +171,34 @@ def propagate_hats(sys: HamiltonianSystem, z, k_start: int, init, k_end: int,
     return out if trajectory else state
 
 
-def step_forward(sys: HamiltonianSystem, z: complex, state: HatState,
-                 rcond_min: float = RCOND_MIN) -> HatState:
+def step_forward(sys: HamiltonianSystem, z: complex, state: HatState) -> HatState:
     """Advance a hat-state from site k to k+1.
 
     Solves the (2,1) pencil at the target site for psi1(k+1), then recovers
     psi2(k+2) from the weight at k+1.
     """
     k = state.k + 1
-    return HatState(k, z, propagate_hats(sys, z, state.k, state.data, k,
-                                         rcond_min=rcond_min)[0])
+    return HatState(k, z, propagate_hats(sys, z, state.k, state.data, k)[0])
 
 
-def step_backward(sys: HamiltonianSystem, z: complex, state: HatState,
-                  rcond_min: float = RCOND_MIN) -> HatState:
+def step_backward(sys: HamiltonianSystem, z: complex, state: HatState) -> HatState:
     """Retreat a hat-state from site k to k-1; exact inverse of the forward step.
 
     Solves the (1,2) pencil at the departing site for psi2(k), then recovers
     psi1(k-1) from the weight at k-1.
     """
     k = state.k - 1
-    return HatState(k, z, propagate_hats(sys, z, state.k, state.data, k,
-                                         rcond_min=rcond_min)[0])
+    return HatState(k, z, propagate_hats(sys, z, state.k, state.data, k)[0])
 
 
 class HatTrajectory:
-    """Dense hat-states of r solution columns over a contiguous site range."""
+    """Dense hat-states of r solution columns over a contiguous site range.
+
+    The plain values (psi1(k); psi2(k)) are computed once, on first read, and
+    kept read-only: the sites above ``k_lo`` as one array sliced from the
+    hats, the lower edge on its own first read, since its psi2 costs the
+    pencil half of a backward step (which may raise :class:`SteppingError`).
+    """
 
     def __init__(self, sys: HamiltonianSystem, z: complex, k_lo: int,
                  data: np.ndarray):
@@ -252,17 +257,39 @@ class HatTrajectory:
         """
         if k - 1 >= self.k_lo:
             return self.hat(k - 1)[self.m:]
-        x, _ = _pencil_solve(self.sys, np.array([self.z], dtype=complex),
-                             self.hat(k)[None], k, -1, RCOND_MIN)
-        return x[0]
+        return self.plain(k)[self.m:]
 
     def plain(self, k: int) -> np.ndarray:
-        """Plain solution value (psi1(k); psi2(k)) as a (2m, r) array."""
-        return np.vstack([self.psi1(k), self.psi2(k)])
+        """Plain solution value (psi1(k); psi2(k)) as a read-only (2m, r) array."""
+        i = self._i(k)
+        return self._plain_above[i - 1] if i else self._plain_lo
+
+    @cached_property
+    def _plain_above(self) -> np.ndarray:
+        m = self.m
+        out = np.concatenate((self.data[1:, :m], self.data[:-1, m:]), axis=1)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def _plain_lo(self) -> np.ndarray:
+        x, _ = _pencil_solve(self.sys, np.array([self.z], dtype=complex),
+                             self.data[:1], self.k_lo, -1)
+        out = np.vstack([self.data[0, :self.m], x[0]])
+        out.setflags(write=False)
+        return out
+
+    def _columns(self, cols: slice) -> HatTrajectory:
+        """Trajectory of a column block sharing this trajectory's plain
+        values, which are computed now."""
+        block = HatTrajectory(self.sys, self.z, self.k_lo, self.data[:, :, cols])
+        block._plain_above = self._plain_above[:, :, cols]
+        block._plain_lo = self._plain_lo[:, cols]
+        return block
 
 
 def hat_trajectory(sys: HamiltonianSystem, z: complex, k_start: int, init,
-                   krange, rcond_min: float = RCOND_MIN) -> HatTrajectory:
+                   krange) -> HatTrajectory:
     """Propagate an initial hat-state over an inclusive site range.
 
     ``krange = (lo, hi)`` must contain ``k_start``; stepping proceeds forward
@@ -272,10 +299,8 @@ def hat_trajectory(sys: HamiltonianSystem, z: complex, k_start: int, init,
     lo, hi = int(krange[0]), int(krange[1])
     if not lo <= k_start <= hi:
         raise InputError(f"k_start={k_start} outside requested range [{lo},{hi}]")
-    fwd = propagate_hats(sys, z, k_start, init, hi, trajectory=True,
-                         rcond_min=rcond_min)
-    bwd = propagate_hats(sys, z, k_start, init, lo, trajectory=True,
-                         rcond_min=rcond_min)
+    fwd = propagate_hats(sys, z, k_start, init, hi, trajectory=True)
+    bwd = propagate_hats(sys, z, k_start, init, lo, trajectory=True)
     return HatTrajectory(sys, z, lo, np.concatenate([bwd[:0:-1, 0], fwd[:, 0]]))
 
 
@@ -344,11 +369,11 @@ def initial_hat(sys: HamiltonianSystem, k0: int, alpha) -> tuple[np.ndarray, np.
     return init, at
 
 
-def fundamental(sys: HamiltonianSystem, z: complex, k0: int, alpha, krange,
-                rcond_min: float = RCOND_MIN) -> FundamentalMatrix:
+def fundamental(sys: HamiltonianSystem, z: complex, k0: int, alpha,
+                krange) -> FundamentalMatrix:
     """Normalized fundamental system over ``krange`` based at ``k0``."""
     init, at = initial_hat(sys, k0, alpha)
-    traj = hat_trajectory(sys, z, k0, init, krange, rcond_min)
+    traj = hat_trajectory(sys, z, k0, init, krange)
     return FundamentalMatrix(sys, z, traj.k_lo, traj.data, k0, alpha, at)
 
 
@@ -389,14 +414,13 @@ def lagrange_step_defect(sys, prev1: HatState, cur1: HatState,
 
 
 def lagrange_telescoping_check(sys: HamiltonianSystem, z1: complex, z2: complex,
-                               k0: int, steps: int, init1=None, init2=None,
-                               renormalize: bool = True) -> float:
+                               k0: int, steps: int, init1=None, init2=None) -> float:
     """Stream the telescoping identity over ``steps`` forward steps.
 
-    Returns the maximum relative one-step defect. With ``renormalize`` both
-    trajectories are rescaled by a common scalar after each step, so the
-    check runs over windows of thousands of steps without overflow (the
-    identity is bilinear, hence invariant under a shared rescaling).
+    Returns the maximum relative one-step defect. Both trajectories are
+    rescaled by a common scalar after each step, so the check runs over
+    windows of thousands of steps without overflow (the identity is
+    bilinear, hence invariant under a shared rescaling).
     """
     m = sys.m
     h1, h2 = (_as_state_data(np.eye(2 * m) if h is None else h, m)
@@ -415,30 +439,42 @@ def lagrange_telescoping_check(sys: HamiltonianSystem, z1: complex, z2: complex,
         new = propagate_hats(sys, [z1, z2], k, hats, k + 1)
         (p1, p2), (c1, c2) = states(k, hats), states(k + 1, new)
         worst = max(worst, lagrange_step_defect(sys, p1, c1, p2, c2))
-        if renormalize:
-            new /= max(np.max(np.abs(new)), 1.0)
+        new /= max(np.max(np.abs(new)), 1.0)
         hats = new
     return worst
 
 
+def _pairing_defects(left: HatTrajectory, right: HatTrajectory, sites,
+                     target: np.ndarray):
+    """Yield (k, d): the deviation of left.hat(k)* J_rho(k) right.hat(k)
+    from ``target``, relative to the product of the paired norms, the
+    meaningful scale when solutions grow along the window."""
+    sys = right.sys
+    for k in sites:
+        hl, hr = left.hat(k), right.hat(k)
+        g = hl.conj().T @ sys.j_rho(k) @ hr
+        scale = 1.0 + la.opnorm(hl) * la.opnorm(hr) * la.opnorm(sys.rho(k))
+        yield k, la.opnorm(g - target) / scale
+
+
 def fundamental_pair_defect(fund_z: FundamentalMatrix,
                             fund_zbar: FundamentalMatrix) -> float:
-    """Max relative deviation of hat(zbar,k)* J_rho(k) hat(z,k) from -J.
+    """Max relative deviation of hat(zbar,k)* J_rho(k) hat(z,k) from -J
+    over the common sites, normalized per site by the paired norms."""
+    sites = range(max(fund_z.k_lo, fund_zbar.k_lo),
+                  min(fund_z.k_hi, fund_zbar.k_hi) + 1)
+    target = -symplectic_unit(fund_z.m)
+    return max([0.0] + [d for _, d in _pairing_defects(fund_zbar, fund_z,
+                                                        sites, target)])
 
-    Normalized per site by the product of the paired trajectory norms, the
-    meaningful scale when fundamental solutions grow along the window.
-    """
-    sys = fund_z.sys
-    j = symplectic_unit(sys.m)
-    worst = 0.0
-    for k in fund_z.sites:
-        if k < fund_zbar.k_lo or k > fund_zbar.k_hi:
-            continue
-        g = fund_zbar.hat(k).conj().T @ sys.j_rho(k) @ fund_z.hat(k)
-        scale = 1.0 + la.opnorm(fund_zbar.hat(k)) * la.opnorm(fund_z.hat(k)) \
-            * la.opnorm(sys.rho(k))
-        worst = max(worst, la.opnorm(g + j) / scale)
-    return worst
+
+def _a_form_sum(sys: HamiltonianSystem, traj: HatTrajectory, sites) -> np.ndarray:
+    """Hermitized sum_k Psi(k)* A(k) Psi(k) of plain values over ``sites``."""
+    out = np.zeros((traj.r, traj.r), dtype=complex)
+    for k in sites:
+        psi = traj.plain(k)
+        out += psi.conj().T @ sys.A(k) @ psi
+    return la.herm(out)
 
 
 # ---------------------------------------------------------------------------

@@ -400,29 +400,35 @@ def validate_pointwise(sys: HamiltonianSystem, interval=None) -> ValidationRepor
     return report
 
 
-def check_wellposed(sys: HamiltonianSystem, z: complex, interval=None,
-                    rcond_min: float = RCOND_MIN) -> ValidationReport:
+def _rcond_smin(a: np.ndarray) -> tuple[float, float]:
+    """Reciprocal 2-norm condition and smallest singular value, one SVD."""
+    s = np.linalg.svd(a, compute_uv=False)
+    return (float(s[-1] / s[0]) if s[0] != 0.0 else 0.0), float(s[-1])
+
+
+def check_wellposed(sys: HamiltonianSystem, z: complex,
+                    interval=None) -> ValidationReport:
     """Condition report for the off-diagonal pencils at one z.
 
     Invertibility of z A12 + B12 for all z is equivalent to that of
     z A21 + B21, so both are computed and cross-checked; a site fails when
-    either reciprocal condition drops below ``rcond_min``.
+    either reciprocal condition drops below ``RCOND_MIN``.
     """
     report = ValidationReport(check="wellposed")
     for k in _interval_sites(sys, interval):
         _, p12, p21, _ = sys.pencil_blocks(z, k)
         scale = max(1.0, la.opnorm(sys.pencil(z, k)))
-        r12, s12 = la.rcond(p12), la.smallest_singular_value(p12)
-        r21, s21 = la.rcond(p21), la.smallest_singular_value(p21)
+        r12, s12 = _rcond_smin(p12)
+        r21, s21 = _rcond_smin(p21)
         report.records.append({"site": k, "rcond_12": r12, "rcond_21": r21,
                                "smin_12": s12, "smin_21": s21})
         # rcond catches ill conditioning; the absolute test (relative to the
         # pencil scale) catches uniformly tiny blocks where rcond stays 1
-        if r12 < rcond_min or s12 < rcond_min * scale:
+        if r12 < RCOND_MIN or s12 < RCOND_MIN * scale:
             report.violations.append(Violation(k, "pencil_12_singular", r12,
                                                f"(1,2) pencil rcond {r12:.2e}, "
                                                f"smin {s12:.2e}"))
-        if r21 < rcond_min or s21 < rcond_min * scale:
+        if r21 < RCOND_MIN or s21 < RCOND_MIN * scale:
             report.violations.append(Violation(k, "pencil_21_singular", r21,
                                                f"(2,1) pencil rcond {r21:.2e}, "
                                                f"smin {s21:.2e}"))
@@ -460,11 +466,7 @@ def check_definiteness(sys: HamiltonianSystem, z: complex, interval,
     lo, hi = min(c, d), max(c, d)
     basis = propagate.hat_trajectory(
         sys, z, lo, np.eye(2 * sys.m, dtype=complex), (lo, hi))
-    g = np.zeros((2 * sys.m, 2 * sys.m), dtype=complex)
-    for k in range(lo, hi + 1):
-        psi = basis.plain(k)
-        g += psi.conj().T @ sys.A(k) @ psi
-    g = la.herm(g)
+    g = propagate._a_form_sum(sys, basis, range(lo, hi + 1))
     min_eig = la.min_eig_herm(g)
     verdict = "definite" if min_eig > tol_def else "indefinite"
     return DefinitenessReport(gram=g, verdict=verdict, min_eig=min_eig,

@@ -29,6 +29,7 @@ from .errors import EigenvalueHitError, InputError, TransformPoleError
 from .propagate import (
     FundamentalMatrix,
     WeylTrajectory,
+    _a_form_sum,
     _weighted,
     fundamental,
     initial_hat,
@@ -140,12 +141,7 @@ def plus_interval(k0: int, ell: int) -> range:
 
 def a_form_sum(sys: HamiltonianSystem, traj, sites) -> np.ndarray:
     """sum_k Psi(k)* A(k) Psi(k) over ``sites`` using plain solution values."""
-    m_cols = traj.data.shape[2]
-    out = np.zeros((m_cols, m_cols), dtype=complex)
-    for k in sites:
-        psi = traj.plain(k)
-        out += psi.conj().T @ sys.A(k) @ psi
-    return la.herm(out)
+    return _a_form_sum(sys, traj, sites)
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +183,16 @@ class MFunction:
         return self.M.shape[0]
 
 
-def _extract_m(hats: np.ndarray, bt: np.ndarray, singular_tol: float = 1e-13):
+# the one threshold of the "z is on an eigenvalue" rule
+_M_SINGULAR_TOL = 1e-13
+
+
+def _extract_m(hats: np.ndarray, bt: np.ndarray):
     """M = -[bt Phi^]^{-1} [bt Theta^] from an (N, 2m, 2m) stack of hats at ell.
 
     The one rule for "z is on an eigenvalue": the weighted right block is
     singular when its 2-norm rcond, or its smallest singular value against
-    the scale of the whole boundary-weighted row, is below ``singular_tol``.
+    the scale of the whole boundary-weighted row, is below 1e-13.
     Returns (M, smin, rcond, hit) over the stack, with M NaN where ``hit``.
     """
     m = hats.shape[1] // 2
@@ -207,11 +207,11 @@ def _extract_m(hats: np.ndarray, bt: np.ndarray, singular_tol: float = 1e-13):
         # block that is tiny relative to the left block is a pole of M even
         # when it is perfectly conditioned on its own (always so for m = 1)
         row = np.maximum(np.maximum(norm_theta, smax[sel]), 1e-300)
-        return smin[sel] < singular_tol * row
+        return smin[sel] < _M_SINGULAR_TOL * row
 
     # the 2-norm of the left block is taken only where its Frobenius bound
     # (with a margin for rounding) leaves the decision open
-    hit = rc < singular_tol
+    hit = rc < _M_SINGULAR_TOL
     frobenius = np.linalg.norm(btheta, axis=(1, 2)) * (1.0 + 1e-10)
     sel = ~hit & tiny(frobenius, slice(None))
     hit[sel] = tiny(np.linalg.svd(btheta[sel], compute_uv=False)[:, 0], sel)
@@ -221,16 +221,14 @@ def _extract_m(hats: np.ndarray, bt: np.ndarray, singular_tol: float = 1e-13):
     return M, smin, rc, hit
 
 
-def m_from_hat(sys: HamiltonianSystem, hat: np.ndarray, ell: int, beta,
-               singular_tol: float = 1e-13):
+def m_from_hat(sys: HamiltonianSystem, hat: np.ndarray, ell: int, beta):
     """M from one fundamental hat value at ell; returns (M, smin, rcond).
 
     ``beta`` is :class:`BoundaryData` (weighted at ell) or an m x 2m array
     already in weighted form. M is None when the weighted right block is
     singular by the rule of the batched extraction.
     """
-    M, smin, rc, hit = _extract_m(hat[None], _weighted(beta, sys, ell),
-                                  singular_tol)
+    M, smin, rc, hit = _extract_m(hat[None], _weighted(beta, sys, ell))
     return (None if hit[0] else M[0]), float(smin[0]), float(rc[0])
 
 
@@ -569,8 +567,9 @@ def regular_m_evaluator(sys: HamiltonianSystem, k0: int, ell: int, alpha, beta):
     """Vectorized z -> M(z) for the regular two-point problem.
 
     The returned callable accepts a scalar (returning (m, m)) or an array
-    (returning (N, m, m)); it carries ``accepts_arrays = True``. All z of a
-    call go through one batched propagation with the pencil check of
+    (returning (N, m, m)), as :func:`spectral_measure`, :func:`xi_function`
+    and :func:`fit_herglotz_parts` require. All z of a call go through one
+    batched propagation with the pencil check of
     :func:`hamweyl.propagate.propagate_hats`, so a near-singular pencil
     raises :class:`SteppingError` as in :func:`m_regular`. M is extracted by
     the singularity rule of :func:`m_regular`: where m_regular raises
@@ -590,27 +589,9 @@ def regular_m_evaluator(sys: HamiltonianSystem, k0: int, ell: int, alpha, beta):
         M = extract(arr.reshape(-1))[0]
         return M[0] if arr.ndim == 0 else M
 
-    ev.accepts_arrays = True
     ev.m = sys.m
     ev.extract = extract
     return ev
-
-
-def _as_batch_eval(m_eval, m_hint=None):
-    if getattr(m_eval, "accepts_arrays", False):
-        return m_eval, getattr(m_eval, "m", m_hint)
-
-    def ev(z_arr):
-        z_arr = np.asarray(z_arr, dtype=complex).reshape(-1)
-        vals = [np.atleast_2d(np.asarray(m_eval(complex(zz)), dtype=complex))
-                for zz in z_arr]
-        return np.stack(vals)
-
-    m = m_hint
-    if m is None:
-        probe = np.atleast_2d(np.asarray(m_eval(1j), dtype=complex))
-        m = probe.shape[0]
-    return ev, m
 
 
 @dataclass
@@ -700,7 +681,9 @@ def spectral_measure(m_eval, interval, grid_n: int, eps_schedule, *,
                      fit_tail_parts: bool = False) -> SpectralMeasure:
     """Stieltjes inversion of a Herglotz evaluator onto a real grid.
 
-    Per bin (l_i + d, l_{i+1} + d] with offset d = eps/2, the increment is
+    ``m_eval`` maps a 1-d array of N spectral parameters to the (N, m, m)
+    stack of M values in one call (as :func:`regular_m_evaluator` does). Per
+    bin (l_i + d, l_{i+1} + d] with offset d = eps/2, the increment is
     (1/pi) times the integral of Im[sigma M(nu + i eps)], computed by a
     locally refined composite trapezoid at each epsilon of the decreasing
     schedule. The reported increments are those of the smallest epsilon; a
@@ -717,7 +700,6 @@ def spectral_measure(m_eval, interval, grid_n: int, eps_schedule, *,
         raise InputError("eps schedule must be positive")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise InputError("eps schedule must be strictly decreasing")
-    ev, m = _as_batch_eval(m_eval)
     base_edges = np.linspace(lo, hi, int(grid_n) + 1)
 
     per_eps = []
@@ -725,8 +707,8 @@ def spectral_measure(m_eval, interval, grid_n: int, eps_schedule, *,
         delta = 0.5 * eps
 
         def integrand(nu):
-            vals = ev(np.asarray(nu, dtype=float) + 1j * eps)
-            return np.stack([la.imag_part(sigma * v) for v in vals])
+            s = sigma * m_eval(np.asarray(nu, dtype=float) + 1j * eps)
+            return (s - s.conj().swapaxes(-1, -2)) / 2j
 
         raw = _adaptive_bin_integrals(integrand, base_edges + delta, quad_tol,
                                       width_floor=eps / 256.0, quad_rel=quad_rel)
@@ -776,15 +758,15 @@ def spectral_measure(m_eval, interval, grid_n: int, eps_schedule, *,
 def fit_herglotz_parts(m_eval, y_max: float = 1e6, sigma: int = +1):
     """Large-argument fit of the affine and linear representation parts.
 
-    Evaluates sigma M(iy) at y = y_max and y_max/4: the linear part is the
+    Evaluates sigma M(iy) at y = y_max and y_max/4 in one call of the array
+    evaluator ``m_eval`` (see :func:`spectral_measure`): the linear part is the
     Hermitized limit of M(iy)/(iy) (clipped to the positive cone; zero for
     Schroedinger- and Dirac-type cases), the affine part the Hermitian
     remainder at the largest argument. A large-y fit for diagnostics, off by
     default in :func:`spectral_measure`.
     """
-    ev, m = _as_batch_eval(m_eval)
     ys = np.array([y_max / 4.0, y_max])
-    vals = ev(1j * ys)
+    vals = m_eval(1j * ys)
     c2_raw = la.herm(sigma * vals[-1] / (1j * ys[-1]))
     c2 = _clip_psd(c2_raw)
     c1 = la.real_part(sigma * vals[-1] - 1j * ys[-1] * c2)
@@ -836,13 +818,14 @@ def xi_function(m_eval, lambda_grid, eps: float, *, sign: int = +1,
                 singular_tol: float = 1e-12) -> XiReport:
     """Phase matrix (1/pi) Im log(sign * M(lambda + i eps)) on a real grid.
 
-    Uses the principal matrix logarithm; grid points with numerically
-    singular M are skipped and flagged. Eigenvalues of the result are
+    ``m_eval`` evaluates the whole grid in one call (see
+    :func:`spectral_measure`). Uses the principal matrix logarithm; grid
+    points with numerically singular M are skipped and flagged. Eigenvalues of the result are
     checked against [0, 1] and the worst violation is reported.
     """
-    ev, m = _as_batch_eval(m_eval)
     lam = np.asarray(lambda_grid, dtype=float).reshape(-1)
-    vals = ev(lam + 1j * float(eps))
+    vals = m_eval(lam + 1j * float(eps))
+    m = vals.shape[-1]
     xi = np.full((len(lam), m, m), np.nan, dtype=complex)
     skipped = []
     worst = 0.0

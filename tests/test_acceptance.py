@@ -316,8 +316,6 @@ def free_half_line_m_plus():
         v = np.where(r1.imag < 0, r1, r2)
         return (-v)[..., None, None]
 
-    ev.accepts_arrays = True
-    ev.m = 1
     return ev
 
 

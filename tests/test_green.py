@@ -91,6 +91,20 @@ def test_kernel_conjugation_symmetry(free_kernels):
     assert hg.delta_residual(kerc, 2) < 1e-9
 
 
+def test_kernel_rejects_sites_outside_its_window(free_kernels):
+    # the role families cover the window and one site above it; beyond that
+    # a kernel read raises instead of wrapping around
+    sysj, al, z, mp, mm, whole, plus, minus = free_kernels
+    kerc = hg.build_whole_kernel(sysj, np.conj(z), 0, al, mp.conj().T,
+                                 mm.conj().T, (-10, 10))
+    for ker in (whole, plus, minus, kerc):
+        lo, hi = ker.window
+        assert la.all_finite(ker.at(hi + 1, 0))
+        for k in (lo - 1, hi + 2):
+            with pytest.raises(InputError):
+                ker.at(k, 0)
+
+
 def test_kernel_sign_checks():
     sysj = make_free_jacobi((-20, 20))
     al = hsys.dirichlet(1)

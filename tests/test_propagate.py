@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hamweyl import propagate as hp
 from hamweyl import system as hsys
 from hamweyl import testkit as htk
+from hamweyl import weyl as hwl
 from hamweyl.errors import InputError, SteppingError
 
 from conftest import make_free_jacobi
@@ -77,6 +78,35 @@ def test_batched_kernel_matches_scalar_steps():
             for i, z in enumerate(zs):
                 traj = hp.hat_trajectory(sysr, z, 8, init, (0, 16))
                 assert np.array_equal(batch[i], traj.hat(k_end))
+
+
+def test_trajectory_plain_values_at_the_edges():
+    # the lower-edge psi2 is the pencil half of a backward step, bit for bit,
+    # and sites outside the stored range raise instead of wrapping around
+    for cls, m in (("jacobi", 2), ("dirac", 1), ("general_A12zero", 3)):
+        sysr = htk.random_system(m, (0, 16), seed=43, cls=cls)
+        z = 0.3 + 0.2j
+        traj = hp.hat_trajectory(sysr, z, 8, np.eye(2 * m, dtype=complex), (4, 12))
+        back = hp.step_backward(sysr, z, traj.state(4))
+        assert np.array_equal(traj.plain(4)[m:], back.psi2_next)
+        assert np.array_equal(traj.plain(4)[:m], traj.psi1(4))
+        assert np.array_equal(traj.plain(9)[m:], traj.psi2_next(8))
+        for k in (3, 13):
+            with pytest.raises(InputError):
+                traj.plain(k)
+
+
+def test_lower_edge_psi2_is_computed_only_when_read():
+    # a singular (1,2) pencil at the base site is never stepped through by a
+    # forward trajectory; only reading psi2 there needs it
+    sysj = make_free_jacobi((0, 12))
+    B = sysj._B.copy()
+    B[0, 0, 1] = 0.0
+    bad = hsys.HamiltonianSystem(1, sysj.window, sysj._A, B, sysj._rho)
+    traj = hp.hat_trajectory(bad, 0.5 + 0.5j, 0, np.eye(2, dtype=complex), (0, 8))
+    assert np.all(np.isfinite(hwl.a_form_sum(bad, traj, hwl.plus_interval(0, 8))))
+    with pytest.raises(SteppingError):
+        traj.plain(0)
 
 
 def test_pencil_check_on_z_dependent_block():
