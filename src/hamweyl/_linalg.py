@@ -11,6 +11,7 @@ import numpy as np
 __all__ = [
     "all_finite",
     "as_complex_matrix",
+    "adjoint",
     "herm",
     "imag_part",
     "real_part",
@@ -42,14 +43,20 @@ def as_complex_matrix(a, shape=None, name="matrix") -> np.ndarray:
     return out
 
 
+def adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose A*, of one matrix or of each in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def herm(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (A + A*) / 2."""
-    return 0.5 * (a + a.conj().T)
+    """Hermitian part (A + A*) / 2, of one matrix or of each in a stack."""
+    return 0.5 * (a + adjoint(a))
 
 
 def imag_part(a: np.ndarray) -> np.ndarray:
-    """Matrix imaginary part (A - A*) / (2i); Hermitian by construction."""
-    return (a - a.conj().T) / 2j
+    """Matrix imaginary part (A - A*) / (2i), of one matrix or of each in a
+    stack; Hermitian by construction."""
+    return (a - adjoint(a)) / 2j
 
 
 def real_part(a: np.ndarray) -> np.ndarray:
@@ -101,19 +108,19 @@ def max_eig_herm(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(herm(a))[-1])
 
 
-def sqrtm_spd(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def sqrtm_spd(a: np.ndarray) -> np.ndarray:
     """Unique positive-definite square root of a Hermitian positive matrix.
 
-    Raises ValueError when ``a`` is not positive definite to tolerance.
+    Raises ValueError when ``a`` is not positive definite.
     """
     ah = herm(as_complex_matrix(a))
     w, v = np.linalg.eigh(ah)
-    if w[0] <= tol * max(1.0, abs(w[-1])) * -1.0 or w[0] <= 0.0:
+    if w[0] <= 0.0:
         raise ValueError(f"matrix is not positive definite (min eigenvalue {w[0]:.3e})")
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def invsqrtm_spd(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def invsqrtm_spd(a: np.ndarray) -> np.ndarray:
     """Inverse of :func:`sqrtm_spd`."""
     ah = herm(as_complex_matrix(a))
     w, v = np.linalg.eigh(ah)

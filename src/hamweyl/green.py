@@ -73,8 +73,8 @@ class GreensKernel:
     _up_zb: HatTrajectory = None
     _um_z: HatTrajectory = None
     _um_zb: HatTrajectory = None
-    _fund_z: object = None
-    _fund_zb: object = None
+    _fund_z: HatTrajectory = None
+    _fund_zb: HatTrajectory = None
     conjugated: bool = False
     diagnostics: dict = field(default_factory=dict)
 
@@ -349,8 +349,8 @@ def alternative_representation(kernel: GreensKernel, k: int, ell: int) -> np.nda
         t[:m, m:] = om @ mp
         t[m:, :m] = mm @ om
         t[m:, m:] = mm @ om @ mp
-    psi_z = np.hstack([kernel._fund_z.Theta(k), kernel._fund_z.Phi(k)])
-    psi_zb = np.hstack([kernel._fund_zb.Theta(ell), kernel._fund_zb.Phi(ell)])
+    psi_z = kernel._fund_z.plain(k)
+    psi_zb = kernel._fund_zb.plain(ell)
     return psi_z @ t @ psi_zb.conj().T
 
 
@@ -381,12 +381,17 @@ class NonhomogeneousSolve:
     kernel_square_trace: dict[int, float]
 
     def y_hat(self, k: int) -> np.ndarray:
-        m = self.kernel.m
-        return np.vstack([self.y[k][:m], self.y[k + 1][m:]])
+        return _hat_from_plain(self.y, k, self.kernel.m)
 
     @property
     def l2a_ok(self) -> bool:
         return self.l2a_lhs <= self.l2a_bound + 1e-6 * (1.0 + self.l2a_rhs)
+
+
+def _hat_from_plain(y, k: int, m: int) -> np.ndarray:
+    """Hat (y1(k); y2(k+1)) of a family of plain (2m, r) or (2m,) values."""
+    return np.vstack([np.asarray(y[k], dtype=complex)[:m].reshape(m, -1),
+                      np.asarray(y[k + 1], dtype=complex)[m:].reshape(m, -1)])
 
 
 def _coerce_source(kernel: GreensKernel, f) -> dict:
@@ -489,13 +494,8 @@ def boundary_flux(kernel: GreensKernel, solve: NonhomogeneousSolve | dict,
     if kernel.variant == "half_minus" and side == "+":
         raise InputError("half_minus kernels have no plus-side flux")
     uhat = kernel.u_hat_conj(side, k)
-    if isinstance(solve, NonhomogeneousSolve):
-        yhat = solve.y_hat(k)
-    else:
-        m = kernel.m
-        yhat = np.vstack([np.asarray(solve[k], dtype=complex)[:m].reshape(m, -1),
-                          np.asarray(solve[k + 1], dtype=complex)[m:].reshape(m, -1)])
-    return uhat.conj().T @ kernel.sys.j_rho(k) @ yhat
+    y = solve.y if isinstance(solve, NonhomogeneousSolve) else solve
+    return uhat.conj().T @ kernel.sys.j_rho(k) @ _hat_from_plain(y, k, kernel.m)
 
 
 def flux_trend(kernel: GreensKernel, solve: NonhomogeneousSolve,

@@ -18,16 +18,17 @@ B's for every z: its condition is computed once per system and site, and
 its solve factorizes once for the whole batch.
 
 Trajectories are stored densely with no re-orthogonalization. Column norms
-beyond 1e150 raise a scale warning; for long ranges at |Im z| away from zero
-use the Riccati form instead. One trajectory type serves every caller: the
-fundamental system, Weyl solutions and the role families of the Green's
-kernels; it computes its plain values once, on first read.
+beyond 1e150 raise a scale warning, once per propagated or combined data
+set; for long ranges at |Im z| away from zero use the Riccati form instead.
+One trajectory type, :class:`HatTrajectory`, serves every caller: the
+fundamental system (Theta and Phi are its left and right column blocks),
+Weyl solutions and the role families of the Green's kernels; it computes
+its plain values once, on first read.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -44,12 +45,8 @@ from .system import (
 
 __all__ = [
     "SCALE_LIMIT",
-    "HatState",
     "HatTrajectory",
-    "FundamentalMatrix",
     "propagate_hats",
-    "step_forward",
-    "step_backward",
     "hat_trajectory",
     "fundamental",
     "lagrange_bilinear",
@@ -62,31 +59,6 @@ __all__ = [
 
 SCALE_LIMIT = 1e150
 _RENORM_LIMIT = 1e100
-
-
-@dataclass(frozen=True)
-class HatState:
-    """Hat-state (psi1(k); psi2(k+1)) of r solution columns at one site."""
-
-    k: int
-    z: complex
-    data: np.ndarray  # (2m, r)
-
-    @property
-    def m(self) -> int:
-        return self.data.shape[0] // 2
-
-    @property
-    def r(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def psi1(self) -> np.ndarray:
-        return self.data[: self.m]
-
-    @property
-    def psi2_next(self) -> np.ndarray:
-        return self.data[self.m:]
 
 
 def _as_state_data(data, m: int) -> np.ndarray:
@@ -171,28 +143,14 @@ def propagate_hats(sys: HamiltonianSystem, z, k_start: int, init, k_end: int,
     return out if trajectory else state
 
 
-def step_forward(sys: HamiltonianSystem, z: complex, state: HatState) -> HatState:
-    """Advance a hat-state from site k to k+1.
-
-    Solves the (2,1) pencil at the target site for psi1(k+1), then recovers
-    psi2(k+2) from the weight at k+1.
-    """
-    k = state.k + 1
-    return HatState(k, z, propagate_hats(sys, z, state.k, state.data, k)[0])
-
-
-def step_backward(sys: HamiltonianSystem, z: complex, state: HatState) -> HatState:
-    """Retreat a hat-state from site k to k-1; exact inverse of the forward step.
-
-    Solves the (1,2) pencil at the departing site for psi2(k), then recovers
-    psi1(k-1) from the weight at k-1.
-    """
-    k = state.k - 1
-    return HatState(k, z, propagate_hats(sys, z, state.k, state.data, k)[0])
-
-
 class HatTrajectory:
     """Dense hat-states of r solution columns over a contiguous site range.
+
+    ``k0`` is the site of the initial data. A fundamental system is the
+    2m-column trajectory of :func:`fundamental`: its left m columns are
+    Theta, its right m columns Phi. The data are scanned for the 1e150 scale
+    limit on construction, unless ``scale_warning`` is passed for data
+    already scanned (a column block of a scanned trajectory).
 
     The plain values (psi1(k); psi2(k)) are computed once, on first read, and
     kept read-only: the sites above ``k_lo`` as one array sliced from the
@@ -201,17 +159,20 @@ class HatTrajectory:
     """
 
     def __init__(self, sys: HamiltonianSystem, z: complex, k_lo: int,
-                 data: np.ndarray):
+                 data: np.ndarray, k0: int, scale_warning: bool | None = None):
         self.sys = sys
         self.z = z
         self.k_lo = k_lo
+        self.k0 = k0
         self.data = data  # (n, 2m, r)
         self.data.setflags(write=False)
-        self.scale_warning = bool(np.max(np.abs(data)) > SCALE_LIMIT)
-        if self.scale_warning:
-            warnings.warn(
-                "solution columns exceed 1e150; consider the Riccati form "
-                "for long ranges", RuntimeWarning, stacklevel=3)
+        if scale_warning is None:
+            scale_warning = bool(np.max(np.abs(data)) > SCALE_LIMIT)
+            if scale_warning:
+                warnings.warn(
+                    "solution columns exceed 1e150; consider the Riccati form "
+                    "for long ranges", RuntimeWarning, stacklevel=3)
+        self.scale_warning = scale_warning
 
     @property
     def m(self) -> int:
@@ -239,25 +200,12 @@ class HatTrajectory:
     def hat(self, k: int) -> np.ndarray:
         return self.data[self._i(k)]
 
-    def state(self, k: int) -> HatState:
-        return HatState(k=k, z=self.z, data=self.hat(k))
-
     def psi1(self, k: int) -> np.ndarray:
         return self.hat(k)[: self.m]
 
     def psi2_next(self, k: int) -> np.ndarray:
         """psi2 at site k+1 (the bottom half of the hat at k)."""
         return self.hat(k)[self.m:]
-
-    def psi2(self, k: int) -> np.ndarray:
-        """psi2 at site k itself.
-
-        Interior sites read it from the neighbouring hat; at the lower edge
-        it is recovered by the pencil half of a backward step.
-        """
-        if k - 1 >= self.k_lo:
-            return self.hat(k - 1)[self.m:]
-        return self.plain(k)[self.m:]
 
     def plain(self, k: int) -> np.ndarray:
         """Plain solution value (psi1(k); psi2(k)) as a read-only (2m, r) array."""
@@ -281,8 +229,9 @@ class HatTrajectory:
 
     def _columns(self, cols: slice) -> HatTrajectory:
         """Trajectory of a column block sharing this trajectory's plain
-        values, which are computed now."""
-        block = HatTrajectory(self.sys, self.z, self.k_lo, self.data[:, :, cols])
+        values, which are computed now, and its scale scan."""
+        block = HatTrajectory(self.sys, self.z, self.k_lo, self.data[:, :, cols],
+                              self.k0, self.scale_warning)
         block._plain_above = self._plain_above[:, :, cols]
         block._plain_lo = self._plain_lo[:, cols]
         return block
@@ -301,48 +250,8 @@ def hat_trajectory(sys: HamiltonianSystem, z: complex, k_start: int, init,
         raise InputError(f"k_start={k_start} outside requested range [{lo},{hi}]")
     fwd = propagate_hats(sys, z, k_start, init, hi, trajectory=True)
     bwd = propagate_hats(sys, z, k_start, init, lo, trajectory=True)
-    return HatTrajectory(sys, z, lo, np.concatenate([bwd[:0:-1, 0], fwd[:, 0]]))
-
-
-class FundamentalMatrix(HatTrajectory):
-    """Normalized 2m x 2m fundamental solution over a site range.
-
-    The left m columns satisfy the boundary condition attached to the base
-    site k0, the right m columns are their symplectic complement; the hat
-    value at k0 is diag(rho, rho)^{-1} (a~*  J a~*) with a~ the weighted
-    boundary matrix. Entries are polynomial in z; the stored trajectory is
-    checked for finiteness and overflow only.
-    """
-
-    def __init__(self, sys, z, k_lo, data, k0, alpha, alpha_tilde):
-        super().__init__(sys, z, k_lo, data)
-        self.k0 = k0
-        self.alpha = alpha
-        self.alpha_tilde = alpha_tilde
-
-    def Theta_hat(self, k: int) -> np.ndarray:
-        return self.hat(k)[:, : self.m]
-
-    def Phi_hat(self, k: int) -> np.ndarray:
-        return self.hat(k)[:, self.m:]
-
-    def Theta(self, k: int) -> np.ndarray:
-        return self.plain(k)[:, : self.m]
-
-    def Phi(self, k: int) -> np.ndarray:
-        return self.plain(k)[:, self.m:]
-
-    def theta1(self, k: int) -> np.ndarray:
-        return self.hat(k)[: self.m, : self.m]
-
-    def phi1(self, k: int) -> np.ndarray:
-        return self.hat(k)[: self.m, self.m:]
-
-    def theta2(self, k: int) -> np.ndarray:
-        return self.plain(k)[self.m:, : self.m]
-
-    def phi2(self, k: int) -> np.ndarray:
-        return self.plain(k)[self.m:, self.m:]
+    return HatTrajectory(sys, z, lo, np.concatenate([bwd[:0:-1, 0], fwd[:, 0]]),
+                         k_start)
 
 
 def _weighted(bd, sys: HamiltonianSystem, k: int) -> np.ndarray:
@@ -356,8 +265,9 @@ def _weighted(bd, sys: HamiltonianSystem, k: int) -> np.ndarray:
     return at
 
 
-def initial_hat(sys: HamiltonianSystem, k0: int, alpha) -> tuple[np.ndarray, np.ndarray]:
-    """Initial fundamental hat value at k0 and the weighted boundary matrix.
+def initial_hat(sys: HamiltonianSystem, k0: int, alpha) -> np.ndarray:
+    """Initial fundamental hat value at k0: diag(rho, rho)^{-1} (a~*  J a~*)
+    with a~ the weighted boundary matrix.
 
     ``alpha`` may be :class:`BoundaryData` (weighted internally) or an m x 2m
     array already in weighted form.
@@ -365,49 +275,52 @@ def initial_hat(sys: HamiltonianSystem, k0: int, alpha) -> tuple[np.ndarray, np.
     at = _weighted(alpha, sys, k0)
     j = symplectic_unit(sys.m)
     cols = np.hstack([at.conj().T, j @ at.conj().T])
-    init = np.linalg.solve(sys.i_rho(k0), cols)
-    return init, at
+    return np.linalg.solve(sys.i_rho(k0), cols)
 
 
 def fundamental(sys: HamiltonianSystem, z: complex, k0: int, alpha,
-                krange) -> FundamentalMatrix:
-    """Normalized fundamental system over ``krange`` based at ``k0``."""
-    init, at = initial_hat(sys, k0, alpha)
-    traj = hat_trajectory(sys, z, k0, init, krange)
-    return FundamentalMatrix(sys, z, traj.k_lo, traj.data, k0, alpha, at)
+                krange) -> HatTrajectory:
+    """Normalized fundamental system over ``krange`` based at ``k0``.
+
+    The left m columns satisfy the boundary condition attached to k0, the
+    right m columns are their symplectic complement. Entries are polynomial
+    in z.
+    """
+    return hat_trajectory(sys, z, k0, initial_hat(sys, k0, alpha), krange)
 
 
 # ---------------------------------------------------------------------------
 # bilinear form
 # ---------------------------------------------------------------------------
 
-def lagrange_bilinear(sys: HamiltonianSystem, state1: HatState,
-                      state2: HatState) -> np.ndarray:
-    """Weighted symplectic pairing of two hat-states at a common site.
+def lagrange_bilinear(sys: HamiltonianSystem, k: int, hat1: np.ndarray,
+                      hat2: np.ndarray) -> np.ndarray:
+    """Weighted symplectic pairing of two hat-states at site k.
 
-    Returns the r1 x r2 matrix state1* J_rho(k) state2. Along solution
+    Returns the r1 x r2 matrix hat1* J_rho(k) hat2. Along solution
     trajectories its site difference telescopes against (z2 - conj(z1))
     times the plain quadratic pairing through A; see
     :func:`lagrange_step_defect`.
     """
-    if state1.k != state2.k:
-        raise InputError(f"states are at different sites ({state1.k} vs {state2.k})")
-    return state1.data.conj().T @ sys.j_rho(state1.k) @ state2.data
+    return hat1.conj().T @ sys.j_rho(k) @ hat2
 
 
-def lagrange_step_defect(sys, prev1: HatState, cur1: HatState,
-                         prev2: HatState, cur2: HatState) -> float:
-    """Relative defect of the one-step telescoping identity at cur.k.
+def lagrange_step_defect(sys: HamiltonianSystem, z1: complex, z2: complex,
+                         k: int, prev1: np.ndarray, cur1: np.ndarray,
+                         prev2: np.ndarray, cur2: np.ndarray) -> float:
+    """Relative defect of the one-step telescoping identity at site k.
 
-    Checks g(k) - g(k-1) = (z2 - conj(z1)) Psi1(k)* A(k) Psi2(k) with
-    g the pairing of :func:`lagrange_bilinear` and Psi the plain values.
+    ``prev`` and ``cur`` are the hats at k-1 and k of a solution at z1 (1)
+    and at z2 (2). Checks g(k) - g(k-1) = (z2 - conj(z1)) Psi1(k)* A(k)
+    Psi2(k) with g the pairing of :func:`lagrange_bilinear` and Psi the
+    plain values.
     """
-    k = cur1.k
-    g_cur = lagrange_bilinear(sys, cur1, cur2)
-    g_prev = lagrange_bilinear(sys, prev1, prev2)
-    plain1 = np.vstack([cur1.psi1, prev1.psi2_next])
-    plain2 = np.vstack([cur2.psi1, prev2.psi2_next])
-    rhs = (cur2.z - np.conj(cur1.z)) * (plain1.conj().T @ sys.A(k) @ plain2)
+    m = sys.m
+    g_cur = lagrange_bilinear(sys, k, cur1, cur2)
+    g_prev = lagrange_bilinear(sys, k - 1, prev1, prev2)
+    plain1 = np.vstack([cur1[:m], prev1[m:]])
+    plain2 = np.vstack([cur2[:m], prev2[m:]])
+    rhs = (z2 - np.conj(z1)) * (plain1.conj().T @ sys.A(k) @ plain2)
     defect = la.opnorm((g_cur - g_prev) - rhs)
     scale = 1.0 + la.opnorm(g_cur) + la.opnorm(g_prev) + la.opnorm(rhs)
     return defect / scale
@@ -431,14 +344,12 @@ def lagrange_telescoping_check(sys: HamiltonianSystem, z1: complex, z2: complex,
     hats = np.zeros((2, 2 * m, max(r1, r2)), dtype=complex)
     hats[0, :, :r1], hats[1, :, :r2] = h1, h2
 
-    def states(k, h):
-        return HatState(k, z1, h[0, :, :r1]), HatState(k, z2, h[1, :, :r2])
-
     worst = 0.0
     for k in range(k0, k0 + steps):
         new = propagate_hats(sys, [z1, z2], k, hats, k + 1)
-        (p1, p2), (c1, c2) = states(k, hats), states(k + 1, new)
-        worst = max(worst, lagrange_step_defect(sys, p1, c1, p2, c2))
+        worst = max(worst, lagrange_step_defect(
+            sys, z1, z2, k + 1, hats[0, :, :r1], new[0, :, :r1],
+            hats[1, :, :r2], new[1, :, :r2]))
         new /= max(np.max(np.abs(new)), 1.0)
         hats = new
     return worst
@@ -452,13 +363,13 @@ def _pairing_defects(left: HatTrajectory, right: HatTrajectory, sites,
     sys = right.sys
     for k in sites:
         hl, hr = left.hat(k), right.hat(k)
-        g = hl.conj().T @ sys.j_rho(k) @ hr
+        g = lagrange_bilinear(sys, k, hl, hr)
         scale = 1.0 + la.opnorm(hl) * la.opnorm(hr) * la.opnorm(sys.rho(k))
         yield k, la.opnorm(g - target) / scale
 
 
-def fundamental_pair_defect(fund_z: FundamentalMatrix,
-                            fund_zbar: FundamentalMatrix) -> float:
+def fundamental_pair_defect(fund_z: HatTrajectory,
+                            fund_zbar: HatTrajectory) -> float:
     """Max relative deviation of hat(zbar,k)* J_rho(k) hat(z,k) from -J
     over the common sites, normalized per site by the paired norms."""
     sites = range(max(fund_z.k_lo, fund_zbar.k_lo),
@@ -481,31 +392,16 @@ def _a_form_sum(sys: HamiltonianSystem, traj: HatTrajectory, sites) -> np.ndarra
 # Weyl solutions and the Jacobi expression
 # ---------------------------------------------------------------------------
 
-class WeylTrajectory(HatTrajectory):
-    """Hat-states of the 2m x m family Psi (I; M) over the stored range."""
-
-    def __init__(self, sys, z, k_lo, data, k0, M):
-        super().__init__(sys, z, k_lo, data)
-        self.k0 = k0
-        self.M = M
-
-    def u1(self, k: int) -> np.ndarray:
-        return self.psi1(k)
-
-    def u2_next(self, k: int) -> np.ndarray:
-        return self.psi2_next(k)
-
-    def u2(self, k: int) -> np.ndarray:
-        return self.psi2(k)
-
-
-def weyl_solution(fund: FundamentalMatrix, M) -> WeylTrajectory:
-    """Column family U = Psi (I; M) at every stored site of a fundamental."""
-    m = fund.m
+def _weyl_columns(m: int, M) -> np.ndarray:
+    """The 2m x m stack (I; M) that combines fundamental columns into U."""
     M = la.as_complex_matrix(M, (m, m), "M")
-    stack = np.vstack([np.eye(m, dtype=complex), M])
-    data = fund.data @ stack
-    return WeylTrajectory(fund.sys, fund.z, fund.k_lo, data, fund.k0, M)
+    return np.vstack([np.eye(m, dtype=complex), M])
+
+
+def weyl_solution(fund: HatTrajectory, M) -> HatTrajectory:
+    """Column family U = Psi (I; M) at every stored site of a fundamental."""
+    return HatTrajectory(fund.sys, fund.z, fund.k_lo,
+                         fund.data @ _weyl_columns(fund.m, M), fund.k0)
 
 
 def jacobi_apply(sys: HamiltonianSystem, y, k: int) -> np.ndarray:

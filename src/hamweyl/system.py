@@ -368,26 +368,26 @@ def validate_pointwise(sys: HamiltonianSystem, interval=None) -> ValidationRepor
     (tol_sym relative for Hermiticity, tol_psd on eigenvalues).
     """
     report = ValidationReport(check="pointwise")
-    for k in _interval_sites(sys, interval):
-        a, b, r = sys.A(k), sys.B(k), sys.rho(k)
+    sites = _interval_sites(sys, interval)
+    idx = [sys._index(k) for k in sites]
+    stacks = {"A": sys._A[idx], "B": sys._B[idx], "rho": sys._rho[idx]}
+    # one batched 2-norm and eigenvalue call per coefficient stack
+    defects = {}
+    for name, x in stacks.items():
+        dev = np.linalg.norm(x - la.adjoint(x), 2, axis=(1, 2))
+        bad = dev > TOL_SYM * np.maximum(1.0, np.linalg.norm(x, 2, axis=(1, 2)))
+        defects[name] = dev.tolist(), bad
+    min_eig = {name: np.linalg.eigvalsh(la.herm(stacks[name]))[:, 0].tolist()
+               for name in ("A", "rho")}
+    for i, k in enumerate(sites):
         rec = {"site": k}
-        dev_a = la.opnorm(a - a.conj().T)
-        dev_b = la.opnorm(b - b.conj().T)
-        dev_r = la.opnorm(r - r.conj().T)
-        rec["herm_defect_A"] = dev_a
-        rec["herm_defect_B"] = dev_b
-        rec["herm_defect_rho"] = dev_r
-        if dev_a > TOL_SYM * max(1.0, la.opnorm(a)):
-            report.violations.append(Violation(k, "A_not_hermitian", dev_a,
-                                               f"A not Hermitian (defect {dev_a:.2e})"))
-        if dev_b > TOL_SYM * max(1.0, la.opnorm(b)):
-            report.violations.append(Violation(k, "B_not_hermitian", dev_b,
-                                               f"B not Hermitian (defect {dev_b:.2e})"))
-        if dev_r > TOL_SYM * max(1.0, la.opnorm(r)):
-            report.violations.append(Violation(k, "rho_not_hermitian", dev_r,
-                                               f"rho not Hermitian (defect {dev_r:.2e})"))
-        min_a = la.min_eig_herm(a)
-        min_r = la.min_eig_herm(r)
+        for name, (dev, bad) in defects.items():
+            rec[f"herm_defect_{name}"] = dev[i]
+            if bad[i]:
+                report.violations.append(Violation(
+                    k, f"{name}_not_hermitian", dev[i],
+                    f"{name} not Hermitian (defect {dev[i]:.2e})"))
+        min_a, min_r = min_eig["A"][i], min_eig["rho"][i]
         rec["min_eig_A"] = min_a
         rec["min_eig_rho"] = min_r
         if min_a < -TOL_PSD:
@@ -400,10 +400,13 @@ def validate_pointwise(sys: HamiltonianSystem, interval=None) -> ValidationRepor
     return report
 
 
-def _rcond_smin(a: np.ndarray) -> tuple[float, float]:
-    """Reciprocal 2-norm condition and smallest singular value, one SVD."""
+def _rcond_smin(a: np.ndarray) -> tuple[list, list]:
+    """Reciprocal 2-norm condition and smallest singular value of each
+    matrix of a stack, one SVD each."""
     s = np.linalg.svd(a, compute_uv=False)
-    return (float(s[-1] / s[0]) if s[0] != 0.0 else 0.0), float(s[-1])
+    smax, smin = s[:, 0], s[:, -1]
+    rc = np.divide(smin, smax, out=np.zeros_like(smax), where=smax != 0.0)
+    return rc.tolist(), smin.tolist()
 
 
 def check_wellposed(sys: HamiltonianSystem, z: complex,
@@ -415,11 +418,14 @@ def check_wellposed(sys: HamiltonianSystem, z: complex,
     either reciprocal condition drops below ``RCOND_MIN``.
     """
     report = ValidationReport(check="wellposed")
-    for k in _interval_sites(sys, interval):
-        _, p12, p21, _ = sys.pencil_blocks(z, k)
-        scale = max(1.0, la.opnorm(sys.pencil(z, k)))
-        r12, s12 = _rcond_smin(p12)
-        r21, s21 = _rcond_smin(p21)
+    sites = _interval_sites(sys, interval)
+    idx = [sys._index(k) for k in sites]
+    m = sys.m
+    p = z * sys._A[idx] + sys._B[idx]
+    scales = np.maximum(1.0, np.linalg.norm(p, 2, axis=(1, 2))).tolist()
+    rc12, sm12 = _rcond_smin(p[:, :m, m:])
+    rc21, sm21 = _rcond_smin(p[:, m:, :m])
+    for k, scale, r12, s12, r21, s21 in zip(sites, scales, rc12, sm12, rc21, sm21):
         report.records.append({"site": k, "rcond_12": r12, "rcond_21": r21,
                                "smin_12": s12, "smin_21": s21})
         # rcond catches ill conditioning; the absolute test (relative to the
@@ -477,6 +483,15 @@ def check_definiteness(sys: HamiltonianSystem, z: complex, interval,
 # special-case constructors
 # ---------------------------------------------------------------------------
 
+def _infer_m(values, k: int) -> int:
+    """Block dimension of a per-site coefficient map, read at site k."""
+    probe = values(k) if callable(values) else (
+        values[k] if isinstance(values, dict) else values)
+    arr = np.asarray(probe if not isinstance(probe, (int, float, complex))
+                     else [[probe]])
+    return 1 if arr.ndim < 2 else arr.shape[-1]
+
+
 def jacobi_system(p, q, window, m=None, extension="constant-edge") -> HamiltonianSystem:
     """Sturm-Liouville (Jacobi) system: rho = I, A = diag(I, 0),
     B = ((-q, I), (I, p^{-1})).
@@ -486,11 +501,7 @@ def jacobi_system(p, q, window, m=None, extension="constant-edge") -> Hamiltonia
     the Jacobi difference expression.
     """
     if m is None:
-        probe = p(window[0]) if callable(p) else (
-            p[window[0]] if isinstance(p, dict) else p)
-        arr = np.asarray(probe if not isinstance(probe, (int, float, complex))
-                         else [[probe]])
-        m = 1 if arr.ndim < 2 else arr.shape[-1]
+        m = _infer_m(p, window[0])
     p_vals = _coerce_site_values(p, window, m, "p")
     q_vals = _coerce_site_values(q, window, m, "q")
     n = p_vals.shape[0]
@@ -519,11 +530,7 @@ def dirac_system(b, window, m=None, extension="constant-edge") -> HamiltonianSys
     """Supersymmetric Dirac-type system: rho = I, A = I_{2m},
     B = ((0, b), (b*, 0)) with b(k) invertible."""
     if m is None:
-        probe = b(window[0]) if callable(b) else (
-            b[window[0]] if isinstance(b, dict) else b)
-        arr = np.asarray(probe if not isinstance(probe, (int, float, complex))
-                         else [[probe]])
-        m = 1 if arr.ndim < 2 else arr.shape[-1]
+        m = _infer_m(b, window[0])
     b_vals = _coerce_site_values(b, window, m, "b")
     n = b_vals.shape[0]
     A = np.stack([np.eye(2 * m, dtype=complex)] * n)

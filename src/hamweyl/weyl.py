@@ -27,14 +27,13 @@ import scipy.linalg
 from . import _linalg as la
 from .errors import EigenvalueHitError, InputError, TransformPoleError
 from .propagate import (
-    FundamentalMatrix,
-    WeylTrajectory,
+    HatTrajectory,
     _a_form_sum,
     _weighted,
+    _weyl_columns,
     fundamental,
     initial_hat,
     propagate_hats,
-    weyl_solution,
 )
 from .system import (
     TOL_PSD,
@@ -110,7 +109,8 @@ def disk_context(sys: HamiltonianSystem, z: complex, k0: int, ell: int,
     Requires Im z != 0, ell != k0, and (for :class:`BoundaryData` input)
     sign class zero at the base site. When A is not pointwise positive
     definite the two-point interval must be long enough for the summed
-    quadratic form to be definite; the flag records that condition.
+    quadratic form to be definite; the flag records that condition, and A
+    is examined only on intervals shorter than that.
     """
     z = complex(z)
     if z.imag == 0:
@@ -122,9 +122,9 @@ def disk_context(sys: HamiltonianSystem, z: complex, k0: int, ell: int,
             raise InputError("base boundary data must have sign class zero")
     else:
         alpha = la.as_complex_matrix(alpha)
-    a_pd = all(la.min_eig_herm(sys.A(k)) > 0
-               for k in range(min(k0, ell), max(k0, ell) + 1))
-    ok = a_pd or abs(ell - k0) >= 2
+    ok = abs(ell - k0) >= 2 or all(
+        la.min_eig_herm(sys.A(k)) > 0
+        for k in range(min(k0, ell), max(k0, ell) + 1))
     if not ok:
         warnings.warn(
             "interval [k0, ell] may be too short for a definite quadratic "
@@ -148,7 +148,7 @@ def a_form_sum(sys: HamiltonianSystem, traj, sites) -> np.ndarray:
 # the disk functional and regular M-functions
 # ---------------------------------------------------------------------------
 
-def _fundamental_for(sys, ctx: DiskContext, fund: FundamentalMatrix | None):
+def _fundamental_for(sys, ctx: DiskContext, fund: HatTrajectory | None):
     if fund is not None:
         return fund
     lo, hi = min(ctx.k0, ctx.ell), max(ctx.k0, ctx.ell)
@@ -156,14 +156,13 @@ def _fundamental_for(sys, ctx: DiskContext, fund: FundamentalMatrix | None):
 
 
 def e_functional(sys: HamiltonianSystem, ctx: DiskContext, M,
-                 fund: FundamentalMatrix | None = None) -> np.ndarray:
+                 fund: HatTrajectory | None = None) -> np.ndarray:
     """Disk functional E_ell(M), Hermitian m x m.
 
     Negative definite values lie in the open Weyl disk, zero on the circle.
     """
     fund = _fundamental_for(sys, ctx, fund)
-    u = weyl_solution(fund, M)
-    uhat = u.hat(ctx.ell)
+    uhat = fund.hat(ctx.ell) @ _weyl_columns(fund.m, M)
     g = uhat.conj().T @ sys.j_rho(ctx.ell) @ uhat
     return la.herm(-1j * ctx.sigma * g)
 
@@ -233,7 +232,7 @@ def m_from_hat(sys: HamiltonianSystem, hat: np.ndarray, ell: int, beta):
 
 
 def m_regular(sys: HamiltonianSystem, ctx: DiskContext, beta,
-              fund: FundamentalMatrix | None = None) -> MFunction:
+              fund: HatTrajectory | None = None) -> MFunction:
     """Weyl-Titchmarsh matrix of the regular two-point problem.
 
     M = -[bt Phi^(z,ell)]^{-1} [bt Theta^(z,ell)]. The weighted right block
@@ -317,7 +316,7 @@ def boundary_family(m: int, n_samples: int) -> list[BoundaryData]:
 
 def disk_diameter_estimate(sys: HamiltonianSystem, ctx: DiskContext,
                            n_samples: int = 8,
-                           fund: FundamentalMatrix | None = None) -> float:
+                           fund: HatTrajectory | None = None) -> float:
     """Max pairwise distance of circle points over the sampled family.
 
     A lower bound on the disk diameter at (z, ell); nonincreasing in |ell|
@@ -430,7 +429,7 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
         raise InputError("empty far-site schedule (window too small)")
     sigma = sigma_of(k0 + direction, k0, z)
 
-    hat, k = initial_hat(sys, k0, alpha)[0], k0
+    hat, k = initial_hat(sys, k0, alpha), k0
     ells, values, gaps = [], [], []
     hats_at = {}
     prev = None
@@ -578,7 +577,7 @@ def regular_m_evaluator(sys: HamiltonianSystem, k0: int, ell: int, alpha, beta):
     """
     if ell == k0:
         raise InputError("ell must differ from k0")
-    init, _ = initial_hat(sys, k0, alpha)
+    init = initial_hat(sys, k0, alpha)
     bt = _weighted(beta, sys, ell)
 
     def extract(z):
@@ -708,7 +707,7 @@ def spectral_measure(m_eval, interval, grid_n: int, eps_schedule, *,
 
         def integrand(nu):
             s = sigma * m_eval(np.asarray(nu, dtype=float) + 1j * eps)
-            return (s - s.conj().swapaxes(-1, -2)) / 2j
+            return la.imag_part(s)
 
         raw = _adaptive_bin_integrals(integrand, base_edges + delta, quad_tol,
                                       width_floor=eps / 256.0, quad_rel=quad_rel)
@@ -863,23 +862,24 @@ class RiccatiSolutionReport:
         return not self.errors and all(v < 0 for v in self.sign_max.values())
 
 
-def riccati_from_solution(sys: HamiltonianSystem, U: WeylTrajectory,
+def riccati_from_solution(sys: HamiltonianSystem, U: HatTrajectory,
                           k0: int | None = None,
                           singular_tol: float = 1e-12) -> RiccatiSolutionReport:
     """Riccati variable along a Weyl-solution trajectory.
 
     V(k) = rho(k) u2(k+1) u1(k)^{-1}; sites with singular u1 are recorded as
-    per-site errors rather than raised.
+    per-site errors rather than raised. ``k0`` defaults to the site of U's
+    initial data.
     """
     k0 = U.k0 if k0 is None else k0
     z = U.z
     v_out, sign_out, errors = {}, {}, {}
     for k in U.sites:
-        u1 = U.u1(k)
+        u1 = U.psi1(k)
         if la.rcond(u1) < singular_tol:
             errors[k] = f"u1 singular at site {k}"
             continue
-        v = sys.rho(k) @ la.rsolve(U.u2_next(k), u1)
+        v = sys.rho(k) @ la.rsolve(U.psi2_next(k), u1)
         v_out[k] = v
         sigma = sigma_of(k, k0, z) if k != k0 else sigma_of(k0 + 1, k0, z)
         sign_out[k] = la.max_eig_herm(sigma * la.imag_part(v))

@@ -39,7 +39,7 @@ def test_coupling_pairing_constancy(free_kernels):
     for k in (-5, 0, 4):
         up = hp.weyl_solution(fund_z, mp)
         um_b = hp.weyl_solution(fund_zb, mm.conj().T)
-        m_u = hp.lagrange_bilinear(sysj, um_b.state(k), up.state(k))
+        m_u = hp.lagrange_bilinear(sysj, k, um_b.hat(k), up.hat(k))
         assert la.opnorm(m_u - (mm - mp)) < 1e-10
 
 
@@ -70,7 +70,7 @@ def test_half_plus_phi_pairing_identity(free_kernels):
     fund_zb = plus._fund_zb
     up = hp.weyl_solution(fund_z, mp)
     for k in range(0, 10):
-        phi_hat_zb = fund_zb.Phi_hat(k)
+        phi_hat_zb = fund_zb.hat(k)[:, 1:]
         g = phi_hat_zb.conj().T @ sysj.j_rho(k) @ up.hat(k)
         assert la.opnorm(g - np.eye(1)) < 1e-10
 
@@ -161,8 +161,7 @@ def test_boundary_flux_of_decaying_family_vanishes(free_kernels):
     for k in (2, 6, 10):
         assert np.linalg.norm(hg.boundary_flux(plus, ydict, k, "+")) < 1e-10
     # a base-boundary column does not satisfy the far condition
-    ydict_theta = {k: np.hstack([fund.Theta(k), fund.Theta(k)])[:, :1]
-                   for k in range(0, 15)}
+    ydict_theta = {k: fund.plain(k)[:, :1] for k in range(0, 15)}
     vals = [np.linalg.norm(hg.boundary_flux(plus, ydict_theta, k, "+"))
             for k in (2, 6, 10)]
     assert min(vals) > 1e-3
@@ -254,9 +253,9 @@ def test_half_kernels_match_generic_coupling_formula(free_kernels):
     upb = hp.weyl_solution(fund_zb, mp.conj().T)
     for k, ell in ((6, 2), (1, 8)):
         if k > ell:
-            direct = up.plain(k) @ fund_zb.Phi(ell).conj().T
+            direct = up.plain(k) @ fund_zb.plain(ell)[:, 1:].conj().T
         else:
-            direct = fund_z.Phi(k) @ upb.plain(ell).conj().T
+            direct = fund_z.plain(k)[:, 1:] @ upb.plain(ell).conj().T
         assert la.opnorm(direct - plus.at(k, ell)) < 1e-12
     fund_z2 = minus._fund_z
     fund_zb2 = minus._fund_zb
@@ -264,9 +263,9 @@ def test_half_kernels_match_generic_coupling_formula(free_kernels):
     umb = hp.weyl_solution(fund_zb2, mm.conj().T)
     for k, ell in ((-2, -7), (-9, -3)):
         if k > ell:
-            direct = -fund_z2.Phi(k) @ umb.plain(ell).conj().T
+            direct = -fund_z2.plain(k)[:, 1:] @ umb.plain(ell).conj().T
         else:
-            direct = -um.plain(k) @ fund_zb2.Phi(ell).conj().T
+            direct = -um.plain(k) @ fund_zb2.plain(ell)[:, 1:].conj().T
         assert la.opnorm(direct - minus.at(k, ell)) < 1e-12
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,18 +28,16 @@ def scalar_free_recurrence(z, y0, y1, n):
 
 def test_dirac_constant_solution_at_z0():
     sysd = hsys.dirac_system(lambda k: 1.0, (0, 10))
-    state = hp.HatState(k=0, z=0.0, data=np.array([[1.0], [1.0]], dtype=complex))
-    nxt = hp.step_forward(sysd, 0.0, state)
-    assert nxt.k == 1
-    assert np.allclose(nxt.data, state.data)
+    data = np.array([[1.0], [1.0]], dtype=complex)
+    nxt = hp.propagate_hats(sysd, 0.0, 0, data, 1)[0]
+    assert np.allclose(nxt, data)
 
 
 def test_scalar_jacobi_matches_three_term_recurrence():
     sysj = make_free_jacobi((0, 60))
     z = 0.37 + 0.21j
     # start from hat data (psi1(0), psi2(1)) = (1, 0.3-0.1j)
-    state = hp.HatState(k=0, z=z, data=np.array([[1.0], [0.3 - 0.1j]]))
-    traj = hp.hat_trajectory(sysj, z, 0, state.data, (0, 52))
+    traj = hp.hat_trajectory(sysj, z, 0, np.array([[1.0], [0.3 - 0.1j]]), (0, 52))
     # psi1 satisfies the three-term recurrence; seed the oracle from the
     # first two propagated values and compare the next 50
     y0 = traj.psi1(0)[0, 0]
@@ -56,14 +56,12 @@ def test_step_roundtrip_random_systems(seed):
     sysr = htk.random_system(m, (0, 6), seed=seed, cls=cls)
     z = complex(rng.normal(), rng.normal())
     data = rng.normal(size=(2 * m, 2)) + 1j * rng.normal(size=(2 * m, 2))
-    state = hp.HatState(k=3, z=z, data=data)
-    fwd = hp.step_forward(sysr, z, state)
-    back = hp.step_backward(sysr, z, fwd)
-    assert back.k == 3
-    assert np.linalg.norm(back.data - data) < 1e-12 * (1 + np.linalg.norm(data))
-    bwd = hp.step_backward(sysr, z, state)
-    fwd2 = hp.step_forward(sysr, z, bwd)
-    assert np.linalg.norm(fwd2.data - data) < 1e-12 * (1 + np.linalg.norm(data))
+    fwd = hp.propagate_hats(sysr, z, 3, data, 4)
+    back = hp.propagate_hats(sysr, z, 4, fwd, 3)[0]
+    assert np.linalg.norm(back - data) < 1e-12 * (1 + np.linalg.norm(data))
+    bwd = hp.propagate_hats(sysr, z, 3, data, 2)
+    fwd2 = hp.propagate_hats(sysr, z, 2, bwd, 3)[0]
+    assert np.linalg.norm(fwd2 - data) < 1e-12 * (1 + np.linalg.norm(data))
 
 
 def test_batched_kernel_matches_scalar_steps():
@@ -87,8 +85,8 @@ def test_trajectory_plain_values_at_the_edges():
         sysr = htk.random_system(m, (0, 16), seed=43, cls=cls)
         z = 0.3 + 0.2j
         traj = hp.hat_trajectory(sysr, z, 8, np.eye(2 * m, dtype=complex), (4, 12))
-        back = hp.step_backward(sysr, z, traj.state(4))
-        assert np.array_equal(traj.plain(4)[m:], back.psi2_next)
+        back = hp.propagate_hats(sysr, z, 4, traj.hat(4), 3)[0]
+        assert np.array_equal(traj.plain(4)[m:], back[m:])
         assert np.array_equal(traj.plain(4)[:m], traj.psi1(4))
         assert np.array_equal(traj.plain(9)[m:], traj.psi2_next(8))
         for k in (3, 13):
@@ -151,25 +149,30 @@ def test_linearity_of_propagation():
 
 def test_fundamental_initial_values():
     sysj = make_free_jacobi((0, 6))
+    # columns (Theta, Phi) of the hat at the base site
     fund = hp.fundamental(sysj, 0.7j, 0, hsys.dirichlet(1), (0, 6))
-    assert np.allclose(fund.Theta_hat(0), [[1.0], [0.0]])
-    assert np.allclose(fund.Phi_hat(0), [[0.0], [-1.0]])
+    assert fund.k0 == 0
+    assert np.allclose(fund.hat(0), [[1.0, 0.0], [0.0, -1.0]])
     fund2 = hp.fundamental(sysj, 0.7j, 0, hsys.neumann(1), (0, 6))
-    assert np.allclose(fund2.Theta_hat(0), [[0.0], [1.0]])
-    assert np.allclose(fund2.Phi_hat(0), [[1.0], [0.0]])
+    assert np.allclose(fund2.hat(0), [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_fundamental_dirichlet_columns_scalar_oracle():
-    # phi1 at z=0 for the free chain follows the three-term recurrence with
-    # Dirichlet-type seed (0 at the base site)
+    # phi1 (the psi1 entry of the Phi column) at z=0 for the free chain
+    # follows the three-term recurrence with Dirichlet-type seed (0 at the
+    # base site)
     sysj = make_free_jacobi((0, 8))
     fund = hp.fundamental(sysj, 0.0, 0, hsys.dirichlet(1), (0, 5))
-    ys = scalar_free_recurrence(0.0, fund.phi1(0)[0, 0], fund.phi1(1)[0, 0], 4)
+
+    def phi1(k):
+        return fund.psi1(k)[0, 1]
+
+    ys = scalar_free_recurrence(0.0, phi1(0), phi1(1), 4)
     for k in range(6):
-        assert abs(fund.phi1(k)[0, 0] - ys[k]) < 1e-12
+        assert abs(phi1(k) - ys[k]) < 1e-12
     # independent seed values: phi1(0) = 0, phi1(1) = 1 for this normalization
-    assert abs(fund.phi1(0)[0, 0]) < 1e-14
-    assert abs(fund.phi1(1)[0, 0] - 1.0) < 1e-14
+    assert abs(phi1(0)) < 1e-14
+    assert abs(phi1(1) - 1.0) < 1e-14
 
 
 def test_fundamental_symplectic_identity():
@@ -205,6 +208,36 @@ def test_scale_monitor_warns():
         hp.fundamental(sysj, 4j, 0, hsys.dirichlet(1), (0, 260))
 
 
+def _scale_warnings(record):
+    return [w for w in record if "1e150" in str(w.message)]
+
+
+def test_fundamental_scans_its_data_once():
+    # the fundamental is the trajectory its propagation built: one scan and
+    # one warning per call
+    sysj = make_free_jacobi((0, 400))
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        fund = hp.fundamental(sysj, -3 + 0.1j, 0, hsys.dirichlet(1), (0, 400))
+    assert len(_scale_warnings(record)) == 1
+    assert fund.scale_warning
+
+
+def test_column_blocks_reuse_the_parent_scan():
+    # the Phi-role block of a half-line kernel shares the data its parent
+    # already scanned: no second scan, no second warning
+    sysj = make_free_jacobi((0, 400))
+    with pytest.warns(RuntimeWarning, match="1e150"):
+        fund = hp.fundamental(sysj, -3 + 0.1j, 0, hsys.dirichlet(1), (0, 400))
+    assert np.max(np.abs(fund.data[:, :, 1:])) > hp.SCALE_LIMIT
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        phi = fund._columns(slice(1, None))
+    assert not _scale_warnings(record)
+    assert phi.scale_warning and phi.k0 == fund.k0
+    assert np.array_equal(phi.plain(200), fund.plain(200)[:, 1:])
+
+
 # ---------------------------------------------------------------------------
 # the bilinear pairing
 # ---------------------------------------------------------------------------
@@ -213,7 +246,7 @@ def test_lagrange_constant_for_real_z_same_solution():
     sysr = htk.random_system(2, (0, 20), seed=21, cls="jacobi")
     z = 0.83  # real
     traj = hp.hat_trajectory(sysr, z, 0, np.eye(4, dtype=complex)[:, :2], (0, 20))
-    vals = [hp.lagrange_bilinear(sysr, traj.state(k), traj.state(k))
+    vals = [hp.lagrange_bilinear(sysr, k, traj.hat(k), traj.hat(k))
             for k in range(0, 21)]
     for v in vals[1:]:
         assert np.linalg.norm(v - vals[0]) < 1e-12 * (1 + np.linalg.norm(vals[0]))
@@ -224,11 +257,11 @@ def test_lagrange_telescoping_and_phi_sum():
     z = 0.5 + 0.6j
     fund = hp.fundamental(sysj, z, 0, hsys.dirichlet(1), (0, 20))
     # sum over the half-open interval equals the pairing difference
-    g_ell = fund.Phi_hat(15).conj().T @ sysj.j_rho(15) @ fund.Phi_hat(15)
-    g_k0 = fund.Phi_hat(0).conj().T @ sysj.j_rho(0) @ fund.Phi_hat(0)
+    g_ell = hp.lagrange_bilinear(sysj, 15, fund.hat(15)[:, 1:], fund.hat(15)[:, 1:])
+    g_k0 = hp.lagrange_bilinear(sysj, 0, fund.hat(0)[:, 1:], fund.hat(0)[:, 1:])
     acc = np.zeros((1, 1), dtype=complex)
     for k in range(1, 16):
-        phi = fund.Phi(k)
+        phi = fund.plain(k)[:, 1:]
         acc += phi.conj().T @ sysj.A(k) @ phi
     assert np.linalg.norm((g_ell - g_k0) - (z - np.conj(z)) * acc) < 1e-10
 
@@ -237,14 +270,6 @@ def test_lagrange_streamed_long_window():
     sysr = htk.random_system(2, (0, 1000), seed=42, cls="general_A12zero")
     worst = hp.lagrange_telescoping_check(sysr, 0.9 + 0.4j, -0.3 + 1.1j, 0, 1000)
     assert worst < 1e-10
-
-
-def test_lagrange_site_mismatch_rejected():
-    sysj = make_free_jacobi((0, 5))
-    s1 = hp.HatState(0, 1j, np.ones((2, 1), dtype=complex))
-    s2 = hp.HatState(1, 1j, np.ones((2, 1), dtype=complex))
-    with pytest.raises(InputError):
-        hp.lagrange_bilinear(sysj, s1, s2)
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +281,12 @@ def test_weyl_solution_accessors():
     fund = hp.fundamental(sysj, 1j, 0, hsys.dirichlet(1), (0, 10))
     u0 = hp.weyl_solution(fund, np.zeros((1, 1)))
     for k in range(0, 11):
-        assert np.allclose(u0.hat(k), fund.Theta_hat(k))
+        assert np.allclose(u0.hat(k), fund.hat(k)[:, :1])
     M = np.array([[0.3 - 0.8j]])
     u = hp.weyl_solution(fund, M)
-    assert np.allclose(u.u1(0), np.eye(1))
-    assert np.allclose(u.u2_next(0), -M)
+    assert u.k0 == 0
+    assert np.allclose(u.psi1(0), np.eye(1))
+    assert np.allclose(u.psi2_next(0), -M)
 
 
 def test_weyl_solution_hits_far_boundary():
@@ -290,7 +316,7 @@ def test_jacobi_apply_equivalences():
     # psi1 of a propagated solution satisfies L psi1 = z psi1 over 100 sites
     z2 = 1j
     fund = hp.fundamental(sysj, z2, 0, hsys.dirichlet(1), (0, 102))
-    y2 = {k: fund.theta1(k) for k in range(0, 103)}
+    y2 = {k: fund.psi1(k)[:, :1] for k in range(0, 103)}
     for k in range(1, 101):
         lhs = hp.jacobi_apply(sysj, y2, k)
         rhs = z2 * y2[k]
