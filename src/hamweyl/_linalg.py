@@ -64,9 +64,14 @@ def real_part(a: np.ndarray) -> np.ndarray:
     return herm(a)
 
 
-def opnorm(a: np.ndarray) -> float:
-    """Spectral (operator 2-) norm."""
+def opnorm(a: np.ndarray):
+    """Spectral (operator 2-) norm.
+
+    A float for one matrix, an array of them for a stack of matrices.
+    """
     a = np.asarray(a)
+    if a.ndim > 2:
+        return np.linalg.norm(a, 2, axis=(-2, -1))
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
@@ -92,10 +97,12 @@ def smallest_singular_value(a: np.ndarray) -> float:
     return float(s[-1]) if s.size else 0.0
 
 
-def is_hermitian(a: np.ndarray, tol: float = 1e-12) -> bool:
-    """True when ||A - A*|| <= tol * max(1, ||A||)."""
-    dev = opnorm(a - a.conj().T)
-    return dev <= tol * max(1.0, opnorm(a))
+def is_hermitian(a: np.ndarray, tol: float = 1e-12):
+    """True when ||A - A*|| <= tol * max(1, ||A||).
+
+    A bool for one matrix, an array of them for a stack of matrices.
+    """
+    return opnorm(a - adjoint(a)) <= tol * np.maximum(1.0, opnorm(a))
 
 
 def min_eig_herm(a: np.ndarray) -> float:

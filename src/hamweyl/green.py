@@ -87,40 +87,27 @@ class GreensKernel:
         return self.z if not self.conjugated else np.conj(self.z)
 
     def _at_pos(self, k: int, ell: int) -> np.ndarray:
-        m = self.m
         om = self.omega
         if k > ell:
             return self._up_z.plain(k) @ om @ self._um_zb.plain(ell).conj().T
         if k < ell:
             return self._um_z.plain(k) @ om @ self._up_zb.plain(ell).conj().T
-        phi_p = self._up_z.plain(k)[:m]
-        th_p_conj = self._up_zb.plain(k)[m:]
-        phi_p_conj = self._up_zb.plain(k)[:m]
-        th_m = self._um_z.plain(k)[m:]
-        phi_m_conj = self._um_zb.plain(k)[:m]
-        th_m_conj = self._um_zb.plain(k)[m:]
-        out = np.empty((2 * m, 2 * m), dtype=complex)
-        out[:m, :m] = phi_p @ om @ phi_m_conj.conj().T
-        out[:m, m:] = phi_p @ om @ th_m_conj.conj().T
-        out[m:, :m] = th_m @ om @ phi_p_conj.conj().T
-        out[m:, m:] = th_m @ om @ th_p_conj.conj().T
-        return out
+        return self._diag(range(k, k + 1))[0]
 
-    def _diag_alternative(self, k: int) -> np.ndarray:
-        """The other admissible row mixing of the diagonal block."""
+    def _diag(self, sites: range, alternative: bool = False) -> np.ndarray:
+        """Diagonal blocks K(z_pos, k, k) over a run of sites as a stack: top
+        rows from U+ Omega U-'*, bottom rows from U- Omega U+'* (swapped for
+        the ``alternative`` row mixing), one product per m x m block."""
         m = self.m
-        om = self.omega
-        phi_m = self._um_z.plain(k)[:m]
-        th_p = self._up_z.plain(k)[m:]
-        phi_p_conj = self._up_zb.plain(k)[:m]
-        th_p_conj = self._up_zb.plain(k)[m:]
-        phi_m_conj = self._um_zb.plain(k)[:m]
-        th_m_conj = self._um_zb.plain(k)[m:]
-        out = np.empty((2 * m, 2 * m), dtype=complex)
-        out[:m, :m] = phi_m @ om @ phi_p_conj.conj().T
-        out[:m, m:] = phi_m @ om @ th_p_conj.conj().T
-        out[m:, :m] = th_p @ om @ phi_m_conj.conj().T
-        out[m:, m:] = th_p @ om @ th_m_conj.conj().T
+        rows = [(self._up_z, self._um_zb), (self._um_z, self._up_zb)]
+        if alternative:
+            rows.reverse()
+        out = np.empty((len(sites), 2 * m, 2 * m), dtype=complex)
+        for half, (left, right) in zip((slice(None, m), slice(m, None)), rows):
+            u = left.plains(sites)[:, half] @ self.omega
+            v = right.plains(sites)
+            out[:, half, :m] = u @ la.adjoint(v[:, :m])
+            out[:, half, m:] = u @ la.adjoint(v[:, m:])
         return out
 
     def at(self, k: int, ell: int) -> np.ndarray:
@@ -167,9 +154,9 @@ def _certify(kernel: GreensKernel, n_probe: int = 4) -> None:
     worst = max(delta_residual(kernel, ell) for ell in probes)
     kernel.diagnostics["delta_defect"] = worst
     if worst > 1e-6:
-        alt = max(_delta_residual_with_diag(kernel, ell,
-                                            kernel._diag_alternative(ell))
-                  for ell in probes)
+        alt = max(_delta_residual_with_diag(
+            kernel, ell, kernel._diag(range(ell, ell + 1), alternative=True)[0])
+            for ell in probes)
         kernel.diagnostics["delta_defect_alternative_diag"] = alt
         warnings.warn(
             f"delta-residual certificate failed (printed diagonal: {worst:.2e}, "
@@ -177,28 +164,27 @@ def _certify(kernel: GreensKernel, n_probe: int = 4) -> None:
             RuntimeWarning, stacklevel=3)
 
 
-def _operator_residual(sys: HamiltonianSystem, z: complex, y, k: int) -> np.ndarray:
-    """((S_rho - zA - B) y)(k) for a family ``y`` of (2m, r) site values."""
+def _operator_residual(sys: HamiltonianSystem, z: complex, y: np.ndarray,
+                       k_lo: int):
+    """((S_rho - zA - B) y)(k) at the inner sites of an (n, 2m, r) stack
+    ``y`` of site values from k_lo, with the pencils of those sites."""
     m = sys.m
-    py = sys.pencil(z, k) @ y(k)
-    return np.vstack([sys.rho(k) @ y(k + 1)[m:] - py[:m],
-                      sys.rho(k - 1) @ y(k - 1)[:m] - py[m:]])
+    idx = [sys._index(k) for k in range(k_lo, k_lo + len(y) - 1)]
+    p = z * sys._A[idx[1:]] + sys._B[idx[1:]]
+    py = p @ y[1:-1]
+    rho = sys._rho[idx]
+    return np.concatenate((rho[1:] @ y[2:, m:] - py[:, :m],
+                           rho[:-1] @ y[:-2, :m] - py[:, m:]), axis=1), p
 
 
 def _delta_residual_with_diag(kernel: GreensKernel, ell: int,
                               diag_block: np.ndarray) -> float:
     lo, hi = kernel.window
-
-    def column(k):
-        return diag_block if k == ell else kernel._at_pos(k, ell)
-
-    worst = 0.0
-    for k in range(lo + 1, hi):
-        res = _operator_residual(kernel.sys, kernel.z_pos, column, k)
-        if k == ell:
-            res = res - np.eye(2 * kernel.m)
-        worst = max(worst, la.opnorm(res))
-    return worst
+    column = _unit_column(kernel, ell, False, diag_block)[:-1]
+    res, _ = _operator_residual(kernel.sys, kernel.z_pos, column, lo)
+    if lo < ell < hi:
+        res[ell - lo - 1] -= np.eye(2 * kernel.m)
+    return max([0.0] + la.opnorm(res).tolist())
 
 
 def delta_residual(kernel: GreensKernel, ell: int) -> float:
@@ -278,13 +264,10 @@ def _build(sys, z, k0, alpha, window, variant, M_plus, M_minus, certify=True):
                           conjugated=conjugated)
     # the pairing is exactly constant in k; far-site drift measures float
     # cancellation in the decaying family, not a formula error
-    near = drift = 0.0
-    for k, d in _pairing_defects(um_zb, up_z, range(lo, hi), target):
-        drift = max(drift, d)
-        if abs(k - k0) <= 8:
-            near = max(near, d)
-    kernel.diagnostics["coupling_defect"] = near
-    kernel.diagnostics["coupling_drift"] = drift
+    defects = _pairing_defects(um_zb, up_z, range(lo, hi), target)
+    kernel.diagnostics["coupling_defect"] = max(
+        [0.0] + defects[max(k0 - 8 - lo, 0):k0 + 9 - lo])
+    kernel.diagnostics["coupling_drift"] = max([0.0] + defects)
     if variant == "whole":
         cross = mp @ omega @ mm - mm @ omega @ mp
         kernel.diagnostics["coupling_identity_defect"] = la.opnorm(cross)
@@ -336,19 +319,9 @@ def alternative_representation(kernel: GreensKernel, k: int, ell: int) -> np.nda
     if kernel.conjugated:
         return alternative_representation_conj(kernel, k, ell)
     om = kernel.omega
-    mp, mm = kernel.M_plus, kernel.M_minus
-    m = kernel.m
-    t = np.empty((2 * m, 2 * m), dtype=complex)
-    if k > ell:
-        t[:m, :m] = om
-        t[:m, m:] = om @ mm
-        t[m:, :m] = mp @ om
-        t[m:, m:] = mp @ om @ mm
-    else:
-        t[:m, :m] = om
-        t[:m, m:] = om @ mp
-        t[m:, :m] = mm @ om
-        t[m:, m:] = mm @ om @ mp
+    a, b = (kernel.M_plus, kernel.M_minus) if k > ell \
+        else (kernel.M_minus, kernel.M_plus)
+    t = np.block([[om, om @ b], [a @ om, a @ om @ b]])
     psi_z = kernel._fund_z.plain(k)
     psi_zb = kernel._fund_zb.plain(ell)
     return psi_z @ t @ psi_zb.conj().T
@@ -396,33 +369,70 @@ def _hat_from_plain(y, k: int, m: int) -> np.ndarray:
 
 def _coerce_source(kernel: GreensKernel, f) -> dict:
     m2 = 2 * kernel.m
-    sites = list(kernel.source_sites())
-    if isinstance(f, dict):
-        items = {int(k): np.asarray(v, dtype=complex) for k, v in f.items()}
-    else:
+    sites = kernel.source_sites()
+    if not isinstance(f, dict):
         arr = np.asarray(f, dtype=complex)
         if len(arr) != len(sites):
             raise InputError(
                 f"array source must cover the {len(sites)} admissible sites")
-        items = {k: arr[i] for i, k in enumerate(sites)}
+        f = dict(zip(sites, arr))
     out = {}
-    r = None
-    for k, v in items.items():
-        if k not in kernel.source_sites():
+    for k, v in f.items():
+        k, v = int(k), np.asarray(v, dtype=complex)
+        if k not in sites:
             raise InputError(f"source at site {k} outside the admissible range")
         v = v[:, None] if v.ndim == 1 else v
         if v.shape[0] != m2:
             raise InputError(f"source values must have {m2} rows")
-        if r is None:
-            r = v.shape[1]
-        elif v.shape[1] != r:
+        if out and v.shape[1] != next(iter(out.values())).shape[1]:
             raise InputError("source values must share a column count")
         out[k] = v
     return out
 
 
+def _superpose(kernel: GreensKernel, g: np.ndarray, span: range,
+               conjugated: bool) -> np.ndarray:
+    """Off-diagonal part of y(k) = sum_ell K(k, ell) g(ell) at the sites
+    lo .. hi+1 of ``g`` (sources in ``span``): U+(k) Omega S-(k) + U-(k)
+    Omega S+(k), with S- the prefix sum of U-'(ell)* g(ell) over ell < k and
+    S+ the suffix sum of U+'(ell)* g(ell) over ell > k (' marks conj z). The
+    ``conjugated`` frame, K(z, k, ell) = K(conj z, ell, k)*, swaps the z and
+    conj(z) families and takes Omega*."""
+    lo, hi = kernel.window
+    # reversing the order swaps the z and conj(z) families
+    up, umb, um, upb = (kernel._up_z, kernel._um_zb, kernel._um_z,
+                        kernel._up_zb)[::-1 if conjugated else 1]
+    om = kernel.omega.conj().T if conjugated else kernel.omega
+    y = np.zeros_like(g)
+    if not span:
+        return y
+    a, b = span.start - lo, span.stop - lo
+    t = np.zeros((len(g), kernel.m, g.shape[2]), dtype=complex)
+    t[a:b] = la.adjoint(umb.plains(span)) @ g[a:b]
+    y[a + 1:] += (up.plains(range(span.start + 1, hi + 2)) @ om
+                  @ np.cumsum(t, axis=0)[a:-1])
+    t[:] = 0.0
+    above = range(max(span.start, lo + 1), span.stop)
+    t[above.start - lo:b] = la.adjoint(upb.plains(above)) @ g[above.start - lo:b]
+    y[:b - 1] += (um.plains(range(lo, span[-1])) @ om
+                  @ np.cumsum(t[::-1], axis=0)[::-1][1:b])
+    return y
+
+
+def _unit_column(kernel: GreensKernel, ell: int, conjugated: bool,
+                 diag_block) -> np.ndarray:
+    """Column K(., ell) over lo .. hi+1 in the frame of :func:`_superpose`,
+    bit for bit the site-by-site blocks (a product with I is exact)."""
+    lo, hi = kernel.window
+    g = np.zeros((hi + 2 - lo, 2 * kernel.m, 2 * kernel.m), dtype=complex)
+    g[ell - lo] = np.eye(2 * kernel.m)
+    column = _superpose(kernel, g, range(ell, ell + 1), conjugated)
+    column[ell - lo] = diag_block
+    return column
+
+
 def solve_nonhomogeneous(kernel: GreensKernel, f) -> NonhomogeneousSolve:
-    """Evaluate the kernel superposition and certify it.
+    """Evaluate the kernel superposition in O(n) and certify it.
 
     Checks the pointwise residual of the nonhomogeneous system at interior
     sites, the square-summability inequality
@@ -431,47 +441,38 @@ def solve_nonhomogeneous(kernel: GreensKernel, f) -> NonhomogeneousSolve:
     """
     sys = kernel.sys
     lo, hi = kernel.window
-    m = kernel.m
     z = kernel.z
     fd = _coerce_source(kernel, f)
     r = next(iter(fd.values())).shape[1] if fd else 1
+    # one extra site so hats exist at the top edge
+    a = sys._A[[sys._index(k) for k in range(lo, hi + 2)]]
+    f_all = np.zeros((hi + 2 - lo, 2 * kernel.m, r), dtype=complex)
+    for k, v in fd.items():
+        f_all[k - lo] = v
+    g = a @ f_all
+    src = kernel.source_sites()
+    rows = slice(src.start - lo, src.stop - lo)
+    y = _superpose(kernel, g, src, kernel.conjugated)
+    diag = kernel._diag(src)
+    y[rows] += (la.adjoint(diag) if kernel.conjugated else diag) @ g[rows]
 
-    y = {}
-    for k in range(lo, hi + 2):  # one extra site so hats exist at the top edge
-        acc = np.zeros((2 * m, r), dtype=complex)
-        for ell, fv in fd.items():
-            acc += kernel.at(k, ell) @ sys.A(ell) @ fv
-        y[k] = acc
+    res, pencils = _operator_residual(sys, z, y[:-1], lo)
+    af = g[1:-2]
+    scale = 1.0 + la.opnorm(y[1:-2]) * la.opnorm(pencils) + la.opnorm(af)
+    residual_by_site = dict(zip(range(lo + 1, hi),
+                                (la.opnorm(res - af) / scale).tolist()))
 
-    residual_by_site = {}
-    for k in range(lo + 1, hi):
-        if kernel.variant == "half_plus" and k <= kernel.k0:
-            continue
-        if kernel.variant == "half_minus" and k >= kernel.k0:
-            continue
-        af = sys.A(k) @ fd.get(k, np.zeros((2 * m, r), dtype=complex))
-        res = _operator_residual(sys, z, y.__getitem__, k) - af
-        scale = 1.0 + la.opnorm(y[k]) * la.opnorm(sys.pencil(z, k)) \
-            + la.opnorm(af)
-        residual_by_site[k] = la.opnorm(res) / scale
-
-    lhs = 0.0
-    rhs = 0.0
-    for k in kernel.source_sites():
-        fv = fd.get(k, np.zeros((2 * m, r), dtype=complex))
-        rhs += float(np.real(np.trace(fv.conj().T @ sys.A(k) @ fv)))
-        lhs += float(np.real(np.trace(y[k].conj().T @ sys.A(k) @ y[k])))
-
+    rhs = float(np.vdot(f_all, g).real)
+    lhs = float(np.vdot(y[rows], a[rows] @ y[rows]).real)
     ksq = {}
     for k in (lo, (lo + hi) // 2, hi):
-        acc = 0.0
-        for ell in kernel.source_sites():
-            kk = kernel.at(k, ell)
-            acc += float(np.real(np.trace(kk @ sys.A(ell) @ kk.conj().T)))
-        ksq[k] = acc
+        # the row K(k, .) is the adjoint of the other frame's column at k
+        col = _unit_column(kernel, k, not kernel.conjugated,
+                           kernel.at(k, k).conj().T if k in src else 0.0)
+        ksq[k] = float(np.vdot(col[rows], a[rows] @ col[rows]).real)
 
     return NonhomogeneousSolve(
-        kernel=kernel, f=fd, y=y,
+        kernel=kernel, f=fd, y=dict(zip(range(lo, hi + 2), y)),
         residual_by_site=residual_by_site,
         residual_max=max(residual_by_site.values()) if residual_by_site else 0.0,
         l2a_lhs=lhs, l2a_rhs=rhs,
@@ -555,12 +556,10 @@ def diagonal_riccati_blocks(kernel: GreensKernel, sites=None) -> dict:
         th_p_c = kernel._up_zb.plain(k)[m:]
         phi_m_c = kernel._um_zb.plain(k)[:m]
         th_m_c = kernel._um_zb.plain(k)[m:]
-        blk = np.empty((2 * m, 2 * m), dtype=complex)
-        blk[:m, :m] = core
-        blk[:m, m:] = core @ np.linalg.solve(phi_m_c.conj().T, th_m_c.conj().T)
-        blk[m:, :m] = la.rsolve(th_m, phi_m) @ core
-        blk[m:, m:] = la.rsolve(th_m, phi_m) @ core \
-            @ np.linalg.solve(phi_p_c.conj().T, th_p_c.conj().T)
+        left = la.rsolve(th_m, phi_m) @ core
+        blk = np.block([
+            [core, core @ np.linalg.solve(phi_m_c.conj().T, th_m_c.conj().T)],
+            [left, left @ np.linalg.solve(phi_p_c.conj().T, th_p_c.conj().T)]])
         out["blocks"][k] = blk
         out["defect"][k] = la.opnorm(blk - kernel._at_pos(k, k))
         out["V_plus"][k] = v_p

@@ -39,6 +39,7 @@ from .system import (
     RCOND_MIN,
     BoundaryData,
     HamiltonianSystem,
+    J_rho,
     symplectic_unit,
     weighted_boundary,
 )
@@ -197,8 +198,17 @@ class HatTrajectory:
                              f"[{self.k_lo},{self.k_hi}]")
         return i
 
+    def _rows(self, sites: range) -> tuple[int, int]:
+        """Rows [i, j) of ``data`` for a run of consecutive sites."""
+        return (self._i(sites[0]), self._i(sites[-1]) + 1) if sites else (0, 0)
+
     def hat(self, k: int) -> np.ndarray:
         return self.data[self._i(k)]
+
+    def hats(self, sites: range) -> np.ndarray:
+        """Hats at a run of consecutive sites as an (n, 2m, r) array."""
+        i, j = self._rows(sites)
+        return self.data[i:j]
 
     def psi1(self, k: int) -> np.ndarray:
         return self.hat(k)[: self.m]
@@ -211,6 +221,15 @@ class HatTrajectory:
         """Plain solution value (psi1(k); psi2(k)) as a read-only (2m, r) array."""
         i = self._i(k)
         return self._plain_above[i - 1] if i else self._plain_lo
+
+    def plains(self, sites: range) -> np.ndarray:
+        """Plain values at a run of consecutive sites as an (n, 2m, r) array;
+        the lower edge is computed only when the run starts there."""
+        i, j = self._rows(sites)
+        above = self._plain_above[max(i - 1, 0):max(j - 1, 0)]
+        if i == 0 < j:
+            return np.concatenate((self._plain_lo[None], above))
+        return above
 
     @cached_property
     def _plain_above(self) -> np.ndarray:
@@ -293,15 +312,18 @@ def fundamental(sys: HamiltonianSystem, z: complex, k0: int, alpha,
 # bilinear form
 # ---------------------------------------------------------------------------
 
-def lagrange_bilinear(sys: HamiltonianSystem, k: int, hat1: np.ndarray,
+def lagrange_bilinear(sys: HamiltonianSystem, k, hat1: np.ndarray,
                       hat2: np.ndarray) -> np.ndarray:
     """Weighted symplectic pairing of two hat-states at site k.
 
-    Returns the r1 x r2 matrix hat1* J_rho(k) hat2. Along solution
-    trajectories its site difference telescopes against (z2 - conj(z1))
-    times the plain quadratic pairing through A; see
+    Returns the r1 x r2 matrix hat1* J_rho(k) hat2, or for a range of sites
+    ``k`` and (n, 2m, r) hat stacks the (n, r1, r2) stack of pairings. Along
+    solution trajectories its site difference telescopes against
+    (z2 - conj(z1)) times the plain quadratic pairing through A; see
     :func:`lagrange_step_defect`.
     """
+    if isinstance(k, range):
+        return la.adjoint(hat1) @ J_rho(sys._rho[[sys._index(s) for s in k]]) @ hat2
     return hat1.conj().T @ sys.j_rho(k) @ hat2
 
 
@@ -355,17 +377,17 @@ def lagrange_telescoping_check(sys: HamiltonianSystem, z1: complex, z2: complex,
     return worst
 
 
-def _pairing_defects(left: HatTrajectory, right: HatTrajectory, sites,
-                     target: np.ndarray):
-    """Yield (k, d): the deviation of left.hat(k)* J_rho(k) right.hat(k)
-    from ``target``, relative to the product of the paired norms, the
-    meaningful scale when solutions grow along the window."""
+def _pairing_defects(left: HatTrajectory, right: HatTrajectory, sites: range,
+                     target: np.ndarray) -> list[float]:
+    """Per site of ``sites``, the deviation of left.hat(k)* J_rho(k)
+    right.hat(k) from ``target``, relative to the product of the paired
+    norms, the meaningful scale when solutions grow along the window."""
     sys = right.sys
-    for k in sites:
-        hl, hr = left.hat(k), right.hat(k)
-        g = lagrange_bilinear(sys, k, hl, hr)
-        scale = 1.0 + la.opnorm(hl) * la.opnorm(hr) * la.opnorm(sys.rho(k))
-        yield k, la.opnorm(g - target) / scale
+    hl, hr = left.hats(sites), right.hats(sites)
+    g = lagrange_bilinear(sys, sites, hl, hr)
+    rho = sys._rho[[sys._index(k) for k in sites]]
+    scale = 1.0 + la.opnorm(hl) * la.opnorm(hr) * la.opnorm(rho)
+    return (la.opnorm(g - target) / scale).tolist()
 
 
 def fundamental_pair_defect(fund_z: HatTrajectory,
@@ -375,8 +397,7 @@ def fundamental_pair_defect(fund_z: HatTrajectory,
     sites = range(max(fund_z.k_lo, fund_zbar.k_lo),
                   min(fund_z.k_hi, fund_zbar.k_hi) + 1)
     target = -symplectic_unit(fund_z.m)
-    return max([0.0] + [d for _, d in _pairing_defects(fund_zbar, fund_z,
-                                                        sites, target)])
+    return max([0.0] + _pairing_defects(fund_zbar, fund_z, sites, target))
 
 
 def _a_form_sum(sys: HamiltonianSystem, traj: HatTrajectory, sites) -> np.ndarray:

@@ -107,11 +107,12 @@ def symplectic_unit(m: int) -> np.ndarray:
 
 
 def J_rho(rho_k: np.ndarray) -> np.ndarray:
-    """Weighted symplectic matrix ((0, rho), (-rho, 0)) for one site."""
-    m = rho_k.shape[0]
-    out = np.zeros((2 * m, 2 * m), dtype=complex)
-    out[:m, m:] = rho_k
-    out[m:, :m] = -rho_k
+    """Weighted symplectic matrix ((0, rho), (-rho, 0)) for one site, or for
+    each weight of a stack."""
+    m = rho_k.shape[-1]
+    out = np.zeros(rho_k.shape[:-2] + (2 * m, 2 * m), dtype=complex)
+    out[..., :m, m:] = rho_k
+    out[..., m:, :m] = -rho_k
     return out
 
 
@@ -159,6 +160,11 @@ def _coerce_site_values(values, window, m, name):
     if arr.shape == (n, m, m):
         return arr.astype(complex)
     raise InputError(f"{name}: expected shape ({n},{m},{m}), got {arr.shape}")
+
+
+def _check_finite(*stacks) -> None:
+    if not all(la.all_finite(x) for x in stacks):
+        raise InputError("coefficients contain non-finite entries")
 
 
 def _policy_index(k: int, k_min: int, n: int, extension: str) -> int:
@@ -251,9 +257,8 @@ class HamiltonianSystem:
         self._A = _coerce_site_values(A, (k_min, k_max), 2 * m, "A")
         self._B = _coerce_site_values(B, (k_min, k_max), 2 * m, "B")
         self._rho = _coerce_site_values(rho, (k_min, k_max), m, "rho")
+        _check_finite(self._A, self._B, self._rho)
         for arr in (self._A, self._B, self._rho):
-            if not la.all_finite(arr):
-                raise InputError("coefficients contain non-finite entries")
             arr.setflags(write=False)
         self.jacobi = jacobi
 
@@ -504,23 +509,25 @@ def jacobi_system(p, q, window, m=None, extension="constant-edge") -> Hamiltonia
         m = _infer_m(p, window[0])
     p_vals = _coerce_site_values(p, window, m, "p")
     q_vals = _coerce_site_values(q, window, m, "q")
+    _check_finite(p_vals, q_vals)
+    # the first failing site raises, with its checks in this order
+    bad = np.stack([~la.is_hermitian(p_vals, TOL_SYM),
+                    la.rcond(p_vals) < RCOND_MIN,
+                    ~la.is_hermitian(q_vals, TOL_SYM)], axis=1)
+    if np.any(bad):
+        i, check = np.argwhere(bad)[0]
+        name, fault = (("p", "not Hermitian"), ("p", "singular"),
+                       ("q", "not Hermitian"))[check]
+        raise InputError(f"{name} at site {window[0] + i} is {fault}")
     n = p_vals.shape[0]
     eye = np.eye(m, dtype=complex)
     A = np.zeros((n, 2 * m, 2 * m), dtype=complex)
     B = np.zeros((n, 2 * m, 2 * m), dtype=complex)
     A[:, :m, :m] = eye
-    for i in range(n):
-        pk = p_vals[i]
-        if not la.is_hermitian(pk, TOL_SYM):
-            raise InputError(f"p at site {window[0] + i} is not Hermitian")
-        if la.rcond(pk) < RCOND_MIN:
-            raise InputError(f"p at site {window[0] + i} is singular")
-        if not la.is_hermitian(q_vals[i], TOL_SYM):
-            raise InputError(f"q at site {window[0] + i} is not Hermitian")
-        B[i, :m, :m] = -q_vals[i]
-        B[i, :m, m:] = eye
-        B[i, m:, :m] = eye
-        B[i, m:, m:] = np.linalg.inv(pk)
+    B[:, :m, :m] = -q_vals
+    B[:, :m, m:] = eye
+    B[:, m:, :m] = eye
+    B[:, m:, m:] = np.linalg.inv(p_vals)
     rho = np.stack([eye] * n)
     jac = JacobiCoefficients(p_vals.copy(), q_vals.copy(), window[0], extension)
     return HamiltonianSystem(m, window, A, B, rho, extension, jacobi=jac)
@@ -532,15 +539,15 @@ def dirac_system(b, window, m=None, extension="constant-edge") -> HamiltonianSys
     if m is None:
         m = _infer_m(b, window[0])
     b_vals = _coerce_site_values(b, window, m, "b")
+    _check_finite(b_vals)
+    singular = np.flatnonzero(la.rcond(b_vals) < RCOND_MIN)
+    if singular.size:
+        raise InputError(f"b at site {window[0] + singular[0]} is singular")
     n = b_vals.shape[0]
     A = np.stack([np.eye(2 * m, dtype=complex)] * n)
     B = np.zeros((n, 2 * m, 2 * m), dtype=complex)
-    for i in range(n):
-        bk = b_vals[i]
-        if la.rcond(bk) < RCOND_MIN:
-            raise InputError(f"b at site {window[0] + i} is singular")
-        B[i, :m, m:] = bk
-        B[i, m:, :m] = bk.conj().T
+    B[:, :m, m:] = b_vals
+    B[:, m:, :m] = la.adjoint(b_vals)
     rho = np.stack([np.eye(m, dtype=complex)] * n)
     return HamiltonianSystem(m, window, A, B, rho, extension)
 

@@ -286,3 +286,102 @@ def test_source_site_validation(free_kernels):
         hg.solve_nonhomogeneous(plus, {0: np.ones(2)})  # k0 not admissible
     with pytest.raises(InputError):
         hg.boundary_flux(plus, {}, 1, "-")
+
+
+def _pair_sum(ker, fd):
+    """Direct superposition sum_ell K(k, ell) A(ell) f(ell), one kernel block
+    per (site, source) pair: the reference for the prefix-sum solve."""
+    lo, hi = ker.window
+    return {k: sum(ker.at(k, ell) @ ker.sys.A(ell) @ v for ell, v in fd.items())
+            for k in range(lo, hi + 2)}
+
+
+def _pair_square_trace(ker, k):
+    return sum(float(np.real(np.trace(ker.at(k, ell) @ ker.sys.A(ell)
+                                      @ ker.at(k, ell).conj().T)))
+               for ell in ker.source_sites())
+
+
+def _kernel_variants(sys_, z, m):
+    """Whole and half kernels at z and conj z with the exact half-line data
+    of a constant-coefficient system."""
+    al = hsys.dirichlet(m)
+    mp = -htk.constant_riccati_fixed_point(sys_, z, +1)
+    mm = -htk.constant_riccati_fixed_point(sys_, z, -1)
+    for zz, a, b in ((z, mp, mm), (np.conj(z), mp.conj().T, mm.conj().T)):
+        yield hg.build_whole_kernel(sys_, zz, 0, al, a, b, (-8, 8))
+        yield hg.build_half_kernel_plus(sys_, zz, 0, al, a, (0, 9))
+        yield hg.build_half_kernel_minus(sys_, zz, 0, al, b, (-9, 0))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_solve_matches_direct_pair_sum(m):
+    rng = np.random.default_rng(29)
+    if m == 1:
+        sys_ = make_free_jacobi((-30, 30))
+    else:
+        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) + 3.0 * np.eye(2)
+        sys_ = hsys.dirac_system(lambda k: b, (-30, 30), m=2)
+    for ker in _kernel_variants(sys_, 0.5 + 0.9j, m):
+        lo, hi = ker.window
+        sites = list(ker.source_sites())
+        for r in (1, 2 * m):
+            arr = (rng.normal(size=(len(sites), 2 * m, r))
+                   + 1j * rng.normal(size=(len(sites), 2 * m, r)))
+            full = dict(zip(sites, arr))
+            sparse = {sites[1]: arr[1], sites[-2]: arr[-2]}
+            for f, fd in ((arr[..., 0] if r == 1 else arr, full), (full, full),
+                          (sparse, sparse)):
+                sol = hg.solve_nonhomogeneous(ker, f)
+                ref = _pair_sum(ker, fd)
+                scale = max(np.max(np.abs(v)) for v in ref.values())
+                assert sorted(sol.y) == sorted(ref)
+                for k in ref:
+                    assert np.max(np.abs(sol.y[k] - ref[k])) <= 1e-13 * scale
+                assert sorted(sol.residual_by_site) == list(range(lo + 1, hi))
+                lhs = sum(float(np.real(np.trace(ref[k].conj().T @ sys_.A(k) @ ref[k])))
+                          for k in sites)
+                assert abs(sol.l2a_lhs - lhs) <= 1e-13 * lhs
+                assert sol.l2a_ok
+        # the kernel square sums do not depend on the source
+        for k, v in sol.kernel_square_trace.items():
+            assert abs(v - _pair_square_trace(ker, k)) <= 1e-13 * v
+
+
+@pytest.mark.parametrize("variant", ["half_plus", "half_minus"])
+@pytest.mark.parametrize("z", [1j, -1j])
+def test_solve_reads_lower_edges_only_where_the_pair_sum_does(variant, z):
+    # the lower-edge psi2 of a role family costs a pencil solve that can
+    # raise, so the solve reads it only where the direct pair sum reads it:
+    # a half_plus solve never reads the Weyl roles (U+) there; a half_minus
+    # solve needs its Weyl roles (U-) at the far end of the window
+    sysj = make_free_jacobi((-40, 40))
+    al = hsys.dirichlet(1)
+    mp = -htk.constant_riccati_fixed_point(sysj, 1j, +1)
+    mm = -htk.constant_riccati_fixed_point(sysj, 1j, -1)
+    if z.imag < 0:
+        mp, mm = mp.conj().T, mm.conj().T
+    fams = ("_up_z", "_up_zb", "_um_z", "_um_zb")
+
+    def fresh():
+        if variant == "half_plus":
+            return hg.build_half_kernel_plus(sysj, z, 0, al, mp, (0, 12))
+        return hg.build_half_kernel_minus(sysj, z, 0, al, mm, (-12, 0))
+
+    def read(ker):
+        return {f for f in fams if "_plain_lo" in vars(getattr(ker, f))}
+
+    ker, ref = fresh(), fresh()
+    fd = {k: np.ones(2, dtype=complex) for k in ker.source_sites()}
+    assert read(ker) == read(ref)
+    hg.solve_nonhomogeneous(ker, fd)
+    _pair_sum(ref, {k: v[:, None] for k, v in fd.items()})
+    for k in (ref.window[0], sum(ref.window) // 2, ref.window[1]):
+        _pair_square_trace(ref, k)
+    assert read(ker) == read(ref)
+    weyl_roles = {"half_plus": {"_up_z", "_up_zb"},
+                  "half_minus": {"_um_z", "_um_zb"}}[variant]
+    if variant == "half_plus":
+        assert not read(ker) & weyl_roles
+    else:
+        assert weyl_roles <= read(ker)

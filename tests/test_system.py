@@ -49,6 +49,39 @@ def test_jacobi_rejects_singular_p():
         hsys.jacobi_system(lambda k: 0.0, lambda k: 0.0, (0, 2))
 
 
+def test_jacobi_reports_the_first_failing_site():
+    # sites are checked in order and, within a site, p Hermitian, then p
+    # invertible, then q Hermitian: the first failing site names the error
+    eye = np.eye(2, dtype=complex)
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    p = np.stack([eye] * 6)
+    q = np.zeros((6, 2, 2), dtype=complex)
+    p[4] = eye + skew
+    q[2] = skew
+    with pytest.raises(InputError, match="^q at site 12 is not Hermitian$"):
+        hsys.jacobi_system(p, q, (10, 15), m=2)
+    p[2] = 0.0
+    with pytest.raises(InputError, match="^p at site 12 is singular$"):
+        hsys.jacobi_system(p, q, (10, 15), m=2)
+    p[2] = eye + skew
+    with pytest.raises(InputError, match="^p at site 12 is not Hermitian$"):
+        hsys.jacobi_system(p, q, (10, 15), m=2)
+    q[1] = np.nan
+    with pytest.raises(InputError, match="non-finite"):
+        hsys.jacobi_system(p, q, (10, 15), m=2)
+
+
+def test_dirac_reports_the_first_singular_site():
+    b = np.stack([np.eye(2, dtype=complex)] * 5)
+    b[3] = 0.0
+    b[1] = np.array([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(InputError, match="^b at site -1 is singular$"):
+        hsys.dirac_system(b, (-2, 2), m=2)
+    b[4] = np.inf
+    with pytest.raises(InputError, match="non-finite"):
+        hsys.dirac_system(b, (-2, 2), m=2)
+
+
 def test_dirac_blocks():
     sysd = hsys.dirac_system(lambda k: 1.0, (0, 3))
     assert np.allclose(sysd.B(0), np.array([[0, 1], [1, 0]]))
