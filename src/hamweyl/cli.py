@@ -346,7 +346,7 @@ def cmd_disk(args) -> int:
         mf = hweyl.m_regular(sys_, ctx, beta, fund=fund)
         e_val = hweyl.e_functional(sys_, ctx, mf.M, fund=fund)
         verdict = hweyl.disk_membership(e_val, tol=args.tol)
-        diam = hweyl.disk_diameter_estimate(sys_, ctx, n_samples=8, fund=fund)
+        diam = hweyl.disk_diameter_estimate(sys_, ctx, fund=fund)
         row = {"ell": ell, "membership": verdict,
                "E_norm": la.opnorm(e_val), "diameter": diam}
         row.update(_complex_columns("M", mf.M))

@@ -59,7 +59,6 @@ __all__ = [
 ]
 
 SCALE_LIMIT = 1e150
-_RENORM_LIMIT = 1e100
 
 
 def _as_state_data(data, m: int) -> np.ndarray:
@@ -107,19 +106,15 @@ def _pencil_solve(sys: HamiltonianSystem, z: np.ndarray, state: np.ndarray,
 
 
 def propagate_hats(sys: HamiltonianSystem, z, k_start: int, init, k_end: int,
-                   *, trajectory: bool = False,
-                   renormalize: bool = False) -> np.ndarray:
+                   *, trajectory: bool = False) -> np.ndarray:
     """Step hat states from ``k_start`` to ``k_end`` at every z of a batch.
 
     ``z`` is a scalar or a 1-d array of N spectral parameters and ``init`` a
     (2m, r) hat shared by all of them or an (N, 2m, r) stack. Returns the
     (N, 2m, r) hats at ``k_end``, or with ``trajectory`` the
     (|k_end - k_start| + 1, N, 2m, r) hats of every site in step order from
-    ``init``. With ``renormalize``, a hat whose largest entry exceeds 1e100
-    after a step is divided by that entry (M and the disk functional are
-    invariant under a common column scale). Forward steps check and solve
-    the (2,1) pencil block at the target site, backward steps the (1,2)
-    block at the departing site.
+    ``init``. Forward steps check and solve the (2,1) pencil block at the
+    target site, backward steps the (1,2) block at the departing site.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     state = np.empty(z.shape + np.shape(init)[-2:], dtype=complex)
@@ -134,11 +129,6 @@ def propagate_hats(sys: HamiltonianSystem, z, k_start: int, init, k_end: int,
         x, p = _pencil_solve(sys, z, state, k, d)
         y = _solve(sys.rho(k + d), p[:, a, a] @ x + p[:, a, b] @ state[:, b])
         state = np.concatenate((x, y)[::d], axis=1)
-        if renormalize:
-            scale = np.max(np.abs(state), axis=(1, 2))
-            big = scale > _RENORM_LIMIT
-            if np.any(big):
-                state[big] /= scale[big, None, None]
         if trajectory:
             out[j] = state
     return out if trajectory else state
@@ -343,9 +333,9 @@ def lagrange_step_defect(sys: HamiltonianSystem, z1: complex, z2: complex,
     plain1 = np.vstack([cur1[:m], prev1[m:]])
     plain2 = np.vstack([cur2[:m], prev2[m:]])
     rhs = (z2 - np.conj(z1)) * (plain1.conj().T @ sys.A(k) @ plain2)
-    defect = la.opnorm((g_cur - g_prev) - rhs)
-    scale = 1.0 + la.opnorm(g_cur) + la.opnorm(g_prev) + la.opnorm(rhs)
-    return defect / scale
+    defect, n_cur, n_prev, n_rhs = np.linalg.norm(
+        np.stack([(g_cur - g_prev) - rhs, g_cur, g_prev, rhs]), 2, axis=(1, 2))
+    return float(defect / (1.0 + n_cur + n_prev + n_rhs))
 
 
 def lagrange_telescoping_check(sys: HamiltonianSystem, z1: complex, z2: complex,

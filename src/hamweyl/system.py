@@ -797,6 +797,23 @@ def _pairs_to_matrix(pairs, m: int, name: str) -> np.ndarray:
     return np.array(vals, dtype=complex).reshape(m, m)
 
 
+def _pairs_to_stack(sites, m: int, name: str) -> np.ndarray:
+    """One coefficient block, a list of per-site entry lists, as an
+    (n, m, m) array. A block of numeric [re, im] pairs parses as one array;
+    any other block (plain-number entries, malformed entries) is parsed site
+    by site, which raises the per-entry error messages."""
+    try:
+        arr = np.asarray(sites)
+    except ValueError:  # ragged nesting, a malformed block
+        arr = None
+    if arr is not None and arr.dtype.kind in "biuf" \
+            and arr.shape[1:] == (m * m, 2):
+        arr = np.ascontiguousarray(arr, dtype=float)
+        return arr.view(complex).reshape(-1, m, m)
+    return np.array([_pairs_to_matrix(site, m, name) for site in sites],
+                    dtype=complex).reshape(-1, m, m)
+
+
 def system_to_dict(sys: HamiltonianSystem) -> dict:
     """Serializable coefficient document.
 
@@ -830,30 +847,28 @@ def system_from_dict(doc: dict) -> HamiltonianSystem:
 
     if "jacobi" in doc:
         block = doc["jacobi"]
-        p = [_pairs_to_matrix(site, m, "p") for site in block["p"]]
-        q = [_pairs_to_matrix(site, m, "q") for site in block["q"]]
+        p = _pairs_to_stack(block["p"], m, "p")
+        q = _pairs_to_stack(block["q"], m, "q")
         if len(p) != len(q):
             raise InputError("jacobi block: p and q must cover the same sites")
         window = (k_min, k_min + len(p) - 1)
-        return jacobi_system(np.stack(p), np.stack(q), window, m=m,
-                             extension=extension)
+        return jacobi_system(p, q, window, m=m, extension=extension)
     if "dirac" in doc:
         block = doc["dirac"]
-        b = [_pairs_to_matrix(site, m, "b") for site in block["b"]]
+        b = _pairs_to_stack(block["b"], m, "b")
         window = (k_min, k_min + len(b) - 1)
-        return dirac_system(np.stack(b), window, m=m, extension=extension)
+        return dirac_system(b, window, m=m, extension=extension)
 
     for key in ("A", "B", "rho"):
         if key not in doc:
             raise InputError(f"coefficient document missing field '{key}'")
-    A = [_pairs_to_matrix(site, 2 * m, "A") for site in doc["A"]]
-    B = [_pairs_to_matrix(site, 2 * m, "B") for site in doc["B"]]
-    rho = [_pairs_to_matrix(site, m, "rho") for site in doc["rho"]]
-    if not (len(A) == len(B) == len(rho)) or not A:
+    A = _pairs_to_stack(doc["A"], 2 * m, "A")
+    B = _pairs_to_stack(doc["B"], 2 * m, "B")
+    rho = _pairs_to_stack(doc["rho"], m, "rho")
+    if not (len(A) == len(B) == len(rho)) or not len(A):
         raise InputError("A, B, rho must cover the same nonempty site range")
     window = (k_min, k_min + len(A) - 1)
-    return HamiltonianSystem(m, window, np.stack(A), np.stack(B), np.stack(rho),
-                             extension)
+    return HamiltonianSystem(m, window, A, B, rho, extension)
 
 
 def save_coefficients(sys: HamiltonianSystem, path) -> None:

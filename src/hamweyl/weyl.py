@@ -287,10 +287,10 @@ def lft_alpha_change(M_gamma, alpha: BoundaryData, gamma: BoundaryData) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# sampling families and limiting disks
+# boundary families and limiting disks
 # ---------------------------------------------------------------------------
 
-def boundary_family(m: int, n_samples: int) -> list[BoundaryData]:
+def boundary_family(m: int, n: int) -> list[BoundaryData]:
     """Fixed quasi-uniform family of self-adjoint boundary data.
 
     For m = 1 these are (cos t, sin t) with t = j pi / n. For m > 1 each
@@ -299,9 +299,9 @@ def boundary_family(m: int, n_samples: int) -> list[BoundaryData]:
     of family(n) coincide with family(n') for n' <= n.
     """
     out = []
-    for j in range(n_samples):
+    for j in range(n):
         if m == 1:
-            t = np.pi * j / n_samples
+            t = np.pi * j / n
             g1 = np.array([[np.cos(t)]], dtype=complex)
             g2 = np.array([[np.sin(t)]], dtype=complex)
         else:
@@ -314,25 +314,56 @@ def boundary_family(m: int, n_samples: int) -> list[BoundaryData]:
     return out
 
 
+def _rescaled(hats: np.ndarray):
+    """(hats / 2**e, e) with e the binary exponent of each hat's largest
+    entry; exact, since only exponents change."""
+    _, e = np.frexp(np.max(np.abs(hats), axis=(1, 2)))
+    return hats * np.ldexp(1.0, -e)[:, None, None], e
+
+
+def _disk_diameter(sys, z: complex, k0: int, ell: int, hats: np.ndarray,
+                   exps) -> float:
+    """Diameter 2 ||R_l|| ||R_r|| of the Weyl disk at (z, ell) from the
+    fundamental hats at ell for [z, conj z], standing for hats * 2**exps.
+
+    R_l = F22(z)^(-1/2) and R_r = F22(conj z)^(-1/2), with F22(w) = sigma(w)
+    herm(-i Phi^(w)* J_rho(ell) Phi^(w)), which the energy identity makes
+    2 |Im z| sum Phi* A Phi over the plus interval. Rescaled hats and logs
+    keep every product finite; inf when a form is not positive definite
+    (the disk is unbounded).
+    """
+    hats, e = _rescaled(hats)
+    phi = hats[:, :, sys.m:]
+    sign = sigma_of(ell, k0, z) * np.array([1, -1])[:, None, None]
+    f22 = la.herm(-1j * sign * (la.adjoint(phi) @ sys.j_rho(ell) @ phi))
+    lam = np.linalg.eigvalsh(f22)[:, 0]
+    if not np.all(lam > 0):
+        return np.inf
+    return float(np.exp2(1.0 - 0.5 * np.sum(np.log2(lam)) - np.sum(e + exps)))
+
+
 def disk_diameter_estimate(sys: HamiltonianSystem, ctx: DiskContext,
                            n_samples: int = 8,
                            fund: HatTrajectory | None = None) -> float:
-    """Max pairwise distance of circle points over the sampled family.
+    """Diameter 2 ||R_l|| ||R_r|| of the Weyl disk at (z, ell).
 
-    A lower bound on the disk diameter at (z, ell); nonincreasing in |ell|
-    up to sampling error because the disks nest.
+    Reads the fundamental hat at z from ``fund`` (built when not given) and
+    propagates the base hat to ell once at conj z. Nonincreasing in |ell|
+    because the disks nest. ``n_samples`` is accepted and ignored.
     """
     fund = _fundamental_for(sys, ctx, fund)
-    return _sampled_diameter(sys, fund.hat(ctx.ell), ctx.ell, n_samples)
+    hat_bar = propagate_hats(sys, np.conj(ctx.z), ctx.k0,
+                             initial_hat(sys, ctx.k0, ctx.alpha), ctx.ell)[0]
+    return _disk_diameter(sys, ctx.z, ctx.k0, ctx.ell,
+                          np.stack([fund.hat(ctx.ell), hat_bar]), (0, 0))
 
 
-def _sampled_diameter(sys, hat: np.ndarray, ell: int, n_samples: int) -> float:
-    """Max pairwise distance of the circle points at ell over the sampled family."""
-    points = [M for M, _, _ in (m_from_hat(sys, hat, ell, bd)
-                                for bd in boundary_family(sys.m, n_samples))
-              if M is not None]
-    return max((la.opnorm(p - q) for i, p in enumerate(points)
-                for q in points[i + 1:]), default=0.0)
+# classification thresholds relative to 1 + |M|, the first far-site offset,
+# and the most steps between power-of-two rescalings of the chased hats
+_LP_THRESHOLD = 1e-6
+_LC_THRESHOLD = 1e-2
+_SCHEDULE_START = 8
+_RESCALE_STEPS = 16
 
 
 @dataclass
@@ -341,11 +372,7 @@ class LimitOptions:
 
     ell_schedule: list[int] | None = None
     tol: float = 1e-9
-    n_samples: int = 8
-    lp_threshold: float = 1e-6
-    lc_threshold: float = 1e-2
     beta: BoundaryData | None = None
-    start: int = 8
 
 
 @dataclass
@@ -379,20 +406,14 @@ class HalfLineLimit:
         return None
 
 
-def _default_schedule(sys, k0, direction, start):
+def _default_schedule(sys, k0, direction):
+    """Far sites k0 + direction * 8 * 2^j inside the window, then its edge."""
     edge = sys.k_max if direction > 0 else sys.k_min
-    out = []
-    s = start
-    while True:
-        ell = k0 + direction * s
-        if (direction > 0 and ell >= edge) or (direction < 0 and ell <= edge):
-            break
-        out.append(ell)
+    out, s = [], _SCHEDULE_START
+    while s < direction * (edge - k0):
+        out.append(k0 + direction * s)
         s *= 2
-    if not out or out[-1] != edge:
-        if edge != k0:
-            out.append(edge)
-    return out
+    return out + [edge] if edge != k0 else out
 
 
 def _clip_psd(a: np.ndarray) -> np.ndarray:
@@ -404,15 +425,17 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
             direction, opts: LimitOptions | None = None) -> HalfLineLimit:
     """Half-line limit of the regular M along ell -> +-infinity.
 
-    Propagates one fundamental hat outward (with scalar renormalization,
-    under which M is invariant), evaluating M at each schedule site with a
-    fixed self-adjoint far boundary (Dirichlet by default). Stops when two
-    consecutive values differ by less than ``opts.tol`` relative or the
-    window is exhausted; the latter yields an inconclusive classification.
+    Propagates the fundamental hats at z and conj z as one batch, rescaled
+    by powers of two after every 16 steps or fewer (exact, so M is bit for
+    bit that of unscaled hats), and evaluates M with a fixed self-adjoint
+    far boundary (Dirichlet by default) and the disk diameter at each
+    schedule site. Stops when two consecutive values differ by less than
+    ``opts.tol`` relative or the window is exhausted; the latter yields an
+    inconclusive classification. A pencil failing its check at z or conj z
+    raises :class:`SteppingError`.
 
-    The diameter estimate samples circle points at the final site. In the
-    limit-point regime the returned value is boundary-independent; in the
-    limit-circle regime it depends on the chosen far boundary, which is
+    In the limit-point regime the returned value is boundary-independent; in
+    the limit-circle regime it depends on the chosen far boundary, which is
     recorded on the result. The returned matrix is projected onto the
     sigma-Herglotz sign cone (a no-op up to roundoff in valid runs).
     """
@@ -424,29 +447,32 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
     beta = opts.beta if opts.beta is not None else dirichlet(sys.m)
     if beta.sign_class != "zero":
         raise InputError("far boundary data must have sign class zero")
-    schedule = opts.ell_schedule or _default_schedule(sys, k0, direction, opts.start)
+    schedule = opts.ell_schedule or _default_schedule(sys, k0, direction)
     if not schedule:
         raise InputError("empty far-site schedule (window too small)")
     sigma = sigma_of(k0 + direction, k0, z)
 
-    hat, k = initial_hat(sys, k0, alpha), k0
-    ells, values, gaps = [], [], []
-    hats_at = {}
+    hats = np.stack([initial_hat(sys, k0, alpha)] * 2)
+    exps, k = np.zeros(2, dtype=int), k0
+    ells, values, gaps, diameters = [], [], [], []
     prev = None
     converged = False
     note = ""
     for ell in schedule:
-        hat, k = propagate_hats(sys, z, k, hat, ell, renormalize=True)[0], ell
-        if not la.all_finite(hat):
+        while k != ell:
+            step = min(max(ell, k - _RESCALE_STEPS), k + _RESCALE_STEPS)
+            hats, e = _rescaled(propagate_hats(sys, [z, np.conj(z)], k, hats, step))
+            exps, k = exps + e, step
+        if not la.all_finite(hats):
             note = f"propagation lost finiteness before ell={ell}"
             break
-        M, smin, _ = m_from_hat(sys, hat, ell, beta)
+        M, smin, _ = m_from_hat(sys, hats[0], ell, beta)
         if M is None:
             note = f"far boundary block singular at ell={ell} (smin={smin:.2e})"
             break
         ells.append(ell)
         values.append(M)
-        hats_at[ell] = hat
+        diameters.append(_disk_diameter(sys, z, k0, ell, hats, exps))
         if prev is not None:
             gap = la.opnorm(M - prev) / (1.0 + la.opnorm(M))
             gaps.append(gap)
@@ -462,24 +488,21 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
                              gaps=gaps, note=note or "no M values computed")
 
     M_final = values[-1]
-    ell_final = ells[-1]
     scale = 1.0 + la.opnorm(M_final)
-
-    diameters = [_sampled_diameter(sys, hats_at[ell], ell, opts.n_samples)
-                 for ell in ells[-3:]]
-    diam = diameters[-1]
+    recent = diameters[-3:]
+    diam = recent[-1]
 
     # limit point: the chase converged and the disks have collapsed.
     # limit circle: the disks stay large and their shrinking has stalled
-    # (in the point case the sampled diameter decays geometrically along the
+    # (in the point case the diameter decays geometrically along the
     # doubling schedule; a stalled ratio across some recent doubling is the
     # finite-window signature of a positive-diameter limiting disk).
-    ratios = [b / a for a, b in zip(diameters, diameters[1:]) if a > 0]
+    ratios = [b / a for a, b in zip(recent, recent[1:]) if a > 0]
     stalled = bool(ratios) and max(ratios) >= 0.5
-    big = max(diameters) > opts.lc_threshold * scale
-    if converged and diam < opts.lp_threshold * scale:
+    big = max(recent) > _LC_THRESHOLD * scale
+    if converged and diam < _LP_THRESHOLD * scale:
         classification = "limit_point"
-    elif big and stalled and len(diameters) >= 2:
+    elif big and stalled and len(recent) >= 2:
         classification = "limit_circle"
         note = (note + "; " if note else "") + \
             "limit-circle regime: the returned value depends on the " \

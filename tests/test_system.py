@@ -429,3 +429,36 @@ def test_coefficient_file_malformed(tmp_path):
     path2.write_text(json.dumps({"m": 1, "k_min": 0}))
     with pytest.raises(InputError):
         hsys.load_coefficients(path2)
+
+
+def test_coefficient_blocks_parse_like_per_entry_complex():
+    rng = np.random.default_rng(8)
+    vals = rng.normal(size=(5, 4, 2))
+    vals[0, 0, 1] = -0.0
+    pairs = vals.tolist()
+    pairs[1][2] = [3, -2]                      # integer pairs
+    ref = np.array([[complex(re, im) for re, im in site] for site in pairs])
+    doc = {"m": 2, "k_min": 0, "dirac": {"b": pairs}}
+    sysd = hsys.system_from_dict(doc)
+    expect = hsys.dirac_system(ref.reshape(5, 2, 2), (0, 4), m=2)
+    for k in sysd.sites:
+        assert sysd.B(k).tobytes() == expect.B(k).tobytes()
+
+
+def test_coefficient_blocks_accept_plain_numbers_and_word_errors():
+    plain = {"m": 1, "k_min": 0, "jacobi": {"p": [[1.5], [2]], "q": [[0], [-0.5]]}}
+    pairs = {"m": 1, "k_min": 0,
+             "jacobi": {"p": [[[1.5, 0]], [[2, 0]]], "q": [[[0, 0]], [[-0.5, 0]]]}}
+    a, b = hsys.system_from_dict(plain), hsys.system_from_dict(pairs)
+    for k in a.sites:
+        assert np.array_equal(a.B(k), b.B(k)) and np.array_equal(a.A(k), b.A(k))
+    full = {"m": 1, "k_min": 0, "A": [[1, 0, 0, 0]], "B": [[0, 1, 1, 1]],
+            "rho": [[1]]}
+    assert np.array_equal(hsys.system_from_dict(full).B(0), [[0, 1], [1, 1]])
+    bad_pair = {"m": 1, "k_min": 0,
+                "jacobi": {"p": [[[1, 0]], [[2, 0, 1]]], "q": [[[0, 0]]] * 2}}
+    with pytest.raises(InputError, match=r"^p: entries must be \[re, im\] pairs$"):
+        hsys.system_from_dict(bad_pair)
+    bad_count = dict(full, A=[[[1, 0], [0, 0], [0, 0]]])
+    with pytest.raises(InputError, match="^A: expected 4 entries, got 3$"):
+        hsys.system_from_dict(bad_count)

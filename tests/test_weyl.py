@@ -320,16 +320,12 @@ def test_limit_inconclusive_when_window_short():
     assert lim.note
 
 
-def test_diameter_decreases_and_is_monotone_in_samples():
+def test_diameter_decreases_along_ell():
     sysj = make_free_jacobi((0, 160))
     al = hsys.dirichlet(1)
     d10 = hwl.disk_diameter_estimate(sysj, hwl.disk_context(sysj, 1j, 0, 10, al))
     d100 = hwl.disk_diameter_estimate(sysj, hwl.disk_context(sysj, 1j, 0, 100, al))
     assert d100 < d10 / 10
-    ctx = hwl.disk_context(sysj, 1j, 0, 8, al)
-    d4 = hwl.disk_diameter_estimate(sysj, ctx, n_samples=4)
-    d16 = hwl.disk_diameter_estimate(sysj, ctx, n_samples=16)
-    assert d16 >= d4 - 1e-15
 
 
 def test_diameter_close_to_dense_circle_sampling():
@@ -345,11 +341,96 @@ def test_diameter_close_to_dense_circle_sampling():
         M, _, _ = hwl.m_from_hat(sysj, fund.hat(6), 6, bd)
         pts.append(M[0, 0])
     pts = np.array(pts)
-    exact = max(abs(pts[i] - pts[j]) for i in range(0, 360, 7)
-                for j in range(i + 1, 360, 7))
-    est = hwl.disk_diameter_estimate(sysj, ctx, n_samples=8)
-    assert est <= exact * (1 + 1e-12)
-    assert est >= exact / 2
+    brute = np.max(np.abs(pts[:, None] - pts[None, :]))
+    closed = hwl.disk_diameter_estimate(sysj, ctx, fund=fund)
+    assert brute <= closed <= brute * (1 + 1e-6)
+
+
+def _schur_diameter(sys_, z, k0, ell, al):
+    """2 ||R_l|| ||R_r|| from one F = sigma herm(-i Psi^* J_rho Psi^) at ell,
+    with R_r^2 the Schur complement F12 F22^-1 F21 - F11 (accurate only
+    while the disk is not small against the rounding of F)."""
+    m = sys_.m
+    hat = hp.fundamental(sys_, z, k0, al, (min(k0, ell), max(k0, ell))).hat(ell)
+    f = la.herm(-1j * hwl.sigma_of(ell, k0, z)
+                * (hat.conj().T @ sys_.j_rho(ell) @ hat))
+    f11, f12, f21, f22 = f[:m, :m], f[:m, m:], f[m:, :m], f[m:, m:]
+    rr = la.max_eig_herm(f12 @ np.linalg.solve(f22, f21) - f11)
+    return 2.0 * np.sqrt(rr / la.min_eig_herm(f22)) if rr > 0 else -1.0
+
+
+@pytest.mark.parametrize("cls", ["jacobi", "dirac", "general_A12zero"])
+def test_diameter_equals_schur_complement_form(cls):
+    for m in (1, 2):
+        sysr = htk.random_system(m, (-12, 12), seed=41 + m, cls=cls)
+        al = hsys.dirichlet(m)
+        for z in (0.5 + 0.5j, 0.3 - 0.7j):
+            for ell in (3, -4):
+                ctx = hwl.disk_context(sysr, z, 0, ell, al)
+                closed = hwl.disk_diameter_estimate(sysr, ctx)
+                ref = _schur_diameter(sysr, z, 0, ell, al)
+                assert abs(closed - ref) <= 1e-8 * ref
+
+
+def test_diameter_nonincreasing_where_schur_form_breaks_down():
+    sysr = htk.random_system(2, (0, 40), seed=1, cls="general_A12zero")
+    al = hsys.dirichlet(2)
+    z = 0.5 + 0.4j
+    ells = range(2, 41, 2)
+    closed = np.array([hwl.disk_diameter_estimate(
+        sysr, hwl.disk_context(sysr, z, 0, ell, al)) for ell in ells])
+    assert np.all(np.isfinite(closed)) and np.all(closed > 0)
+    assert np.all(np.diff(closed) <= 0)
+    # the cancelling Schur complement has lost every digit by ell = 40
+    schur = np.array([_schur_diameter(sysr, z, 0, ell, al) for ell in ells])
+    assert np.any(np.abs(schur - closed) > 1e3 * closed)
+
+
+def test_limit_m_matches_unscaled_chase_bitwise():
+    sysr = htk.random_system(2, (-70, 70), seed=5, cls="jacobi")
+    al = hsys.dirichlet(2)
+    beta = hsys.dirichlet(2)
+    for z, direction in ((0.5 + 0.5j, +1), (0.2 - 0.3j, -1)):
+        opts = hwl.LimitOptions(ell_schedule=[direction * e
+                                              for e in (8, 19, 40, 70)],
+                                tol=1e-30)
+        lim = hwl.limit_m(sysr, z, 0, al, direction, opts)
+        hat, k, gaps, prev = hp.initial_hat(sysr, 0, al), 0, [], None
+        for ell in lim.ell_sequence:
+            hat, k = hp.propagate_hats(sysr, z, k, hat, ell)[0], ell
+            M = hwl.m_from_hat(sysr, hat, ell, beta)[0]
+            if prev is not None:
+                gaps.append(la.opnorm(M - prev) / (1.0 + la.opnorm(M)))
+            prev = M
+        assert lim.ell_sequence == opts.ell_schedule
+        assert lim.gaps == gaps
+        sigma = direction if z.imag > 0 else -direction
+        w, v = np.linalg.eigh(sigma * la.imag_part(M))
+        proj = la.real_part(M) + 1j * sigma * la.herm(
+            (v * np.clip(w, 0.0, None)) @ v.conj().T)
+        assert np.array_equal(lim.M_pm, proj)
+
+
+def test_limit_and_diameter_finite_past_1e300():
+    # unscaled fundamental columns pass 1e300 at ell = 441 and overflow
+    # after ell = 453 on this chain
+    sysj = make_free_jacobi((-10, 500))
+    al = hsys.dirichlet(1)
+    z = -3.0 + 0.1j
+    with pytest.warns(RuntimeWarning, match="1e150"):
+        fund = hp.fundamental(sysj, z, 0, al, (0, 450))
+    assert 1e300 < np.max(np.abs(fund.hat(450))) < np.inf
+    ctx = hwl.disk_context(sysj, z, 0, 450, al)
+    d450 = hwl.disk_diameter_estimate(sysj, ctx, fund=fund)
+    d20 = hwl.disk_diameter_estimate(sysj, hwl.disk_context(sysj, z, 0, 20, al))
+    assert np.isfinite(d450) and 0.0 <= d450 < d20
+    lim = hwl.limit_m(sysj, z, 0, al, +1,
+                      hwl.LimitOptions(ell_schedule=[20, 100, 300, 500],
+                                       tol=1e-30))
+    assert lim.ell_sequence == [20, 100, 300, 500]
+    assert la.all_finite(lim.M_pm) and np.all(np.isfinite(lim.diameters))
+    v = htk.constant_riccati_fixed_point(sysj, z, +1)
+    assert la.opnorm(lim.M_pm + v) < 1e-8
 
 
 def test_nesting_monotone_disk_functional():
