@@ -107,21 +107,35 @@ def jacobi_bvp_oracle(bvp: RegularBVP) -> np.ndarray:
 # eigenvalues through singularity of the boundary-weighted solution block
 # ---------------------------------------------------------------------------
 
-def _golden_min(f, a: float, b: float, width: float = 1e-10) -> float:
-    """Golden-section minimizer of a scalar function on [a, b]."""
+def _golden_sections(smin_of, a: np.ndarray, b: np.ndarray,
+                     width: float = 1e-10) -> np.ndarray:
+    """Golden-section minimizers on the brackets [a, b], in lockstep.
+
+    Every bracket takes the scalar section's float64 updates; each iteration
+    evaluates the new interior point of every still-active bracket in one
+    ``smin_of`` call. Updates ``a`` and ``b`` in place and returns the
+    bracket midpoints at width ``width``.
+    """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    n = len(a)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > width:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
+    f = smin_of(np.concatenate((c, d)))
+    fc, fd = f[:n], f[n:]
+    active = (b - a) > width
+    while active.any():
+        i = np.flatnonzero(active)
+        left = fc[i] < fd[i]
+        lo, hi = i[left], i[~left]
+        # left: the minimum lies in [a, d], and c becomes the new d
+        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
+        c[lo] = b[lo] - invphi * (b[lo] - a[lo])
+        # right: the minimum lies in [c, b], and d becomes the new c
+        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
+        d[hi] = a[hi] + invphi * (b[hi] - a[hi])
+        f = smin_of(np.where(left, c[i], d[i]))
+        fc[lo], fd[hi] = f[left], f[~left]
+        active = (b - a) > width
     return 0.5 * (a + b)
 
 
@@ -133,11 +147,13 @@ def eig_via_detPhi(sys: HamiltonianSystem, k0: int, ell: int,
     """Locate real eigenvalues as singularities of the weighted right block.
 
     Scans the smallest singular value of bt Phi^(z, ell) on a real grid and
-    refines each local minimum by golden section to width 1e-10. A candidate
-    is accepted when the refined value drops below ``accept_tol`` times the
-    median grid scale, or below ``drop_tol`` times the local bracket scale
-    (a genuine simple zero refines to about golden-width/grid-step of the
-    bracket, four or more orders below any smooth minimum).
+    refines every local minimum by golden section to width 1e-10, all
+    brackets in lockstep: one batched evaluator call per iteration. A
+    candidate is accepted when the refined value drops below ``accept_tol``
+    times the median grid scale, or below ``drop_tol`` times the local
+    bracket scale (a genuine simple zero refines to about
+    golden-width/grid-step of the bracket, four or more orders below any
+    smooth minimum).
 
     When ``expected_count`` is given (e.g. from the dense oracle) a count
     mismatch emits a too-coarse-grid warning.
@@ -155,16 +171,13 @@ def eig_via_detPhi(sys: HamiltonianSystem, k0: int, ell: int,
 
     s = smin_of(grid)
     scale = max(1.0, float(np.median(s)))
-    roots = []
-    for i in range(1, len(grid) - 1):
-        if s[i] < s[i - 1] and s[i] <= s[i + 1]:
-            z_hat = _golden_min(lambda x: float(smin_of([x])[0]),
-                                grid[i - 1], grid[i + 1])
-            local = max(float(s[i - 1]), float(s[i + 1]), 1e-300)
-            s_hat = float(smin_of([z_hat])[0])
-            if s_hat < max(accept_tol * scale, drop_tol * local):
-                roots.append(z_hat)
-    roots = sorted(roots)
+    i = 1 + np.flatnonzero((s[1:-1] < s[:-2]) & (s[1:-1] <= s[2:]))
+    roots = np.empty(0)
+    if len(i):
+        z_hat = _golden_sections(smin_of, grid[i - 1], grid[i + 1])
+        local = np.maximum(np.maximum(s[i - 1], s[i + 1]), 1e-300)
+        accept = smin_of(z_hat) < np.maximum(accept_tol * scale, drop_tol * local)
+        roots = np.sort(z_hat[accept])
     deduped = []
     for r in roots:
         if not deduped or abs(r - deduped[-1]) > 1e-9 * max(1.0, abs(r)):
@@ -174,7 +187,7 @@ def eig_via_detPhi(sys: HamiltonianSystem, k0: int, ell: int,
             f"eigenvalue scan found {len(deduped)} candidates, expected "
             f"{expected_count}; the grid may be too coarse for clustered "
             "eigenvalues", RuntimeWarning, stacklevel=2)
-    return np.array(deduped)
+    return np.array(deduped, dtype=float)
 
 
 # ---------------------------------------------------------------------------

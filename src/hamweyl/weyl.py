@@ -431,8 +431,10 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
     far boundary (Dirichlet by default) and the disk diameter at each
     schedule site. Stops when two consecutive values differ by less than
     ``opts.tol`` relative or the window is exhausted; the latter yields an
-    inconclusive classification. A pencil failing its check at z or conj z
-    raises :class:`SteppingError`.
+    inconclusive classification unless the last disk's diameter is itself
+    below ``opts.tol`` relative (a limit point: the limit lies in that
+    disk). A pencil failing its check at z or conj z raises
+    :class:`SteppingError`.
 
     In the limit-point regime the returned value is boundary-independent; in
     the limit-circle regime it depends on the chosen far boundary, which is
@@ -492,7 +494,9 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
     recent = diameters[-3:]
     diam = recent[-1]
 
-    # limit point: the chase converged and the disks have collapsed.
+    # limit point: the disks have collapsed, and either the chase converged
+    # or the last disk alone pins M to tol (the limit lies in every nested
+    # disk, so M_final is within diam of it).
     # limit circle: the disks stay large and their shrinking has stalled
     # (in the point case the diameter decays geometrically along the
     # doubling schedule; a stalled ratio across some recent doubling is the
@@ -500,8 +504,13 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
     ratios = [b / a for a, b in zip(recent, recent[1:]) if a > 0]
     stalled = bool(ratios) and max(ratios) >= 0.5
     big = max(recent) > _LC_THRESHOLD * scale
-    if converged and diam < _LP_THRESHOLD * scale:
+    pinned = diam < opts.tol * scale
+    if (converged or pinned) and diam < _LP_THRESHOLD * scale:
         classification = "limit_point"
+        if not converged:
+            note = (note + "; " if note else "") + \
+                f"Cauchy criterion not met; the disk diameter {diam:.1e} at " \
+                f"ell={ells[-1]} bounds the distance to the limit"
     elif big and stalled and len(recent) >= 2:
         classification = "limit_circle"
         note = (note + "; " if note else "") + \

@@ -311,6 +311,29 @@ def test_limit_agrees_with_fixed_point_dirac():
         assert la.opnorm(lim.M_pm + v) < 1e-8
 
 
+def test_limit_point_by_last_disk_when_cauchy_gap_misses_tol():
+    # on [-120, 120] at 1+0.2i the last Cauchy gap is ~3.6e-7 > tol, but the
+    # last disk (diameter ~4e-12) pins M to far below tol
+    sysj = make_free_jacobi((-120, 120))
+    al = hsys.dirichlet(1)
+    expect = {+1: ("-0x1.1d4d5912507a6p-1", "0x1.8c1cae3c6c49dp-1"),
+              -1: ("-0x1.c5654ddb5f0bap-2", "-0x1.f28314a2d2b07p-1")}
+    for direction in (+1, -1):
+        lim = hwl.limit_m(sysj, 1 + 0.2j, 0, al, direction)
+        assert lim.cauchy_gap > 1e-9
+        assert lim.diameter_estimate < 1e-9
+        assert lim.classification == "limit_point"
+        assert "Cauchy criterion not met" in lim.note
+        # the classification does not touch the chase: M keeps its pinned
+        # bytes, which are also those of an unreachable-tol run
+        M = lim.M_pm[0, 0]
+        assert (M.real.hex(), M.imag.hex()) == expect[direction]
+        short = hwl.limit_m(sysj, 1 + 0.2j, 0, al, direction,
+                            hwl.LimitOptions(tol=1e-30))
+        assert short.classification == "inconclusive"
+        assert short.M_pm.tobytes() == lim.M_pm.tobytes()
+
+
 def test_limit_inconclusive_when_window_short():
     sysj = make_free_jacobi((0, 30))
     al = hsys.dirichlet(1)
