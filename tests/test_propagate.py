@@ -272,6 +272,40 @@ def test_lagrange_streamed_long_window():
     assert worst < 1e-10
 
 
+def _telescoping_by_steps(sys, z1, z2, k0, steps, init1, init2):
+    """The streamed check as a loop of one-step defects: both hat sets step
+    together, zero-padded to a common width, rescaled after every step."""
+    m = sys.m
+    r1, r2 = init1.shape[1], init2.shape[1]
+    hats = np.zeros((2, 2 * m, max(r1, r2)), dtype=complex)
+    hats[0, :, :r1], hats[1, :, :r2] = init1, init2
+    worst = 0.0
+    for k in range(k0, k0 + steps):
+        new = hp.propagate_hats(sys, [z1, z2], k, hats, k + 1)
+        worst = max(worst, hp.lagrange_step_defect(
+            sys, z1, z2, k + 1, hats[0, :, :r1], new[0, :, :r1],
+            hats[1, :, :r2], new[1, :, :r2]))
+        hats = new / max(np.max(np.abs(new)), 1.0)
+    return worst
+
+
+@pytest.mark.parametrize("cls,m", [("jacobi", 1), ("dirac", 2),
+                                   ("general_A12zero", 2)])
+def test_stacked_telescoping_equals_step_loop_bit_for_bit(cls, m):
+    sysr = htk.random_system(m, (0, 120), seed=7, cls=cls)
+    rng = np.random.default_rng(3)
+    full = np.eye(2 * m, dtype=complex)
+    narrow = rng.normal(size=(2 * m, 1)) + 1j * rng.normal(size=(2 * m, 1))
+    for z1, z2 in ((0.3 + 0.7j, -0.2 + 0.4j), (1.5 + 0.05j, 1.5 - 0.05j)):
+        for init1, init2 in ((full, full), (narrow, full), (full, narrow)):
+            for steps in (0, 1, 100):
+                got = hp.lagrange_telescoping_check(sysr, z1, z2, 3, steps,
+                                                    init1, init2)
+                want = _telescoping_by_steps(sysr, z1, z2, 3, steps, init1, init2)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert hp.lagrange_telescoping_check(sysr, 1j, 1j, 0, 0) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Weyl solutions and the Jacobi expression
 # ---------------------------------------------------------------------------

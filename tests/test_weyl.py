@@ -548,6 +548,77 @@ def test_measure_increments_psd_and_additive():
         assert la.min_eig_herm(inc) >= -1e-12
 
 
+def dense_point_masses(sys, k0, ell):
+    """Dirichlet eigenvalues lam_j and point masses W_j = a* v_j(1) v_j(1)* a
+    (a = a(k0)) of the interior three-term matrix of a Jacobi system."""
+    m, jc = sys.m, sys.jacobi
+    n = ell - k0 - 1
+    h = np.zeros((n * m, n * m), dtype=complex)
+    for j, k in enumerate(range(k0 + 1, ell)):
+        h[j * m:(j + 1) * m, j * m:(j + 1) * m] = jc.b(k)
+        if j + 1 < n:
+            h[j * m:(j + 1) * m, (j + 1) * m:(j + 2) * m] = jc.a(k)
+            h[(j + 1) * m:(j + 2) * m, j * m:(j + 1) * m] = jc.a(k).conj().T
+    lam, vecs = np.linalg.eigh(h)
+    top = jc.a(k0).conj().T @ vecs[:m]
+    return lam, np.einsum("ij,kj->jik", top, top.conj())
+
+
+def smoothed_bin_masses(lam, weights, edges, eps):
+    """Exact bin integrals of (1/pi) Im sum_j W_j / (lam_j - nu - i eps):
+    (1/pi) sum_j W_j [atan((b - lam_j)/eps) - atan((a - lam_j)/eps)]."""
+    at = np.arctan((edges[:, None] - lam[None, :]) / eps) / np.pi
+    return np.einsum("bj,jik->bik", at[1:] - at[:-1], weights)
+
+
+@pytest.mark.parametrize("m,ell,interval,grid_n", [(1, 6, (-0.5, 4.5), 7),
+                                                  (2, 5, (-0.4, 6.0), 9)])
+def test_measure_matches_exact_bin_integrals(m, ell, interval, grid_n):
+    sysr = make_free_jacobi((0, 10)) if m == 1 else htk.random_system(
+        m, (0, 10), seed=5, cls="jacobi")
+    lam, weights = dense_point_masses(sysr, 0, ell)
+    D = hsys.dirichlet(sysr.m)
+    eps = 1e-4
+    sm = hwl.spectral_measure(hwl.regular_m_evaluator(sysr, 0, ell, D, D),
+                              interval, grid_n, [eps])
+    exact = smoothed_bin_masses(lam, weights, sm.grid + 0.5 * eps, eps)
+    assert np.max(np.abs(sm.increments - exact)) < 1e-8
+
+
+def test_measure_points_for_one_pole():
+    lam, w, eps = 0.3141, 0.7, 5e-5
+    points = []
+
+    def ev(z):
+        points.append(np.size(z))
+        return (w / (lam - np.asarray(z, dtype=complex)))[..., None, None]
+
+    ev.m = 1
+    sm = hwl.spectral_measure(ev, (0.0, 1.0), 4, [eps])
+    assert sum(points) <= 2000
+    exact = smoothed_bin_masses(np.array([lam]), np.array([[[w]]]),
+                                sm.grid + 0.5 * eps, eps)
+    assert np.max(np.abs(sm.increments - exact)) < 1e-8
+
+
+def test_simpson_bins_integrate_a_cubic_in_the_first_level():
+    calls = []
+    coef = np.array([[1.0, -2.0 + 1j], [-2.0 - 1j, 0.5]])
+
+    def f(nu):
+        calls.append(nu.size)
+        return (nu ** 3 - 3.0 * nu + 2.0)[:, None, None] * coef
+
+    edges = np.array([-1.0, -0.2, 0.5, 2.0])
+    # the floor and depth cap only bound the work of a rule that misses
+    out = hwl._adaptive_bin_integrals(f, edges, 1e-14, width_floor=1e-3,
+                                      quad_rel=0.0, max_depth=4)
+    prim = edges ** 4 / 4.0 - 1.5 * edges ** 2 + 2.0 * edges
+    exact = np.diff(prim)[:, None, None] * coef
+    assert calls == [2 * 3 + 1, 2 * 3]
+    assert np.max(np.abs(out - exact)) <= 1e-14
+
+
 def test_fit_herglotz_tail_parts():
     # free half line: no linear term, affine part tends to -1 at infinity
     c1, c2 = hwl.fit_herglotz_parts(free_half_line_m_plus())
