@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
+
 __all__ = [
     "all_finite",
     "as_complex_matrix",
@@ -37,9 +39,9 @@ def as_complex_matrix(a, shape=None, name="matrix") -> np.ndarray:
     """Coerce input to a complex ndarray, optionally enforcing a shape."""
     out = np.asarray(a, dtype=complex)
     if shape is not None and out.shape != tuple(shape):
-        raise ValueError(f"{name} must have shape {tuple(shape)}, got {out.shape}")
+        raise InputError(f"{name} must have shape {tuple(shape)}, got {out.shape}")
     if not all_finite(out):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise InputError(f"{name} contains non-finite entries")
     return out
 
 

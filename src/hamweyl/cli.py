@@ -258,24 +258,19 @@ def cmd_eig(args) -> int:
         raise UsageError("--ell is required for eig")
     alpha = _parse_boundary(args.alpha, sys_.m)
     beta = _parse_boundary(args.beta, sys_.m)
-    search = _parse_float_pair(args.interval, "--interval") if args.interval \
+    a, b = _parse_float_pair(args.interval, "--interval") if args.interval \
         else (-1.0, 5.0)
-    eigs = htestkit.eig_via_detPhi(sys_, args.k0, args.ell, alpha, beta,
-                                   search, grid_n=max(args.grid_n, 101))
-    oracle = None
-    if sys_.jacobi is not None:
+    eigs = hweyl.eigenvalues(sys_, args.k0, args.ell, alpha, beta, (a, b))
+    rows = [{"index": i, "eigenvalue": float(lam)} for i, lam in enumerate(eigs)]
+    if rows and sys_.jacobi is not None:
         try:
             oracle = htestkit.jacobi_bvp_oracle(
                 htestkit.RegularBVP(sys_, args.k0, args.ell, alpha, beta))
         except HamweylError:
-            oracle = None
-    rows = []
-    for i, lam in enumerate(eigs):
-        row = {"index": i, "eigenvalue": float(lam)}
-        if oracle is not None and i < len(oracle):
-            row["oracle"] = float(oracle[i])
-            row["deviation"] = float(abs(lam - oracle[i]))
-        rows.append(row)
+            oracle = np.empty(0)
+        for row, lam in zip(rows, oracle[(oracle > a) & (oracle <= b)]):
+            row["oracle"] = float(lam)
+            row["deviation"] = abs(row["eigenvalue"] - float(lam))
     meta = {"command": "eig", "k0": args.k0, "ell": args.ell,
             "count": len(eigs)}
     _write_output(rows, meta, args)

@@ -10,7 +10,7 @@ backward steps solve the two coupled first-order recurrences
 with P = z A + B, by factorized linear solves of the off-diagonal pencil
 blocks (never explicit inversion). One kernel, :func:`propagate_hats`, does
 this for an array of z (a scalar z is a batch of one) and for every caller,
-here, in :mod:`hamweyl.weyl` and in the eigenvalue scan, with one pencil
+here and in :mod:`hamweyl.weyl`, with one pencil
 check: a (2,1) block (forward) or (1,2) block (backward) whose 2-norm
 reciprocal condition is below ``RCOND_MIN`` at any z raises
 :class:`SteppingError`. Where that block of A vanishes, the pencil block is

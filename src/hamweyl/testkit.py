@@ -8,7 +8,6 @@ an algebraic fixed point, and generated systems are validated post hoc.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from .system import (
     jacobi_system,
     validate_pointwise,
 )
-from .weyl import regular_m_evaluator
+from .weyl import eigenvalues
 
 __all__ = [
     "RegularBVP",
@@ -103,91 +102,9 @@ def jacobi_bvp_oracle(bvp: RegularBVP) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(la.herm(h)))
 
 
-# ---------------------------------------------------------------------------
-# eigenvalues through singularity of the boundary-weighted solution block
-# ---------------------------------------------------------------------------
-
-def _golden_sections(smin_of, a: np.ndarray, b: np.ndarray,
-                     width: float = 1e-10) -> np.ndarray:
-    """Golden-section minimizers on the brackets [a, b], in lockstep.
-
-    Every bracket takes the scalar section's float64 updates; each iteration
-    evaluates the new interior point of every still-active bracket in one
-    ``smin_of`` call. Updates ``a`` and ``b`` in place and returns the
-    bracket midpoints at width ``width``.
-    """
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    n = len(a)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    f = smin_of(np.concatenate((c, d)))
-    fc, fd = f[:n], f[n:]
-    active = (b - a) > width
-    while active.any():
-        i = np.flatnonzero(active)
-        left = fc[i] < fd[i]
-        lo, hi = i[left], i[~left]
-        # left: the minimum lies in [a, d], and c becomes the new d
-        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
-        c[lo] = b[lo] - invphi * (b[lo] - a[lo])
-        # right: the minimum lies in [c, b], and d becomes the new c
-        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
-        d[hi] = a[hi] + invphi * (b[hi] - a[hi])
-        f = smin_of(np.where(left, c[i], d[i]))
-        fc[lo], fd[hi] = f[left], f[~left]
-        active = (b - a) > width
-    return 0.5 * (a + b)
-
-
-def eig_via_detPhi(sys: HamiltonianSystem, k0: int, ell: int,
-                   alpha: BoundaryData, beta: BoundaryData, search_interval,
-                   grid_n: int = 2001, accept_tol: float = 1e-8,
-                   drop_tol: float = 1e-5,
-                   expected_count: int | None = None) -> np.ndarray:
-    """Locate real eigenvalues as singularities of the weighted right block.
-
-    Scans the smallest singular value of bt Phi^(z, ell) on a real grid and
-    refines every local minimum by golden section to width 1e-10, all
-    brackets in lockstep: one batched evaluator call per iteration. A
-    candidate is accepted when the refined value drops below ``accept_tol``
-    times the median grid scale, or below ``drop_tol`` times the local
-    bracket scale (a genuine simple zero refines to about
-    golden-width/grid-step of the bracket, four or more orders below any
-    smooth minimum).
-
-    When ``expected_count`` is given (e.g. from the dense oracle) a count
-    mismatch emits a too-coarse-grid warning.
-    """
-    if alpha.sign_class != "zero" or beta.sign_class != "zero":
-        raise InputError("eigenvalue scan requires self-adjoint (sign class zero) data")
-    lo, hi = float(search_interval[0]), float(search_interval[1])
-    if not hi > lo:
-        raise InputError("search interval must be nondegenerate")
-    extract = regular_m_evaluator(sys, k0, ell, alpha, beta).extract
-    grid = np.linspace(lo, hi, int(grid_n))
-
-    def smin_of(z_vals) -> np.ndarray:
-        return extract(z_vals)[1]
-
-    s = smin_of(grid)
-    scale = max(1.0, float(np.median(s)))
-    i = 1 + np.flatnonzero((s[1:-1] < s[:-2]) & (s[1:-1] <= s[2:]))
-    roots = np.empty(0)
-    if len(i):
-        z_hat = _golden_sections(smin_of, grid[i - 1], grid[i + 1])
-        local = np.maximum(np.maximum(s[i - 1], s[i + 1]), 1e-300)
-        accept = smin_of(z_hat) < np.maximum(accept_tol * scale, drop_tol * local)
-        roots = np.sort(z_hat[accept])
-    deduped = []
-    for r in roots:
-        if not deduped or abs(r - deduped[-1]) > 1e-9 * max(1.0, abs(r)):
-            deduped.append(r)
-    if expected_count is not None and len(deduped) != expected_count:
-        warnings.warn(
-            f"eigenvalue scan found {len(deduped)} candidates, expected "
-            f"{expected_count}; the grid may be too coarse for clustered "
-            "eigenvalues", RuntimeWarning, stacklevel=2)
-    return np.array(deduped, dtype=float)
+def eig_via_detPhi(sys, k0, ell, alpha, beta, search_interval, grid_n=None):
+    """Deprecated alias of :func:`hamweyl.weyl.eigenvalues`; ignores grid_n."""
+    return eigenvalues(sys, k0, ell, alpha, beta, search_interval)
 
 
 # ---------------------------------------------------------------------------
@@ -339,18 +256,16 @@ def _probe_intervals(window) -> list[tuple[int, int]]:
 
 
 def random_system(m: int, window, seed: int,
-                  cls: str = "general_A12zero", rho_mode: str = "spd",
-                  retries: int = 20) -> HamiltonianSystem:
+                  cls: str = "general_A12zero", retries: int = 20) -> HamiltonianSystem:
     """Seeded random system guaranteed to satisfy the standing hypotheses.
 
     Classes:
 
     - ``"jacobi"``: p(k) Hermitian with spectrum in [0.5, 2], q(k) Hermitian.
     - ``"dirac"``: b(k) with singular values in [0.3, 3].
-    - ``"general_A12zero"``: rho > 0 (or identity with ``rho_mode="identity"``),
-      A = diag(A11 > 0, A22 >= 0), Hermitian B with invertible B12. The
-      vanishing off-diagonal A block is the only finitely checkable way to
-      keep the defining pencil regular for every z.
+    - ``"general_A12zero"``: rho > 0, A = diag(A11 > 0, A22 >= 0), Hermitian
+      B with invertible B12. The vanishing off-diagonal A block is the only
+      finitely checkable way to keep the defining pencil regular for every z.
 
     Pointwise validity holds by construction; interval definiteness is
     verified post hoc on the default z sample and the draw is repeated on
@@ -385,8 +300,7 @@ def random_system(m: int, window, seed: int,
                 B[i, m:, m:] = _random_hermitian(rng, m)
                 B[i, :m, m:] = b12
                 B[i, m:, :m] = b12.conj().T
-                rho[i] = (np.eye(m, dtype=complex) if rho_mode == "identity"
-                          else _random_spd(rng, m, 0.5, 2.0))
+                rho[i] = _random_spd(rng, m, 0.5, 2.0)
             sys = HamiltonianSystem(m, window, A, B, rho)
 
         if not validate_pointwise(sys).passed:

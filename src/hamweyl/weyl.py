@@ -61,11 +61,11 @@ __all__ = [
     "m_from_hat",
     "disk_membership",
     "lft_alpha_change",
-    "boundary_family",
     "disk_diameter_estimate",
     "limit_m",
     "herglotz_check",
     "regular_m_evaluator",
+    "eigenvalues",
     "spectral_measure",
     "fit_herglotz_parts",
     "locate_jumps",
@@ -287,32 +287,8 @@ def lft_alpha_change(M_gamma, alpha: BoundaryData, gamma: BoundaryData) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# boundary families and limiting disks
+# limiting disks
 # ---------------------------------------------------------------------------
-
-def boundary_family(m: int, n: int) -> list[BoundaryData]:
-    """Fixed quasi-uniform family of self-adjoint boundary data.
-
-    For m = 1 these are (cos t, sin t) with t = j pi / n. For m > 1 each
-    member is (cos(D) W*, sin(D) W*) with W Haar unitary and D diagonal,
-    drawn from a per-index seed so that families nest: the first n' members
-    of family(n) coincide with family(n') for n' <= n.
-    """
-    out = []
-    for j in range(n):
-        if m == 1:
-            t = np.pi * j / n
-            g1 = np.array([[np.cos(t)]], dtype=complex)
-            g2 = np.array([[np.sin(t)]], dtype=complex)
-        else:
-            rng = np.random.default_rng(0xB0D + j)
-            w = la.haar_unitary(m, rng)
-            d = rng.uniform(0.0, np.pi, size=m)
-            g1 = np.diag(np.cos(d)).astype(complex) @ w.conj().T
-            g2 = np.diag(np.sin(d)).astype(complex) @ w.conj().T
-        out.append(BoundaryData(g1, g2, "zero"))
-    return out
-
 
 def _rescaled(hats: np.ndarray):
     """(hats / 2**e, e) with e the binary exponent of each hat's largest
@@ -623,6 +599,118 @@ def regular_m_evaluator(sys: HamiltonianSystem, k0: int, ell: int, alpha, beta):
     ev.m = sys.m
     ev.extract = extract
     return ev
+
+
+# ---------------------------------------------------------------------------
+# eigenvalues of the regular problem
+# ---------------------------------------------------------------------------
+
+# bisection width relative to max(1, |a| + |b|), and the most pencil entries
+# (sites x 4m^2 x lam) stacked per count, which bounds long windows
+_EIG_WIDTH = 1e-12
+_EIG_STACK = 1 << 20
+
+
+def _pencil_data(sys: HamiltonianSystem, k0: int, ell: int, alpha, beta):
+    """A, B at L+1..R and rho at L..R, L = min(k0, ell), R = max(k0, ell), and
+    bases Q_L, Q_R of the boundary subspaces of the hats at L and R: the Phi
+    block of the initial hat at k0, and ker bt at ell."""
+    m = sys.m
+    q_alpha = initial_hat(sys, k0, alpha)[:, m:]
+    q_beta = la.adjoint(np.linalg.svd(_weighted(beta, sys, ell))[2][m:])
+    idx = [sys._index(k) for k in range(min(k0, ell), max(k0, ell) + 1)]
+    q_lo, q_hi = (q_alpha, q_beta) if k0 < ell else (q_beta, q_alpha)
+    return sys._A[idx[1:]], sys._B[idx[1:]], sys._rho[idx], q_lo, q_hi
+
+
+def _inv(d: np.ndarray) -> np.ndarray:
+    # 1 x 1 pivots invert elementwise, several times faster than LAPACK
+    return np.linalg.inv(d) if d.shape[-1] > 1 else 1.0 / d
+
+
+def _pivots(data, lam: np.ndarray) -> np.ndarray:
+    """Shifted block LDL* pivots, (2(R - L), N, m, m), of T(lam) = H - lam W.
+
+    T is (S_rho - B - lam A) on the hat at L in span Q_L, the hats
+    (psi1(k); psi2(k+1)) for L < k < R and the hat at R in span Q_R, tested
+    against the same unknowns; W >= 0 is the A weight. With P = B + lam A,
+    (T_L; U_L) = Q_L and (X_R; Y_R) = Q_R, elimination in site order gives
+
+        D_L = U_L* (rho(L) T_L - P22(L+1) U_L),   Z_L^-1 := U_L D_L^-1 U_L*,
+        X_k = -P11(k) - P12(k) Z_{k-1}^-1 P12(k)*,
+        Z_k = -P22(k+1) - rho(k) X_k^-1 rho(k),
+        D_R = X_R* (rho(R) Y_R - P11(R) X_R) - X_R* P12(R) Z_{R-1}^-1 P12(R)* X_R,
+
+    each shifted by -pivmin I (unit roundoff times the coefficient scale, as in
+    LAPACK xSTEBZ) before it is inverted or counted, so that a lam on an
+    eigenvalue of a leading block inverts a tiny negative pivot.
+    """
+    A, B, rho, q_lo, q_hi = data
+    m = rho.shape[-1]
+    scale = max(1.0, np.max(np.abs(B)), np.max(np.abs(rho)))
+    pivmin = np.finfo(float).eps * (scale + np.abs(lam) * np.max(np.abs(A)))
+    shift = pivmin[:, None, None] * np.eye(m)
+    p = -(B[:, None] + lam[:, None, None] * A[:, None])  # -P, sites first
+    d11, d22 = p[:, :, :m, :m] - shift, p[:, :, m:, m:] - shift
+    p12 = p[:, :, :m, m:]
+    p21 = la.adjoint(p12)
+    piv = np.empty((2 * len(rho) - 2,) + shift.shape, dtype=complex)
+    top, bot = q_lo[:m], q_lo[m:]
+    piv[0] = la.adjoint(bot) @ (rho[0] @ top + p[0, :, m:, m:] @ bot) - shift
+    zinv = bot @ _inv(piv[0]) @ la.adjoint(bot)
+    for j in range(1, len(rho) - 1):
+        piv[2 * j - 1] = x = d11[j - 1] - p12[j - 1] @ zinv @ p21[j - 1]
+        piv[2 * j] = z = d22[j] - rho[j] @ _inv(x) @ rho[j]
+        zinv = _inv(z)
+    top, bot = q_hi[:m], q_hi[m:]
+    xp = la.adjoint(top) @ p12[-1]
+    piv[-1] = (la.adjoint(top) @ (rho[-1] @ bot + p[-1, :, :m, :m] @ top)
+               - xp @ zinv @ la.adjoint(xp) - shift)
+    return piv
+
+
+def _negative_index(data, lam: np.ndarray) -> np.ndarray:
+    """N(lam), the negative eigenvalues of T(lam) at each lam: by Sylvester's
+    law of inertia those of the pivots, one stacked ``eigvalsh`` per chunk.
+    W >= 0 makes N nondecreasing, rising at each eigenvalue by its
+    multiplicity; hat directions at the ends that no row reaches
+    (U_L c = 0, X_R c = 0) give zero pivots, a constant in N once shifted."""
+    step = max(1, _EIG_STACK // data[0].size)
+    return np.concatenate([
+        np.count_nonzero(np.linalg.eigvalsh(_pivots(data, lam[i:i + step])) < 0,
+                         axis=(0, 2))
+        for i in range(0, len(lam), step)])
+
+
+def eigenvalues(sys: HamiltonianSystem, k0: int, ell: int, alpha: BoundaryData,
+                beta: BoundaryData, interval) -> np.ndarray:
+    """Eigenvalues in (a, b] of the regular problem on [k0, ell] (the real
+    poles of its M), ascending and repeated by multiplicity; ell < k0 works
+    the same way, and the boundary data must have sign class zero.
+
+    The count N(b) - N(a) is exact (:func:`_negative_index`; the discrete
+    oscillation theorem of Bohner, Dosly and Kratz, Trans. AMS 361, 2009).
+    Each eigenvalue gets one bracket, and all brackets are bisected in
+    lockstep, one vectorized count per level, to width 1e-12 max(1, |a| + |b|).
+    """
+    if ell == k0:
+        raise InputError("ell must differ from k0")
+    if alpha.sign_class != "zero" or beta.sign_class != "zero":
+        raise InputError("eigenvalues require self-adjoint (sign class zero) data")
+    a, b = float(interval[0]), float(interval[1])
+    if not (np.isfinite(a) and np.isfinite(b) and b > a):
+        raise InputError("interval must be finite and nondegenerate")
+    data = _pencil_data(sys, k0, ell, alpha, beta)
+    n_a, n_b = _negative_index(data, np.array([a, b]))
+    rank = np.arange(n_a + 1, n_b + 1)
+    lo, hi = np.full(rank.shape, a), np.full(rank.shape, b)
+    width = _EIG_WIDTH * max(1.0, abs(a) + abs(b))
+    while rank.size and np.max(hi - lo) > width:
+        mid = 0.5 * (lo + hi)
+        points, back = np.unique(mid, return_inverse=True)
+        left = _negative_index(data, points)[back] >= rank
+        lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
+    return 0.5 * (lo + hi)
 
 
 @dataclass

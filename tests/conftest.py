@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hamweyl import _linalg as la
 from hamweyl import system as hsys
 from hamweyl import testkit as htk
 
@@ -18,6 +19,30 @@ def dirichlet1():
 
 def make_free_jacobi(window):
     return hsys.jacobi_system(lambda k: 1.0, lambda k: 0.0, window)
+
+
+def boundary_family(m, n):
+    """Fixed quasi-uniform family of self-adjoint boundary data.
+
+    For m = 1 these are (cos t, sin t) with t = j pi / n. For m > 1 each
+    member is (cos(D) W*, sin(D) W*) with W Haar unitary and D diagonal,
+    drawn from a per-index seed so that families nest: the first n' members
+    of family(n) coincide with family(n') for n' <= n.
+    """
+    out = []
+    for j in range(n):
+        if m == 1:
+            t = np.pi * j / n
+            g1 = np.array([[np.cos(t)]], dtype=complex)
+            g2 = np.array([[np.sin(t)]], dtype=complex)
+        else:
+            rng = np.random.default_rng(0xB0D + j)
+            w = la.haar_unitary(m, rng)
+            d = rng.uniform(0.0, np.pi, size=m)
+            g1 = np.diag(np.cos(d)).astype(complex) @ w.conj().T
+            g2 = np.diag(np.sin(d)).astype(complex) @ w.conj().T
+        out.append(hsys.BoundaryData(g1, g2, "zero"))
+    return out
 
 
 def random_battery(n, window, classes=("jacobi", "dirac", "general_A12zero"),

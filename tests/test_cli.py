@@ -80,6 +80,19 @@ def test_eig_matches_dirichlet_spectrum(free_fixture, tmp_path):
     assert max(devs) < 1e-8  # oracle comparison column
 
 
+def test_eig_pairs_oracle_inside_the_interval(free_fixture, tmp_path):
+    # (0.5, 4.5] excludes the two lowest eigenvalues 0.081 and 0.317; every
+    # row pairs with the oracle eigenvalue of its own rank inside it
+    out = tmp_path / "e.json"
+    rc = main(["eig", "--input", free_fixture, "--ell", "11",
+               "--interval=0.5,4.5", "--format", "json",
+               "--output", str(out), "--no-timestamp"])
+    assert rc == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 8
+    assert max(r["deviation"] for r in rows) < 1e-8
+
+
 def test_mfun_grid_herglotz_column(free_fixture, tmp_path):
     out = tmp_path / "m.csv"
     rc = main(["mfun", "--input", free_fixture, "--ell", "11",
@@ -95,20 +108,30 @@ def test_mfun_grid_herglotz_column(free_fixture, tmp_path):
 
 
 def test_numerical_failures_exit_3(free_fixture, tmp_path):
-    # below the spectrum the ell=1000 scan overflows; the numpy failure maps
-    # to exit 3 instead of escaping main
+    # below the spectrum of the ell=1000 chain the eigenvalue count has
+    # nothing to overflow: no rows, exit 0
     path = tmp_path / "long.json"
     hsys.save_coefficients(make_free_jacobi((0, 1000)), path)
+    out = tmp_path / "e.json"
     rc = main(["eig", "--input", str(path), "--ell", "1000",
-               "--interval=-3,-1", "--grid-n", "101",
-               "--output", str(tmp_path / "e.csv"), "--no-timestamp"])
-    assert rc == 3
+               "--interval=-3,-1", "--format", "json",
+               "--output", str(out), "--no-timestamp"])
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    assert doc["rows"] == [] and doc["meta"]["count"] == 0
     # a grid point on a Dirichlet eigenvalue of [0, 11] is an M hit
     lam = float(2 - 2 * np.cos(np.pi / 11))
     rc2 = main(["mfun", "--input", free_fixture, "--ell", "11",
                 f"--z={lam!r},1e-15", "--output", str(tmp_path / "m.csv"),
                 "--no-timestamp"])
     assert rc2 == 3
+
+
+def test_non_finite_boundary_data_is_an_input_error(free_fixture, tmp_path):
+    rc = main(["mfun", "--input", free_fixture, "--ell", "11", "--z", "0.5,1",
+               "--alpha", "[[NaN, 0]]", "--output", str(tmp_path / "m.csv"),
+               "--no-timestamp"])
+    assert rc == 2
 
 
 def test_workers_flag_is_ignored(free_fixture, tmp_path):

@@ -9,7 +9,7 @@ from hamweyl import testkit as htk
 from hamweyl import weyl as hwl
 from hamweyl.errors import InputError, KernelConstructionError
 
-from conftest import make_free_jacobi
+from conftest import boundary_family, make_free_jacobi
 
 
 @pytest.fixture(scope="module")
@@ -231,7 +231,7 @@ def test_solve_uniqueness_surrogate():
     sysj = make_free_jacobi((-60, 60))
     z = 0.4 + 0.6j
     al = hsys.dirichlet(1)
-    fam = hwl.boundary_family(1, 4)
+    fam = boundary_family(1, 4)
     sols = []
     for ell_s, bd in ((26, fam[1]), (31, fam[2])):
         mp = hwl.m_regular(sysj, hwl.disk_context(sysj, z, 0, ell_s, al), bd).M

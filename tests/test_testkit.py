@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hamweyl import _linalg as la
-from hamweyl import propagate as hp
 from hamweyl import system as hsys
 from hamweyl import testkit as htk
 from hamweyl import weyl as hwl
@@ -51,128 +50,6 @@ def test_bvp_oracle_rejects_unsupported():
     with pytest.raises(UnsupportedError):
         htk.jacobi_bvp_oracle(htk.RegularBVP(sysd, 0, 5, hsys.dirichlet(1),
                                              hsys.dirichlet(1)))
-
-
-# ---------------------------------------------------------------------------
-# scan route
-# ---------------------------------------------------------------------------
-
-def test_eig_scan_agrees_with_oracle():
-    for m, seed in ((1, 201), (2, 202)):
-        sysr = htk.random_system(m, (0, 11), seed=seed, cls="jacobi")
-        al = be = hsys.dirichlet(m)
-        oracle = htk.jacobi_bvp_oracle(htk.RegularBVP(sysr, 0, 11, al, be))
-        lo, hi = float(oracle[0]) - 0.5, float(oracle[-1]) + 0.5
-        found = htk.eig_via_detPhi(sysr, 0, 11, al, be, (lo, hi), grid_n=1601)
-        # every oracle value has a nearby candidate and vice versa
-        for lam in oracle:
-            assert np.min(np.abs(found - lam)) < 1e-8
-        for f in found:
-            assert np.min(np.abs(oracle - f)) < 1e-8
-
-
-def test_eig_scan_empty_below_spectrum():
-    sysj = make_free_jacobi((0, 11))
-    found = htk.eig_via_detPhi(sysj, 0, 11, hsys.dirichlet(1),
-                               hsys.dirichlet(1), (-2.0, -0.1), grid_n=301)
-    assert len(found) == 0
-    assert found.dtype == np.float64 and found.shape == (0,)
-
-
-def _scalar_section_roots(sys_, k0, ell, al, be, interval, grid_n,
-                          accept_tol=1e-8, drop_tol=1e-5):
-    """The scan refined by one scalar golden section per bracket."""
-    extract = hwl.regular_m_evaluator(sys_, k0, ell, al, be).extract
-    f = lambda x: float(extract([x])[1][0])  # noqa: E731
-    grid = np.linspace(interval[0], interval[1], grid_n)
-    s = extract(grid)[1]
-    scale = max(1.0, float(np.median(s)))
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    roots = []
-    for i in range(1, grid_n - 1):
-        if not (s[i] < s[i - 1] and s[i] <= s[i + 1]):
-            continue
-        a, b = grid[i - 1], grid[i + 1]
-        c, d = b - invphi * (b - a), a + invphi * (b - a)
-        fc, fd = f(c), f(d)
-        while (b - a) > 1e-10:
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = f(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = f(d)
-        z = 0.5 * (a + b)
-        if f(z) < max(accept_tol * scale, drop_tol * max(s[i - 1], s[i + 1], 1e-300)):
-            roots.append(z)
-    out = []
-    for r in sorted(roots):
-        if not out or abs(r - out[-1]) > 1e-9 * max(1.0, abs(r)):
-            out.append(r)
-    return np.array(out, dtype=float)
-
-
-def test_eig_scan_matches_scalar_section_bit_for_bit():
-    free = make_free_jacobi((0, 11))
-    jac = htk.random_system(2, (0, 11), seed=202, cls="jacobi")
-    gen = htk.random_system(2, (0, 9), seed=301, cls="general_A12zero")
-    cases = ((free, 11, (-0.5, 4.5), 1201), (jac, 11, (-4.0, 6.0), 801),
-             (gen, 9, (-4.0, 6.0), 401),
-             # exactly one bracket: the lowest free-chain eigenvalue only
-             (free, 11, (0.0, 0.3), 101))
-    for sys_, ell, interval, grid_n in cases:
-        d = hsys.dirichlet(sys_.m)
-        found = htk.eig_via_detPhi(sys_, 0, ell, d, d, interval, grid_n=grid_n)
-        ref = _scalar_section_roots(sys_, 0, ell, d, d, interval, grid_n)
-        assert len(ref) >= 1
-        assert found.dtype == np.float64
-        assert np.array_equal(found, ref)
-    assert len(found) == 1
-
-
-def test_eig_refinement_batches_every_bracket(monkeypatch):
-    calls = []
-    real = hwl.propagate_hats
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(hwl, "propagate_hats", counting)
-    sysj = make_free_jacobi((0, 11))
-    grid_n, interval = 1201, (-0.5, 4.5)
-    found = htk.eig_via_detPhi(sysj, 0, 11, hsys.dirichlet(1),
-                               hsys.dirichlet(1), interval, grid_n=grid_n)
-    assert len(found) == 10
-    h = (interval[1] - interval[0]) / (grid_n - 1)
-    iterations = int(np.ceil(np.log(2 * h / 1e-10) / np.log((1 + np.sqrt(5.0)) / 2)))
-    # the grid, the first (c, d) pair, one call per iteration, and s_hat
-    assert len(calls) <= 1 + 1 + iterations + 1
-
-
-def test_eig_scan_count_mismatch_warns():
-    eye2 = np.eye(2)
-    sysm = hsys.jacobi_system(lambda k: eye2, lambda k: 0 * eye2, (0, 6), m=2)
-    oracle = htk.jacobi_bvp_oracle(
-        htk.RegularBVP(sysm, 0, 6, hsys.dirichlet(2), hsys.dirichlet(2)))
-    with pytest.warns(RuntimeWarning, match="coarse"):
-        # doubly degenerate eigenvalues collapse to single candidates
-        htk.eig_via_detPhi(sysm, 0, 6, hsys.dirichlet(2), hsys.dirichlet(2),
-                           (-0.5, 4.5), grid_n=801, expected_count=len(oracle))
-
-
-def test_detected_eigenvalues_are_m_poles():
-    sysj = make_free_jacobi((0, 11))
-    al = be = hsys.dirichlet(1)
-    found = htk.eig_via_detPhi(sysj, 0, 11, al, be, (-0.5, 4.5), grid_n=1201)
-    assert len(found) == 10
-    for lam in found:
-        # the norm of M exceeds 1e6 somewhere within 1e-6 of the eigenvalue
-        fund = hp.fundamental(sysj, complex(lam + 1e-8), 0, al, (0, 11))
-        M, smin, _ = hwl.m_from_hat(sysj, fund.hat(11), 11, be)
-        assert M is None or la.opnorm(M) > 1e6
 
 
 # ---------------------------------------------------------------------------

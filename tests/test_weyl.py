@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hamweyl import _linalg as la
 from hamweyl import propagate as hp
@@ -8,7 +9,7 @@ from hamweyl import testkit as htk
 from hamweyl import weyl as hwl
 from hamweyl.errors import EigenvalueHitError, InputError, SteppingError
 
-from conftest import make_free_jacobi
+from conftest import boundary_family, make_free_jacobi
 
 
 def interior_boundary_family(m, n, sigma, seed=77):
@@ -24,10 +25,6 @@ def interior_boundary_family(m, n, sigma, seed=77):
     return out
 
 
-def zero_boundary_family(m, n):
-    return hwl.boundary_family(m, n)
-
-
 # ---------------------------------------------------------------------------
 # disk functional
 # ---------------------------------------------------------------------------
@@ -37,7 +34,7 @@ def test_e_functional_vanishes_on_circle():
     al = hsys.dirichlet(1)
     ctx = hwl.disk_context(sysj, 1j, 0, 9, al)
     fund = hp.fundamental(sysj, 1j, 0, al, (0, 9))
-    for bd in zero_boundary_family(1, 6):
+    for bd in boundary_family(1, 6):
         mf = hwl.m_regular(sysj, ctx, bd, fund=fund)
         e_val = hwl.e_functional(sysj, ctx, mf.M, fund=fund)
         assert la.opnorm(e_val) < 1e-9
@@ -110,7 +107,7 @@ def test_m_regular_conjugation_and_herglotz():
     sysr = htk.random_system(2, (0, 14), seed=15, cls="general_A12zero")
     al = hsys.dirichlet(2)
     for z in (0.5 + 0.75j, -1.2 + 0.4j):
-        for bd in zero_boundary_family(2, 4):
+        for bd in boundary_family(2, 4):
             ctx = hwl.disk_context(sysr, z, 1, 11, al)
             m_z = hwl.m_regular(sysr, ctx, bd).M
             m_zb = hwl.m_regular(sysr, ctx.conjugate(), bd).M
@@ -160,7 +157,7 @@ def test_evaluator_equals_m_regular_bitwise():
     sysr = htk.random_system(2, (0, 14), seed=15, cls="general_A12zero")
     al = hsys.dirichlet(2)
     zs = np.array([0.5 + 0.75j, -1.2 + 0.4j])
-    for bd in zero_boundary_family(2, 4):
+    for bd in boundary_family(2, 4):
         ev = hwl.regular_m_evaluator(sysr, 1, 11, al, bd)
         batch = ev(zs)
         for i, z in enumerate(zs):
@@ -184,6 +181,166 @@ def test_disk_context_validation():
 
 
 # ---------------------------------------------------------------------------
+# eigenvalues of the regular problem
+# ---------------------------------------------------------------------------
+
+def dense_pencil_eigenvalues(sys_, k0, ell):
+    """Finite real eigenvalues of the Dirichlet problem on [k0, ell], k0 < ell,
+    as the dense generalized eigenproblem H y = lam W y.
+
+    The unknowns are psi1(k) for k0 < k < ell and psi2(k) for k0 < k <= ell,
+    and the rows are (S_rho - B - lam A) at the same components, with
+    (S_rho y)_1(k) = rho(k) psi2(k+1) and (S_rho y)_2(k) = rho(k-1) psi1(k-1).
+    """
+    m = sys_.m
+    unknowns = [(1, k) for k in range(k0 + 1, ell)] + \
+        [(2, k) for k in range(k0 + 1, ell + 1)]
+    at = {u: slice(i * m, (i + 1) * m) for i, u in enumerate(unknowns)}
+    half = {1: slice(None, m), 2: slice(m, None)}
+    H = np.zeros((len(unknowns) * m,) * 2, dtype=complex)
+    W = np.zeros_like(H)
+    for c, k in unknowns:
+        for d in (1, 2):
+            if (d, k) in at:
+                H[at[c, k], at[d, k]] -= sys_.B(k)[half[c], half[d]]
+                W[at[c, k], at[d, k]] += sys_.A(k)[half[c], half[d]]
+        if c == 1:
+            H[at[1, k], at[2, k + 1]] += sys_.rho(k)
+            H[at[2, k + 1], at[1, k]] += sys_.rho(k)
+    w = scipy.linalg.eigvals(H, W)
+    w = w[np.isfinite(w)]
+    assert np.max(np.abs(w.imag), initial=0.0) < 1e-8
+    return np.sort(w.real)
+
+
+@pytest.mark.parametrize("cls", ("jacobi", "dirac", "general_A12zero"))
+def test_eigenvalues_match_dense_pencil(cls):
+    for m in (1, 2, 3):
+        for ell in (1, 2, 3, 9):
+            sysr = htk.random_system(m, (0, ell + 1), seed=10 * m + ell, cls=cls)
+            d = hsys.dirichlet(m)
+            ref = dense_pencil_eigenvalues(sysr, 0, ell)
+            interval = (ref[0] - 0.5, ref[-1] + 0.5) if len(ref) else (-5.0, 5.0)
+            found = hwl.eigenvalues(sysr, 0, ell, d, d, interval)
+            assert len(found) == len(ref)
+            assert np.max(np.abs(found - ref), initial=0.0) < 1e-8
+
+
+def test_eigenvalues_agree_with_oracle():
+    for m, seed in ((1, 201), (2, 202)):
+        sysr = htk.random_system(m, (0, 11), seed=seed, cls="jacobi")
+        al = be = hsys.dirichlet(m)
+        oracle = htk.jacobi_bvp_oracle(htk.RegularBVP(sysr, 0, 11, al, be))
+        lo, hi = float(oracle[0]) - 0.5, float(oracle[-1]) + 0.5
+        found = hwl.eigenvalues(sysr, 0, 11, al, be, (lo, hi))
+        # every oracle value has a nearby candidate and vice versa
+        for lam in oracle:
+            assert np.min(np.abs(found - lam)) < 1e-8
+        for f in found:
+            assert np.min(np.abs(oracle - f)) < 1e-8
+
+
+def test_eigenvalues_resolve_clustered_pairs():
+    # ten pairs 1e-6 apart, far below any grid a scan could afford
+    sysj = hsys.jacobi_system(lambda k: np.eye(2), lambda k: np.diag([0.0, 1e-6]),
+                              (0, 11), m=2)
+    d = hsys.dirichlet(2)
+    oracle = htk.jacobi_bvp_oracle(htk.RegularBVP(sysj, 0, 11, d, d))
+    found = hwl.eigenvalues(sysj, 0, 11, d, d, (-0.5, 4.5))
+    assert len(found) == len(oracle) == 20
+    assert np.max(np.abs(found - oracle)) < 1e-10
+
+
+def test_eigenvalues_repeat_by_multiplicity():
+    eye2 = np.eye(2)
+    sysm = hsys.jacobi_system(lambda k: eye2, lambda k: 0 * eye2, (0, 6), m=2)
+    d = hsys.dirichlet(2)
+    found = hwl.eigenvalues(sysm, 0, 6, d, d, (-0.5, 4.5))
+    scalar = 2 - 2 * np.cos(np.arange(1, 6) * np.pi / 6)
+    assert np.array_equal(found[::2], found[1::2])
+    assert np.max(np.abs(found - np.repeat(scalar, 2))) < 1e-10
+
+
+def test_eigenvalues_empty_below_spectrum():
+    sysj = make_free_jacobi((0, 11))
+    found = hwl.eigenvalues(sysj, 0, 11, hsys.dirichlet(1),
+                            hsys.dirichlet(1), (-2.0, -0.1))
+    assert len(found) == 0
+    assert found.dtype == np.float64 and found.shape == (0,)
+
+
+def test_detected_eigenvalues_are_m_poles():
+    sysj = make_free_jacobi((0, 11))
+    al = be = hsys.dirichlet(1)
+    found = hwl.eigenvalues(sysj, 0, 11, al, be, (-0.5, 4.5))
+    assert len(found) == 10
+    for lam in found:
+        # the norm of M exceeds 1e6 somewhere within 1e-6 of the eigenvalue
+        fund = hp.fundamental(sysj, complex(lam + 1e-8), 0, al, (0, 11))
+        M, smin, _ = hwl.m_from_hat(sysj, fund.hat(11), 11, be)
+        assert M is None or la.opnorm(M) > 1e6
+
+
+def test_eigenvalues_are_m_poles_for_any_end_and_data():
+    # bt Phi^ is singular at every eigenvalue: its smallest singular value
+    # vanishes linearly, so it shrinks tenfold from 1e-9 to 1e-10 away
+    systems = (make_free_jacobi((-12, 12)),
+               htk.random_system(2, (-12, 12), seed=55, cls="jacobi"),
+               htk.random_system(2, (-12, 12), seed=58, cls="general_A12zero"))
+    for sysr in systems:
+        m = sysr.m
+        fam = boundary_family(m, 4)
+        for al, be in ((hsys.neumann(m), hsys.dirichlet(m)), (fam[1], fam[2])):
+            for k0, ell in ((0, 11), (11, 0), (5, -6)):
+                found = hwl.eigenvalues(sysr, k0, ell, al, be, (-6.0, 8.0))
+                assert len(found) >= 10
+                extract = hwl.regular_m_evaluator(sysr, k0, ell, al, be).extract
+                near, far = (extract(found + d + 0j)[1] for d in (1e-10, 1e-9))
+                assert np.all((far > 5 * near) & (far < 20 * near))
+
+
+def test_eigenvalues_one_count_per_bisection_level(monkeypatch):
+    calls = []
+    real = hwl._negative_index
+
+    def counting(data, lam):
+        calls.append(len(lam))
+        return real(data, lam)
+
+    monkeypatch.setattr(hwl, "_negative_index", counting)
+    sysj = make_free_jacobi((0, 11))
+    d = hsys.dirichlet(1)
+    found = hwl.eigenvalues(sysj, 0, 11, d, d, (-0.5, 4.5))
+    assert len(found) == 10
+    # the counts at a and b, then one per halving from width 5 to 5e-12
+    levels = int(np.ceil(np.log2(5.0 / 5e-12)))
+    assert len(calls) <= 1 + levels
+    assert calls[0] == 2 and max(calls[1:]) <= 10
+
+
+def test_eigenvalues_count_in_bounded_chunks(monkeypatch):
+    # a stack bound below one lam's pencil splits every count into single lam
+    sysj = make_free_jacobi((0, 4))
+    d = hsys.dirichlet(1)
+    whole = hwl.eigenvalues(sysj, 0, 4, d, d, (-0.5, 4.5))
+    monkeypatch.setattr(hwl, "_EIG_STACK", 1)
+    assert np.array_equal(hwl.eigenvalues(sysj, 0, 4, d, d, (-0.5, 4.5)), whole)
+    assert len(whole) == 3
+
+
+def test_eigenvalues_input_validation():
+    sysj = make_free_jacobi((0, 11))
+    d = hsys.dirichlet(1)
+    for k0, ell, interval in ((3, 3, (0.0, 1.0)), (0, 11, (1.0, 1.0)),
+                              (0, 11, (-np.inf, 1.0))):
+        with pytest.raises(InputError):
+            hwl.eigenvalues(sysj, k0, ell, d, d, interval)
+    nonzero = hsys.make_boundary_data(np.array([[1.0, 1.0j]]))
+    with pytest.raises(InputError):
+        hwl.eigenvalues(sysj, 0, 11, nonzero, d, (0.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
 # linear fractional transformations
 # ---------------------------------------------------------------------------
 
@@ -203,8 +360,8 @@ def test_lft_matches_direct_computation():
     for seed, m in ((51, 1), (52, 2)):
         sysr = htk.random_system(m, (0, 12), seed=seed, cls="jacobi")
         z = 0.8 + 0.9j
-        be = zero_boundary_family(m, 5)[3]
-        fam = zero_boundary_family(m, 6)
+        be = boundary_family(m, 5)[3]
+        fam = boundary_family(m, 6)
         for i in range(0, 6, 2):
             alpha, gamma = fam[i], fam[i + 1]
             m_gamma = hwl.m_regular(sysr, hwl.disk_context(sysr, z, 0, 9, gamma),
@@ -239,7 +396,7 @@ def test_limit_point_free_jacobi_both_directions():
 def test_limit_beta_independence_in_limit_point():
     sysj = make_free_jacobi((-10, 220))
     al = hsys.dirichlet(1)
-    betas = zero_boundary_family(1, 3)
+    betas = boundary_family(1, 3)
     vals = []
     for bd in betas:
         opts = hwl.LimitOptions(beta=bd, ell_schedule=[50, 100, 200])
@@ -296,7 +453,7 @@ def test_limit_circle_classification():
     assert "far boundary" in lim.note
     # a different far boundary lands on a different limiting value
     other = hwl.limit_m(sysg, 1j, 0, al, +1,
-                        hwl.LimitOptions(beta=hwl.boundary_family(1, 4)[2]))
+                        hwl.LimitOptions(beta=boundary_family(1, 4)[2]))
     assert la.opnorm(other.M_pm - lim.M_pm) > 1e-2
 
 
@@ -462,7 +619,7 @@ def test_nesting_monotone_disk_functional():
     z = 0.4 + 0.7j
     ctx_far = hwl.disk_context(sysr, z, 0, 14, al)
     fund = hp.fundamental(sysr, z, 0, al, (0, 14))
-    for bd in zero_boundary_family(2, 4):
+    for bd in boundary_family(2, 4):
         m_far = hwl.m_regular(sysr, ctx_far, bd, fund=fund).M
         for ell1 in (6, 10):
             ctx1 = hwl.disk_context(sysr, z, 0, ell1, al)
