@@ -7,15 +7,21 @@ backward steps solve the two coupled first-order recurrences
     rho(k)   psi2(k+1) = P11(k) psi1(k) + P12(k) psi2(k),
     rho(k-1) psi1(k-1) = P21(k) psi1(k) + P22(k) psi2(k),
 
-with P = z A + B, by factorized linear solves of the off-diagonal pencil
-blocks (never explicit inversion). One kernel, :func:`propagate_hats`, does
-this for an array of z (a scalar z is a batch of one) and for every caller,
-here and in :mod:`hamweyl.weyl`, with one pencil
-check: a (2,1) block (forward) or (1,2) block (backward) whose 2-norm
-reciprocal condition is below ``RCOND_MIN`` at any z raises
-:class:`SteppingError`. Where that block of A vanishes, the pencil block is
-B's for every z: its condition is computed once per system and site, and
-its solve factorizes once for the whole batch.
+with P = z A + B. A step is the one-step transfer hat(k+d) = T_k(z) hat(k),
+whose rows come from factorized solves of the off-diagonal pencil block
+and of rho (never explicit inversion). One kernel, :func:`propagate_hats`,
+serves every caller, here and in :mod:`hamweyl.weyl`, for an array of z (a
+scalar z is a batch of one): it assembles the transfers of a whole site
+range and z batch at once, in chunks of at most ``_TRANSFER_STACK``
+matrices, and applies them with one matmul per site. One stacked pencil
+check covers each chunk: a (2,1) block (forward) or (1,2) block (backward)
+whose 2-norm reciprocal condition is below ``RCOND_MIN`` at any z raises
+:class:`SteppingError` for the first such site in step order, and a site
+beyond the window under the 'error' extension raises only after the steps
+before it passed. Where that block of A vanishes at every site, the pencil
+block is B's for every z: its condition is computed once per system and
+site, and it is factorized once per site for the whole batch, as rho is.
+Each z gets the same bits whatever the batch or chunk it is assembled in.
 
 Trajectories are stored densely with no re-orthogonalization. Column norms
 beyond 1e150 raise a scale warning, once per propagated or combined data
@@ -34,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _linalg as la
-from .errors import InputError, SteppingError
+from .errors import DomainError, InputError, SteppingError
 from .system import (
     RCOND_MIN,
     BoundaryData,
@@ -70,39 +76,120 @@ def _as_state_data(data, m: int) -> np.ndarray:
     return arr
 
 
-def _solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve mat X = rhs for an (N, m, r) stack; one (m, m) matrix is
-    factorized once for the whole batch, an (N, m, m) stack per z."""
-    n, m, r = rhs.shape
-    if mat.ndim == 3 or n == 1:
-        return np.linalg.solve(mat, rhs)
-    x = np.linalg.solve(mat, rhs.transpose(1, 0, 2).reshape(m, n * r))
-    return x.reshape(m, n, r).transpose(1, 0, 2)
+# the most one-step transfers (sites x z) one assembly holds, which bounds
+# the stacks of long windows and large z batches
+_TRANSFER_STACK = 1 << 11
 
 
-def _pencil_solve(sys: HamiltonianSystem, z: np.ndarray, state: np.ndarray,
-                  k: int, d: int):
-    """First half of a step from site k in direction d = +1 or -1.
+def _pencil_check(sys: HamiltonianSystem, z: np.ndarray, sites: range,
+                  p: np.ndarray, d: int):
+    """Check the off-diagonal pencil blocks P_ba of the steps at ``sites``
+    (stored positions ``p``) in direction d.
 
-    Returns (x, p): x is psi1(k+1) (forward) or psi2(k) (backward) from the
-    checked off-diagonal pencil solve, p the (N, 2m, 2m) pencil of the step.
+    Returns None when that block of A vanishes at every stored site, so
+    P_ba is B's for every z, and else the (n, m, m, N) blocks P_ba. The
+    first site in step order whose 2-norm rcond is below ``RCOND_MIN`` at
+    any z raises :class:`SteppingError`.
     """
-    # a is the half the pencil solve replaces, b the half carried over
     a, b = (slice(None, sys.m), slice(sys.m, None))[::d]
     which = "(2,1)" if d > 0 else "(1,2)"
-    site = max(k, k + d)
-    i = sys._index(site)
-    p = z[:, None, None] * sys._A[i] + sys._B[i]
-    rhs = sys.rho(k) @ state[:, a] - p[:, b, b] @ state[:, b]
-    static, rc_static = sys._offdiag_static[which]
-    if static[i]:
-        blk, rc = sys._B[i][b, a], rc_static[i]
+    static, rc, passed = sys._offdiag_static[which]
+    if passed:
+        return None
+    blk = None
+    if static:
+        rc = rc[p]
     else:
-        blk = p[:, b, a]
-        rc = float(np.min(la.rcond(blk)))
-    if rc < RCOND_MIN:
-        raise SteppingError(site=site, rcond=rc, which=which)
-    return _solve(blk, rhs), p
+        blk = sys._A[p, b, a, None] * z + sys._B[p, b, a, None]
+        rc = np.min(la.rcond(blk.transpose(0, 3, 1, 2)), axis=1, initial=np.inf)
+    bad = rc < RCOND_MIN
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise SteppingError(site=sites[j], rcond=rc[j], which=which)
+    return blk
+
+
+def _solve_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b for right-hand sides b of shape (n, m, r, N), z last, and
+    either (n, m, m) matrices a, one per site and factorized once for all
+    r N columns of its site, or (n, m, m, N) matrices, one per site and z.
+    1 x 1 matrices divide, several times faster than LAPACK."""
+    if a.shape[1] == 1:
+        return b / (a[..., None] if a.ndim == 3 else a)
+    if a.ndim == 3:
+        return np.linalg.solve(a, b.reshape(b.shape[:2] + (-1,))).reshape(b.shape)
+    return np.linalg.solve(a.transpose(0, 3, 1, 2),
+                           b.transpose(0, 3, 1, 2)).transpose(0, 2, 3, 1)
+
+
+def _assemble(sys: HamiltonianSystem, z: np.ndarray, visited: range,
+              idx: np.ndarray, d: int) -> np.ndarray:
+    """Checked one-step transfers in direction d between the consecutive
+    ``visited`` sites (stored positions ``idx``) as an (n, N, 2m, 2m) array.
+
+    With a the half of the hat the pencil solve replaces and b the half it
+    carries over, the a rows are X = P_ba^-1 [rho(k), -P_bb] and the b rows
+    Y = rho(k+d)^-1 (P_aa X + [0, P_ab]), with P the pencil at the target
+    site (forward) or the departing site (backward). rho(k+d), and P_ba
+    where that block of A vanishes at every site, is factorized once per
+    site for all N 2m right-hand sides. The blocks are built with z as
+    their last axis, so the elementwise work runs along the batch.
+    """
+    m = sys.m
+    a, b = (slice(None, m), slice(m, None))[::d]
+    sites, p = (visited[1:], idx[1:]) if d > 0 else (visited[:-1], idx[:-1])
+    blk = _pencil_check(sys, z, sites, p, d)
+    B, rho = sys._B[p], sys._rho[idx]
+    pen = sys._A[p, ..., None] * z + B[..., None]
+    n, nz = len(p), len(z)
+    x = np.empty((n, m, 2 * m, nz), dtype=complex)
+    x[:, :, a] = rho[:-1, :, :, None]
+    np.negative(pen[:, b, b], out=x[:, :, b])
+    x = _solve_blocks(B[:, b, a] if blk is None else blk, x)
+    # w = P_aa X + [0, P_ab] as m elementwise products along the batch,
+    # far cheaper for large N than a matmul per site and z
+    p_aa = pen[:, a, a]
+    w = p_aa[:, :, 0, None] * x[:, None, 0]
+    for k in range(1, m):
+        w += p_aa[:, :, k, None] * x[:, None, k]
+    w[:, :, b] += pen[:, a, b]
+    t = np.empty((n, nz, 2 * m, 2 * m), dtype=complex)
+    tz = t.transpose(0, 2, 3, 1)
+    tz[:, a] = x
+    tz[:, b] = _solve_blocks(rho[1:], w)
+    return t
+
+
+def _transfers(sys: HamiltonianSystem, z: np.ndarray, k_start: int,
+               k_end: int) -> np.ndarray:
+    """One-step transfers T_k(z), hat(k + d) = T_k(z) hat(k), from
+    ``k_start`` to ``k_end`` as an (n, N, 2m, 2m) array in step order.
+
+    Forward steps check the (2,1) pencil block at the target site, backward
+    steps the (1,2) block at the departing site. A site unreachable under
+    the extension policy raises :class:`DomainError` only after the pencils
+    of the steps before it passed their check.
+    """
+    d = 1 if k_end >= k_start else -1
+    visited = range(k_start, k_end + d, d)
+    try:
+        idx = sys._indices(visited)
+    except DomainError:
+        j = next(j for j, k in enumerate(visited) if not sys.in_reach(k))
+        sites = visited[1:j] if d > 0 else visited[:j]
+        if sites:
+            _pencil_check(sys, z, sites, sys._indices(sites), d)
+        raise
+    return _assemble(sys, z, visited, idx, d)
+
+
+def _steps(sys: HamiltonianSystem, z: np.ndarray, k_start: int, k_end: int):
+    """The (N, 2m, 2m) transfers from ``k_start`` to ``k_end`` one by one in
+    step order, assembled in chunks of at most ``_TRANSFER_STACK``."""
+    d = 1 if k_end >= k_start else -1
+    width = max(_TRANSFER_STACK // max(len(z), 1), 1)
+    for k in range(k_start, k_end, d * width):
+        yield from _transfers(sys, z, k, k + d * min(width, d * (k_end - k)))
 
 
 def propagate_hats(sys: HamiltonianSystem, z, k_start: int, init, k_end: int,
@@ -113,22 +200,17 @@ def propagate_hats(sys: HamiltonianSystem, z, k_start: int, init, k_end: int,
     (2m, r) hat shared by all of them or an (N, 2m, r) stack. Returns the
     (N, 2m, r) hats at ``k_end``, or with ``trajectory`` the
     (|k_end - k_start| + 1, N, 2m, r) hats of every site in step order from
-    ``init``. Forward steps check and solve the (2,1) pencil block at the
-    target site, backward steps the (1,2) block at the departing site.
+    ``init``. Each step is one matmul by the transfer of :func:`_transfers`.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     state = np.empty(z.shape + np.shape(init)[-2:], dtype=complex)
     state[...] = init
-    d = 1 if k_end >= k_start else -1
     out = None
     if trajectory:
         out = np.empty((abs(k_end - k_start) + 1,) + state.shape, dtype=complex)
         out[0] = state
-    a, b = (slice(None, sys.m), slice(sys.m, None))[::d]
-    for j, k in enumerate(range(k_start, k_end, d), 1):
-        x, p = _pencil_solve(sys, z, state, k, d)
-        y = _solve(sys.rho(k + d), p[:, a, a] @ x + p[:, a, b] @ state[:, b])
-        state = np.concatenate((x, y)[::d], axis=1)
+    for j, t in enumerate(_steps(sys, z, k_start, k_end), 1):
+        state = t @ state
         if trajectory:
             out[j] = state
     return out if trajectory else state
@@ -230,9 +312,13 @@ class HatTrajectory:
 
     @cached_property
     def _plain_lo(self) -> np.ndarray:
-        x, _ = _pencil_solve(self.sys, np.array([self.z], dtype=complex),
-                             self.data[:1], self.k_lo, -1)
-        out = np.vstack([self.data[0, :self.m], x[0]])
+        # the psi2 rows of a backward transfer read only site k_lo; its
+        # psi1 rows, which would need rho(k_lo - 1), are built with rho(k_lo)
+        # and dropped
+        sys, k = self.sys, self.k_lo
+        t = _assemble(sys, np.array([self.z], dtype=complex), range(k, k - 2, -1),
+                      sys._indices(range(k, k + 1)).repeat(2), -1)
+        out = np.vstack([self.data[0, :self.m], (t[0] @ self.data[:1])[0, self.m:]])
         out.setflags(write=False)
         return out
 
@@ -313,7 +399,7 @@ def lagrange_bilinear(sys: HamiltonianSystem, k, hat1: np.ndarray,
     :func:`lagrange_step_defect`.
     """
     if isinstance(k, range):
-        return la.adjoint(hat1) @ J_rho(sys._rho[[sys._index(s) for s in k]]) @ hat2
+        return la.adjoint(hat1) @ J_rho(sys._rho[sys._indices(k)]) @ hat2
     return hat1.conj().T @ sys.j_rho(k) @ hat2
 
 
@@ -332,7 +418,7 @@ def _step_defects(sys: HamiltonianSystem, z1: complex, z2: complex, k: int,
     g_prev = lagrange_bilinear(sys, range(k - 1, sites.stop - 1), prev1, prev2)
     plain1 = np.concatenate((cur1[:, :m], prev1[:, m:]), axis=1)
     plain2 = np.concatenate((cur2[:, :m], prev2[:, m:]), axis=1)
-    a = sys._A[[sys._index(s) for s in sites]]
+    a = sys._A[sys._indices(sites)]
     rhs = (z2 - np.conj(z1)) * (la.adjoint(plain1) @ a @ plain2)
     defect, n_cur, n_prev, n_rhs = np.linalg.norm(
         np.stack([(g_cur - g_prev) - rhs, g_cur, g_prev, rhs]), 2, axis=(2, 3))
@@ -357,12 +443,13 @@ def lagrange_telescoping_check(sys: HamiltonianSystem, z1: complex, z2: complex,
                                k0: int, steps: int, init1=None, init2=None) -> float:
     """Stream the telescoping identity over ``steps`` forward steps.
 
-    Returns the maximum relative one-step defect. Both trajectories are
-    rescaled by a common scalar after each step, so the check runs over
-    windows of thousands of steps without overflow (the identity is
-    bilinear, hence invariant under a shared rescaling). The hats before
-    and after every step are kept, and the defects of all steps are
-    computed at once after the stepping loop.
+    Returns the maximum relative one-step defect. Both trajectories step
+    as one two-z batch through transfers assembled a chunk of sites at a
+    time, and are rescaled by a common scalar after each step, so the
+    check runs over windows of thousands of steps without overflow (the
+    identity is bilinear, hence invariant under a shared rescaling). The
+    hats before and after every step are kept, and the defects of all steps
+    are computed at once after the stepping loop.
     """
     m = sys.m
     h1, h2 = (_as_state_data(np.eye(2 * m) if h is None else h, m)
@@ -377,9 +464,10 @@ def lagrange_telescoping_check(sys: HamiltonianSystem, z1: complex, z2: complex,
 
     prev = np.empty((steps,) + hats.shape, dtype=complex)
     cur = np.empty_like(prev)
-    for j, k in enumerate(range(k0, k0 + steps)):
+    z = np.array([z1, z2], dtype=complex)
+    for j, t in enumerate(_steps(sys, z, k0, k0 + steps)):
         prev[j] = hats
-        cur[j] = new = propagate_hats(sys, [z1, z2], k, hats, k + 1)
+        new = np.matmul(t, hats, out=cur[j])
         hats = new / max(np.max(np.abs(new)), 1.0)
     defects = _step_defects(sys, z1, z2, k0 + 1, prev[:, 0, :, :r1],
                             cur[:, 0, :, :r1], prev[:, 1, :, :r2],
@@ -396,7 +484,7 @@ def _pairing_defects(left: HatTrajectory, right: HatTrajectory, sites: range,
     sys = right.sys
     hl, hr = left.hats(sites), right.hats(sites)
     g = lagrange_bilinear(sys, sites, hl, hr)
-    rho = sys._rho[[sys._index(k) for k in sites]]
+    rho = sys._rho[sys._indices(sites)]
     scale = 1.0 + la.opnorm(hl) * la.opnorm(hr) * la.opnorm(rho)
     return (la.opnorm(g - target) / scale).tolist()
 
@@ -411,13 +499,12 @@ def fundamental_pair_defect(fund_z: HatTrajectory,
     return max([0.0] + _pairing_defects(fund_zbar, fund_z, sites, target))
 
 
-def _a_form_sum(sys: HamiltonianSystem, traj: HatTrajectory, sites) -> np.ndarray:
-    """Hermitized sum_k Psi(k)* A(k) Psi(k) of plain values over ``sites``."""
-    out = np.zeros((traj.r, traj.r), dtype=complex)
-    for k in sites:
-        psi = traj.plain(k)
-        out += psi.conj().T @ sys.A(k) @ psi
-    return la.herm(out)
+def _a_form_sum(sys: HamiltonianSystem, traj: HatTrajectory,
+                sites: range) -> np.ndarray:
+    """Hermitized sum_k Psi(k)* A(k) Psi(k) of plain values over a run of
+    consecutive ``sites``, as one stacked product."""
+    psi = traj.plains(sites)
+    return la.herm(np.sum(la.adjoint(psi) @ sys._A[sys._indices(sites)] @ psi, axis=0))
 
 
 # ---------------------------------------------------------------------------

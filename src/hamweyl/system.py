@@ -279,6 +279,23 @@ class HamiltonianSystem:
     def _index(self, k: int) -> int:
         return _policy_index(k, self.k_min, self.n_sites, self.extension)
 
+    def _indices(self, sites: range) -> np.ndarray:
+        """Stored positions of a run of sites in the given order: one
+        vectorized :meth:`_index`, which raises for the first unreachable
+        site of the run."""
+        n = self.n_sites
+        i = np.arange(sites.start - self.k_min, sites.stop - self.k_min, sites.step)
+        if not sites or (0 <= i[0] < n and 0 <= i[-1] < n):
+            return i
+        if self.extension == "constant-edge":
+            return np.clip(i, 0, n - 1)
+        if self.extension == "periodic":
+            return i % n
+        # 'error': the run leaves the window, and the scalar index raises
+        # at its first site outside
+        for k in sites:
+            self._index(k)
+
     def in_reach(self, k: int) -> bool:
         """True when site k is resolvable under the extension policy."""
         return self.extension != "error" or self.k_min <= k <= self.k_max
@@ -306,13 +323,18 @@ class HamiltonianSystem:
 
     @cached_property
     def _offdiag_static(self) -> dict:
-        """Per off-diagonal pencil block ("(2,1)", "(1,2)") and stored site:
-        whether that block of A vanishes, so the pencil block is B's for
-        every z, and the 2-norm rcond of B's block."""
+        """Per off-diagonal pencil block ("(2,1)", "(1,2)"): whether that
+        block of A vanishes at every stored site, so the pencil block is
+        B's for every z; the 2-norm rcond of B's block per stored site; and
+        whether the first holds and every rcond is at least ``RCOND_MIN``,
+        so the block passes the pencil check at every site and z."""
         top, bot = slice(None, self.m), slice(self.m, None)
-        return {which: (~np.any(self._A[:, r, c], axis=(1, 2)),
-                        la.rcond(self._B[:, r, c]))
-                for which, r, c in (("(2,1)", bot, top), ("(1,2)", top, bot))}
+        out = {}
+        for which, r, c in (("(2,1)", bot, top), ("(1,2)", top, bot)):
+            static = not np.any(self._A[:, r, c])
+            rc = la.rcond(self._B[:, r, c])
+            out[which] = static, rc, static and bool(rc.min() >= RCOND_MIN)
+        return out
 
     def j_rho(self, k: int) -> np.ndarray:
         return J_rho(self.rho(k))
@@ -374,7 +396,7 @@ def validate_pointwise(sys: HamiltonianSystem, interval=None) -> ValidationRepor
     """
     report = ValidationReport(check="pointwise")
     sites = _interval_sites(sys, interval)
-    idx = [sys._index(k) for k in sites]
+    idx = sys._indices(sites)
     stacks = {"A": sys._A[idx], "B": sys._B[idx], "rho": sys._rho[idx]}
     # one batched 2-norm and eigenvalue call per coefficient stack
     defects = {}
@@ -424,7 +446,7 @@ def check_wellposed(sys: HamiltonianSystem, z: complex,
     """
     report = ValidationReport(check="wellposed")
     sites = _interval_sites(sys, interval)
-    idx = [sys._index(k) for k in sites]
+    idx = sys._indices(sites)
     m = sys.m
     p = z * sys._A[idx] + sys._B[idx]
     scales = np.maximum(1.0, np.linalg.norm(p, 2, axis=(1, 2))).tolist()

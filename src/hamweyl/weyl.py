@@ -139,8 +139,9 @@ def plus_interval(k0: int, ell: int) -> range:
     return range(min(k0, ell) + 1, max(k0, ell) + 1)
 
 
-def a_form_sum(sys: HamiltonianSystem, traj, sites) -> np.ndarray:
-    """sum_k Psi(k)* A(k) Psi(k) over ``sites`` using plain solution values."""
+def a_form_sum(sys: HamiltonianSystem, traj, sites: range) -> np.ndarray:
+    """sum_k Psi(k)* A(k) Psi(k) over a run of consecutive ``sites`` using
+    plain solution values."""
     return _a_form_sum(sys, traj, sites)
 
 
@@ -618,7 +619,7 @@ def _pencil_data(sys: HamiltonianSystem, k0: int, ell: int, alpha, beta):
     m = sys.m
     q_alpha = initial_hat(sys, k0, alpha)[:, m:]
     q_beta = la.adjoint(np.linalg.svd(_weighted(beta, sys, ell))[2][m:])
-    idx = [sys._index(k) for k in range(min(k0, ell), max(k0, ell) + 1)]
+    idx = sys._indices(range(min(k0, ell), max(k0, ell) + 1))
     q_lo, q_hi = (q_alpha, q_beta) if k0 < ell else (q_beta, q_alpha)
     return sys._A[idx[1:]], sys._B[idx[1:]], sys._rho[idx], q_lo, q_hi
 

@@ -9,7 +9,7 @@ from hamweyl import propagate as hp
 from hamweyl import system as hsys
 from hamweyl import testkit as htk
 from hamweyl import weyl as hwl
-from hamweyl.errors import InputError, SteppingError
+from hamweyl.errors import DomainError, InputError, SteppingError
 
 from conftest import make_free_jacobi
 
@@ -125,6 +125,167 @@ def test_pencil_check_on_z_dependent_block():
         with pytest.raises(SteppingError) as err:
             hp.propagate_hats(sysg, np.append(zs, -1.0), 0, init, k_end)
         assert err.value.which == which and err.value.rcond == 0.0
+
+
+def _reference_steps(sys, zs, k_start, init, k_end):
+    """Independent oracle: the per-site algorithm, one step at a time. A
+    forward step solves the second recurrence for psi1(k+1) with the (2,1)
+    pencil block at k+1, then the first for psi2(k+2); a backward step
+    solves the first for psi2(k) with the (1,2) block at k, then the
+    second for psi1(k-1). All z of the batch step together."""
+    m = sys.m
+    d = 1 if k_end >= k_start else -1
+    a, b = (slice(None, m), slice(m, None))[::d]
+    hats = np.empty((len(zs), 2 * m, init.shape[-1]), dtype=complex)
+    hats[...] = init
+    for k in range(k_start, k_end, d):
+        site = max(k, k + d)
+        p = zs[:, None, None] * sys.A(site) + sys.B(site)
+        x = np.linalg.solve(p[:, b, a], sys.rho(k) @ hats[:, a] - p[:, b, b] @ hats[:, b])
+        y = np.linalg.solve(sys.rho(k + d), p[:, a, a] @ x + p[:, a, b] @ hats[:, b])
+        hats = np.concatenate((x, y)[::d], axis=1)
+    return hats
+
+
+def _z_dependent_system(window=(0, 40)):
+    # A21 = A12 = 1: the off-diagonal pencil blocks z + 1 depend on z
+    A = np.array([[1.0, 1.0], [1.0, 1.0]])
+    B = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return hsys.HamiltonianSystem(1, window, A, B, 1.0)
+
+
+def _mixed_system(window=(0, 40)):
+    # the off-diagonal block of A vanishes at odd sites only
+    A = lambda k: np.array([[1.0, 0.5 * (k % 2 == 0)], [0.5 * (k % 2 == 0), 0.7]])
+    B = lambda k: np.array([[0.2 * k % 1.0, 1.0], [1.0, -0.4]])
+    return hsys.HamiltonianSystem(1, window, A, B, lambda k: 1.0 + 0.1 * (k % 3))
+
+
+def _random_system(cls, m):
+    return lambda: htk.random_system(m, (0, 40), seed=61 + m, cls=cls)
+
+
+_ORACLE_SYSTEMS = {
+    **{f"{cls}-m{m}": _random_system(cls, m)
+       for cls, m in (("jacobi", 1), ("jacobi", 2), ("dirac", 1), ("dirac", 2),
+                      ("general_A12zero", 2), ("general_A12zero", 3))},
+    "z-dependent": _z_dependent_system,
+    "mixed": _mixed_system,
+}
+
+
+def _chunked_batch():
+    # large enough that one assembly holds at most two sites of it
+    n = hp._TRANSFER_STACK // 3 + 1
+    return np.linspace(-1.5, 1.5, n) + 1j * np.linspace(0.2, 1.0, n)
+
+
+@pytest.mark.parametrize("name", _ORACLE_SYSTEMS)
+def test_propagation_matches_per_site_oracle(name):
+    # transfers assembled for whole site ranges give the per-site
+    # algorithm's hats to rounding, for N = 1, a small batch and a batch
+    # whose stacks cross the chunk bound, forward and backward
+    sysr = _ORACLE_SYSTEMS[name]()
+    m = sysr.m
+    rng = np.random.default_rng(5)
+    init = rng.normal(size=(2 * m, m)) + 1j * rng.normal(size=(2 * m, m))
+    for zs in (np.array([0.4 + 0.7j]),
+               np.array([0.3 + 0.2j, -1.1 + 0.7j, 2.0 - 0.4j, 0.5 - 1.5j]),
+               _chunked_batch()):
+        for k_start, k_end in ((12, 20), (12, 4)):
+            got = hp.propagate_hats(sysr, zs, k_start, init, k_end)
+            want = _reference_steps(sysr, zs, k_start, init, k_end)
+            err = np.linalg.norm(got - want, axis=(1, 2))
+            assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=(1, 2)))
+    # an empty batch is a batch too
+    none = np.array([], dtype=complex)
+    assert hp.propagate_hats(sysr, none, 12, init, 4).shape == (0, 2 * m, m)
+
+
+@pytest.mark.parametrize("name", _ORACLE_SYSTEMS)
+def test_chunked_batch_equals_single_z_calls_bit_for_bit(name):
+    # each z of a batch gets the same bits as its own call, whatever chunk
+    # its sites fall in
+    sysr = _ORACLE_SYSTEMS[name]()
+    m = sysr.m
+    init = np.eye(2 * m, dtype=complex)[:, :m]
+    zs = _chunked_batch()
+    for k_start, k_end in ((12, 20), (12, 4)):
+        batch = hp.propagate_hats(sysr, zs, k_start, init, k_end)
+        for i, z in enumerate(zs):
+            one = hp.propagate_hats(sysr, z, k_start, init, k_end)
+            assert np.array_equal(batch[i], one[0]), i
+
+
+def _error_system(window=(0, 20)):
+    return hsys.jacobi_system(lambda k: 1.0 + 0.1 * (k % 3), lambda k: 0.2,
+                              window, extension="error")
+
+
+def _with_singular_blocks(sysj, sites, which):
+    # zero B's (2,1) ("forward") or (1,2) ("backward") block at the sites
+    B = sysj._B.copy()
+    for k in sites:
+        if "forward" in which:
+            B[sysj._index(k), 1, 0] = 0.0
+        if "backward" in which:
+            B[sysj._index(k), 0, 1] = 0.0
+    return hsys.HamiltonianSystem(1, sysj.window, sysj._A, B, sysj._rho,
+                                  extension=sysj.extension)
+
+
+def test_stepping_error_comes_before_an_unreachable_site():
+    # steps resolve their sites in step order: a singular pencil inside the
+    # window raises before the first site beyond it under 'error'
+    good = _error_system()
+    init = np.eye(2, dtype=complex)
+    bad = _with_singular_blocks(good, (5,), ("forward", "backward"))
+    with pytest.raises(SteppingError) as err:
+        hp.propagate_hats(bad, 0.5j, 0, init, 30)
+    assert (err.value.site, err.value.which) == (5, "(2,1)")
+    with pytest.raises(SteppingError) as err:
+        hp.propagate_hats(bad, 0.5j, 20, init, -10)
+    assert (err.value.site, err.value.which) == (5, "(1,2)")
+    with pytest.raises(DomainError, match="site 21 outside"):
+        hp.propagate_hats(good, 0.5j, 0, init, 30)
+    with pytest.raises(DomainError, match="site -1 outside"):
+        hp.propagate_hats(good, 0.5j, 20, init, -10)
+    # the pencil at the edge site is checked before the site beyond it
+    with pytest.raises(SteppingError) as err:
+        hp.propagate_hats(_with_singular_blocks(good, (20,), ("forward",)),
+                          0.5j, 0, init, 30)
+    assert err.value.site == 20
+    with pytest.raises(SteppingError) as err:
+        hp.propagate_hats(_with_singular_blocks(good, (0,), ("backward",)),
+                          0.5j, 20, init, -10)
+    assert err.value.site == 0
+
+
+def test_first_singular_site_in_step_order_is_reported():
+    bad = _with_singular_blocks(make_free_jacobi((0, 20)), (5, 9),
+                                ("forward", "backward"))
+    init = np.eye(2, dtype=complex)
+    zs = np.array([0.5j, 1.0 + 0.2j])
+    for k_start, k_end, site, which in ((0, 20, 5, "(2,1)"), (20, 0, 9, "(1,2)"),
+                                        (7, 20, 9, "(2,1)"), (7, 0, 5, "(1,2)")):
+        with pytest.raises(SteppingError) as err:
+            hp.propagate_hats(bad, zs, k_start, init, k_end)
+        assert (err.value.site, err.value.which) == (site, which)
+
+
+def test_lower_edge_plain_value_reads_only_its_site():
+    # under 'error' a backward step from k_min raises, but psi2(k_min) needs
+    # only the pencil and rho at k_min
+    sysj = _error_system()
+    z = 0.3 + 0.6j
+    traj = hp.hat_trajectory(sysj, z, 0, np.eye(2, dtype=complex), (0, 8))
+    assert np.all(np.isfinite(traj.plain(0)))
+    with pytest.raises(DomainError):
+        hp.propagate_hats(sysj, z, 0, traj.hat(0), -1)
+    p = z * sysj.A(0) + sysj.B(0)
+    psi2 = np.linalg.solve(p[:1, 1:], sysj.rho(0) @ traj.psi2_next(0)
+                           - p[:1, :1] @ traj.psi1(0))
+    assert np.allclose(traj.plain(0)[1:], psi2, rtol=1e-14, atol=0.0)
 
 
 def test_linearity_of_propagation():

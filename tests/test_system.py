@@ -391,6 +391,26 @@ def test_extension_policies():
     assert hsys.check_definiteness(ee, 1j, (0, 2)).definite
 
 
+def test_vectorized_site_index_matches_the_scalar_one():
+    runs = (range(-4, 9), range(8, -5, -1), range(2, 5), range(6, 2, -1),
+            range(11, 14), range(0, 0))
+    for extension in hsys.EXTENSIONS:
+        sysj = hsys.jacobi_system(lambda k: 1.0, lambda k: 0.0, (0, 6),
+                                  extension=extension)
+        for sites in runs:
+            if all(sysj.in_reach(k) for k in sites):
+                assert sysj._indices(sites).tolist() == [sysj._index(k) for k in sites]
+                continue
+            # the first unreachable site in the given order raises, with
+            # the scalar index's message
+            first = next(k for k in sites if not sysj.in_reach(k))
+            with pytest.raises(DomainError) as want:
+                sysj._index(first)
+            with pytest.raises(DomainError) as got:
+                sysj._indices(sites)
+            assert str(got.value) == str(want.value)
+
+
 def test_coefficient_file_roundtrip(tmp_path):
     sysr = htk.random_system(2, (0, 5), seed=3, cls="general_A12zero")
     path = tmp_path / "sys.json"
