@@ -296,7 +296,7 @@ def cmd_mfun(args) -> int:
         raise UsageError("all grid points must satisfy Im z != 0")
     hweyl.disk_context(sys_, complex(zs[0]), args.k0, args.ell, alpha)
     ev = hweyl.regular_m_evaluator(sys_, args.k0, args.ell, alpha, beta)
-    Ms, smins, _, hits = ev.extract(zs)
+    Ms, smins, hits = ev.extract(zs)
     if np.any(hits):
         i = int(np.argmax(hits))
         raise EigenvalueHitError(complex(zs[i]), float(smins[i]))
@@ -306,7 +306,7 @@ def cmd_mfun(args) -> int:
                                * la.imag_part(M))
         row = {"z_re": float(z.real), "z_im": float(z.imag)}
         row.update(_complex_columns("M", M))
-        row["smin_bphi"] = float(smin)
+        row["smin"] = float(smin)
         row["herglotz_min_eig"] = herg
         row["herglotz_ok"] = bool(herg > 0)
         rows.append(row)
@@ -333,12 +333,13 @@ def cmd_disk(args) -> int:
             schedule.append(args.ell_max)
     else:
         raise UsageError("give --ell-schedule or --ell-max")
+    ctxs = [hweyl.disk_context(sys_, z, args.k0, ell, alpha) for ell in schedule]
+    # one fundamental for every row: a hat is the same product whatever the range
+    sites = [args.k0] + schedule
+    fund = hprop.fundamental(sys_, z, args.k0, alpha, (min(sites), max(sites)))
     rows = []
-    for ell in schedule:
-        ctx = hweyl.disk_context(sys_, z, args.k0, ell, alpha)
-        fund = hprop.fundamental(sys_, z, args.k0, alpha,
-                                 (min(args.k0, ell), max(args.k0, ell)))
-        mf = hweyl.m_regular(sys_, ctx, beta, fund=fund)
+    for ell, ctx in zip(schedule, ctxs):
+        mf = hweyl.m_regular(sys_, ctx, beta)
         e_val = hweyl.e_functional(sys_, ctx, mf.M, fund=fund)
         verdict = hweyl.disk_membership(e_val, tol=args.tol)
         diam = hweyl.disk_diameter_estimate(sys_, ctx, fund=fund)

@@ -44,18 +44,17 @@ class SteppingError(HamweylError):
 
 
 class EigenvalueHitError(HamweylError):
-    """The boundary-weighted solution block is singular.
+    """z is a pole of the regular M.
 
-    For real spectral parameters this signals an eigenvalue of the regular
-    two-point boundary value problem.
+    For real spectral parameters this is an eigenvalue of the regular
+    two-point boundary value problem whose eigenvector is seen from the
+    base site. ``smin`` is (1 + ||M||^2)^(-1/2), 0 for a non-finite M.
     """
 
     def __init__(self, z: complex, smin: float):
         self.z = z
         self.smin = smin
-        super().__init__(
-            f"boundary-weighted solution block singular at z={z} (smin={smin:.3e})"
-        )
+        super().__init__(f"M has a pole at z={z} (smin={smin:.3e})")
 
 
 class TransformPoleError(HamweylError):

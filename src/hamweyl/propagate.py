@@ -23,9 +23,9 @@ block is B's for every z: its condition is computed once per system and
 site, and it is factorized once per site for the whole batch, as rho is.
 Each z gets the same bits whatever the batch or chunk it is assembled in.
 
-Trajectories are stored densely with no re-orthogonalization. Column norms
-beyond 1e150 raise a scale warning, once per propagated or combined data
-set; for long ranges at |Im z| away from zero use the Riccati form instead.
+Trajectories are stored densely with no re-orthogonalization; callers
+that need only a subspace at one end sweep it with QR instead (the regular
+M of :mod:`hamweyl.weyl` sweeps ker bt inward from the far site).
 One trajectory type, :class:`HatTrajectory`, serves every caller: the
 fundamental system (Theta and Phi are its left and right column blocks),
 Weyl solutions and the role families of the Green's kernels; it computes
@@ -34,7 +34,6 @@ its plain values once, on first read.
 
 from __future__ import annotations
 
-import warnings
 from functools import cached_property
 
 import numpy as np
@@ -51,7 +50,6 @@ from .system import (
 )
 
 __all__ = [
-    "SCALE_LIMIT",
     "HatTrajectory",
     "propagate_hats",
     "hat_trajectory",
@@ -63,8 +61,6 @@ __all__ = [
     "weyl_solution",
     "jacobi_apply",
 ]
-
-SCALE_LIMIT = 1e150
 
 
 def _as_state_data(data, m: int) -> np.ndarray:
@@ -221,9 +217,7 @@ class HatTrajectory:
 
     ``k0`` is the site of the initial data. A fundamental system is the
     2m-column trajectory of :func:`fundamental`: its left m columns are
-    Theta, its right m columns Phi. The data are scanned for the 1e150 scale
-    limit on construction, unless ``scale_warning`` is passed for data
-    already scanned (a column block of a scanned trajectory).
+    Theta, its right m columns Phi.
 
     The plain values (psi1(k); psi2(k)) are computed once, on first read, and
     kept read-only: the sites above ``k_lo`` as one array sliced from the
@@ -232,20 +226,13 @@ class HatTrajectory:
     """
 
     def __init__(self, sys: HamiltonianSystem, z: complex, k_lo: int,
-                 data: np.ndarray, k0: int, scale_warning: bool | None = None):
+                 data: np.ndarray, k0: int):
         self.sys = sys
         self.z = z
         self.k_lo = k_lo
         self.k0 = k0
         self.data = data  # (n, 2m, r)
         self.data.setflags(write=False)
-        if scale_warning is None:
-            scale_warning = bool(np.max(np.abs(data)) > SCALE_LIMIT)
-            if scale_warning:
-                warnings.warn(
-                    "solution columns exceed 1e150; consider the Riccati form "
-                    "for long ranges", RuntimeWarning, stacklevel=3)
-        self.scale_warning = scale_warning
 
     @property
     def m(self) -> int:
@@ -324,9 +311,9 @@ class HatTrajectory:
 
     def _columns(self, cols: slice) -> HatTrajectory:
         """Trajectory of a column block sharing this trajectory's plain
-        values, which are computed now, and its scale scan."""
+        values, which are computed now."""
         block = HatTrajectory(self.sys, self.z, self.k_lo, self.data[:, :, cols],
-                              self.k0, self.scale_warning)
+                              self.k0)
         block._plain_above = self._plain_above[:, :, cols]
         block._plain_lo = self._plain_lo[:, cols]
         return block

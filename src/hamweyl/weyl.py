@@ -29,6 +29,7 @@ from .errors import EigenvalueHitError, InputError, TransformPoleError
 from .propagate import (
     HatTrajectory,
     _a_form_sum,
+    _steps,
     _weighted,
     _weyl_columns,
     fundamental,
@@ -170,85 +171,79 @@ def e_functional(sys: HamiltonianSystem, ctx: DiskContext, M,
 
 @dataclass
 class MFunction:
-    """Regular-interval Weyl-Titchmarsh matrix with solve diagnostics."""
+    """Regular-interval Weyl-Titchmarsh matrix with its pole diagnostic."""
 
     M: np.ndarray
     context: DiskContext
     beta: object
     smin: float
-    rcond: float
 
     @property
     def m(self) -> int:
         return self.M.shape[0]
 
 
-# the one threshold of the "z is on an eigenvalue" rule
+# the one threshold of the "z is a pole of M" rule; sweep steps per QR
 _M_SINGULAR_TOL = 1e-13
+_QR_STEPS = 8
 
 
-def _extract_m(hats: np.ndarray, bt: np.ndarray):
-    """M = -[bt Phi^]^{-1} [bt Theta^] from an (N, 2m, 2m) stack of hats at ell.
+def _pole_rule(a: np.ndarray, b: np.ndarray):
+    """M = a^-1 b over (N, m, m) stacks and the one rule for "z is a pole of
+    M": smin = (1 + ||M||_2^2)^(-1/2), the smallest singular value of the top
+    block of an orthonormal basis of span(I; M), is below 1e-13 or M is not
+    finite. Returns (M, smin, hit), M NaN where hit."""
+    with np.errstate(all="ignore"):
+        try:
+            M = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:  # NaN where a is exactly singular
+            M = np.full(b.shape, np.nan, dtype=complex)
+            ok = np.linalg.det(a) != 0
+            M[ok] = np.linalg.solve(a[ok], b[ok])
+        ok = np.all(np.isfinite(M), axis=(1, 2))
+        smin = np.zeros(len(M))
+        smin[ok] = 1.0 / np.hypot(1.0, la.opnorm(M[ok]))
+    hit = smin < _M_SINGULAR_TOL
+    M[hit] = np.nan
+    return M, smin, hit
 
-    The one rule for "z is on an eigenvalue": the weighted right block is
-    singular when its 2-norm rcond, or its smallest singular value against
-    the scale of the whole boundary-weighted row, is below 1e-13.
-    Returns (M, smin, rcond, hit) over the stack, with M NaN where ``hit``.
-    """
-    m = hats.shape[1] // 2
-    btheta = bt @ hats[:, :, :m]
-    bphi = bt @ hats[:, :, m:]
-    s = np.linalg.svd(bphi, compute_uv=False)
-    smin, smax = s[:, -1], s[:, 0]
-    rc = np.divide(smin, smax, out=np.zeros_like(smax), where=smax > 0.0)
 
-    def tiny(norm_theta, sel):
-        # judge singularity against the whole boundary-weighted row: a right
-        # block that is tiny relative to the left block is a pole of M even
-        # when it is perfectly conditioned on its own (always so for m = 1)
-        row = np.maximum(np.maximum(norm_theta, smax[sel]), 1e-300)
-        return smin[sel] < _M_SINGULAR_TOL * row
-
-    # the 2-norm of the left block is taken only where its Frobenius bound
-    # (with a margin for rounding) leaves the decision open
-    hit = rc < _M_SINGULAR_TOL
-    frobenius = np.linalg.norm(btheta, axis=(1, 2)) * (1.0 + 1e-10)
-    sel = ~hit & tiny(frobenius, slice(None))
-    hit[sel] = tiny(np.linalg.svd(btheta[sel], compute_uv=False)[:, 0], sel)
-    ok = ~hit
-    M = np.full_like(btheta, np.nan)
-    M[ok] = -np.linalg.solve(bphi[ok], btheta[ok])
-    return M, smin, rc, hit
+def _ker_basis(bt: np.ndarray) -> np.ndarray:
+    """Orthonormal 2m x m basis of ker bt for a weighted boundary row bt."""
+    return la.adjoint(np.linalg.svd(bt)[2][bt.shape[0]:])
 
 
 def m_from_hat(sys: HamiltonianSystem, hat: np.ndarray, ell: int, beta):
-    """M from one fundamental hat value at ell; returns (M, smin, rcond).
+    """M = -[bt Phi^]^{-1} [bt Theta^] from one fundamental hat value at ell;
+    returns (M, smin).
 
     ``beta`` is :class:`BoundaryData` (weighted at ell) or an m x 2m array
-    already in weighted form. M is None when the weighted right block is
-    singular by the rule of the batched extraction.
+    already in weighted form. M is None where the rule of
+    :func:`m_regular` reports a pole.
     """
-    M, smin, rc, hit = _extract_m(hat[None], _weighted(beta, sys, ell))
-    return (None if hit[0] else M[0]), float(smin[0]), float(rc[0])
+    hats, m = hat[None], sys.m
+    bt = _weighted(beta, sys, ell)
+    M, smin, hit = _pole_rule(bt @ hats[:, :, m:], -(bt @ hats[:, :, :m]))
+    return (None if hit[0] else M[0]), float(smin[0])
 
 
 def m_regular(sys: HamiltonianSystem, ctx: DiskContext, beta,
               fund: HatTrajectory | None = None) -> MFunction:
     """Weyl-Titchmarsh matrix of the regular two-point problem.
 
-    M = -[bt Phi^(z,ell)]^{-1} [bt Theta^(z,ell)]. The weighted right block
-    is nonsingular for Im z != 0 and self-adjoint beta; it is checked anyway,
-    and a singular block raises :class:`EigenvalueHitError` (for real z this
-    is exactly an eigenvalue of the two-point problem).
+    M by the inward sweep of :func:`regular_m_evaluator` at the z of
+    ``ctx``; where z is a pole of M (for real z, an eigenvalue of the
+    problem seen from k0) it raises :class:`EigenvalueHitError`. ``fund``
+    is accepted and ignored.
     """
     if isinstance(beta, BoundaryData) and beta.sign_class != "zero" \
             and ctx.z.imag == 0:
         raise InputError("real z requires self-adjoint boundary data")
-    fund = _fundamental_for(sys, ctx, fund)
-    M, smin, rc = m_from_hat(sys, fund.hat(ctx.ell), ctx.ell, beta)
-    if M is None:
-        raise EigenvalueHitError(ctx.z, smin)
-    return MFunction(M=M, context=ctx, beta=beta, smin=smin, rcond=rc)
+    ev = regular_m_evaluator(sys, ctx.k0, ctx.ell, ctx.alpha, beta)
+    M, smin, hit = ev.extract(np.array([ctx.z]))
+    if hit[0]:
+        raise EigenvalueHitError(ctx.z, float(smin[0]))
+    return MFunction(M=M[0], context=ctx, beta=beta, smin=float(smin[0]))
 
 
 def disk_membership(E: np.ndarray, tol: float = 1e-9) -> str:
@@ -445,7 +440,7 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
         if not la.all_finite(hats):
             note = f"propagation lost finiteness before ell={ell}"
             break
-        M, smin, _ = m_from_hat(sys, hats[0], ell, beta)
+        M, smin = m_from_hat(sys, hats[0], ell, beta)
         if M is None:
             note = f"far boundary block singular at ell={ell} (smin={smin:.2e})"
             break
@@ -532,22 +527,29 @@ def herglotz_check(sys: HamiltonianSystem, z_grid, k0: int, alpha, *,
     """
     if (ell is None) == (direction is None):
         raise InputError("give exactly one of ell= (regular) or direction=")
+    zs = np.asarray(z_grid, dtype=complex).reshape(-1)
+    if np.any(zs.imag <= 0):
+        raise InputError("grid must lie in the open upper half plane")
+    if ell is not None:
+        # the grid and its conjugates as one evaluator batch
+        if zs.size:
+            disk_context(sys, complex(zs[0]), k0, ell, alpha)
+        bd = beta if beta is not None else dirichlet(sys.m)
+        both = np.concatenate([zs, zs.conj()])
+        M, smin, hit = regular_m_evaluator(sys, k0, ell, alpha, bd).extract(both)
+        if hit.any():
+            i = int(np.argmax(hit))
+            raise EigenvalueHitError(complex(both[i]), float(smin[i]))
+        pairs = zip(M[:zs.size], M[zs.size:])
+        sgn = 1 if ell > k0 else -1
+    else:
+        sgn = +1 if direction in (+1, "+", "plus") else -1
+        pairs = ((limit_m(sys, z, k0, alpha, sgn, opts).M_pm,
+                  limit_m(sys, np.conj(z), k0, alpha, sgn, opts).M_pm)
+                 for z in zs)
     rows, violations = [], []
-    for z in np.asarray(z_grid, dtype=complex).reshape(-1):
+    for z, (mz, mzbar) in zip(zs, pairs):
         z = complex(z)
-        if z.imag <= 0:
-            raise InputError("grid must lie in the open upper half plane")
-        if ell is not None:
-            bd = beta if beta is not None else dirichlet(sys.m)
-            mz = m_regular(sys, disk_context(sys, z, k0, ell, alpha), bd).M
-            mzbar = m_regular(sys, disk_context(sys, np.conj(z), k0, ell, alpha),
-                              bd).M
-            sgn = sigma_of(ell, k0, z)
-        else:
-            dir_ = +1 if direction in (+1, "+", "plus") else -1
-            mz = limit_m(sys, z, k0, alpha, dir_, opts).M_pm
-            mzbar = limit_m(sys, np.conj(z), k0, alpha, dir_, opts).M_pm
-            sgn = dir_
         if mz is None or mzbar is None:
             violations.append(f"z={z}: no M value")
             continue
@@ -576,21 +578,30 @@ def regular_m_evaluator(sys: HamiltonianSystem, k0: int, ell: int, alpha, beta):
 
     The returned callable accepts a scalar (returning (m, m)) or an array
     (returning (N, m, m)), as :func:`spectral_measure`, :func:`xi_function`
-    and :func:`fit_herglotz_parts` require. All z of a call go through one
-    batched propagation with the pencil check of
-    :func:`hamweyl.propagate.propagate_hats`, so a near-singular pencil
-    raises :class:`SteppingError` as in :func:`m_regular`. M is extracted by
-    the singularity rule of :func:`m_regular`: where m_regular raises
-    :class:`EigenvalueHitError` the evaluator returns NaN. Its ``extract``
-    attribute maps a z array to the full (M, smin, rcond, hit) tuple.
+    and :func:`fit_herglotz_parts` require. Theta + Phi M is the solution
+    whose hat at ell lies in ker bt, so all z of a call sweep an orthonormal
+    basis Y of ker bt from ell to k0 as one batch through the transfers and
+    pencil check of :func:`hamweyl.propagate.propagate_hats`, with a QR
+    every 8 steps (Miller's backward recurrence; Gautschi, SIAM Rev. 9,
+    1967); then (C; D) = initial_hat(k0)^-1 Y(k0) and M = D C^-1. Where z
+    is a pole of M the evaluator returns NaN and :func:`m_regular` raises.
+    ``extract`` maps a z array to the full (M, smin, hit) tuple.
     """
     if ell == k0:
         raise InputError("ell must differ from k0")
-    init = initial_hat(sys, k0, alpha)
-    bt = _weighted(beta, sys, ell)
+    k_inv = np.linalg.inv(initial_hat(sys, k0, alpha))
+    y0 = _ker_basis(_weighted(beta, sys, ell))
 
     def extract(z):
-        return _extract_m(propagate_hats(sys, z, k0, init, ell), bt)
+        y = y0
+        z = np.atleast_1d(np.asarray(z, dtype=complex))
+        for j, t in enumerate(_steps(sys, z, ell, k0)):
+            if j and j % _QR_STEPS == 0:
+                y = np.linalg.qr(y)[0]
+            y = t @ y
+        cd = np.swapaxes(k_inv @ y, 1, 2)  # M^T = C^-T D^T
+        mt, smin, hit = _pole_rule(cd[:, :, :sys.m], cd[:, :, sys.m:])
+        return np.swapaxes(mt, 1, 2), smin, hit
 
     def ev(z):
         arr = np.asarray(z, dtype=complex)
@@ -618,7 +629,7 @@ def _pencil_data(sys: HamiltonianSystem, k0: int, ell: int, alpha, beta):
     block of the initial hat at k0, and ker bt at ell."""
     m = sys.m
     q_alpha = initial_hat(sys, k0, alpha)[:, m:]
-    q_beta = la.adjoint(np.linalg.svd(_weighted(beta, sys, ell))[2][m:])
+    q_beta = _ker_basis(_weighted(beta, sys, ell))
     idx = sys._indices(range(min(k0, ell), max(k0, ell) + 1))
     q_lo, q_hi = (q_alpha, q_beta) if k0 < ell else (q_beta, q_alpha)
     return sys._A[idx[1:]], sys._B[idx[1:]], sys._rho[idx], q_lo, q_hi

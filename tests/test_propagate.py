@@ -1,4 +1,3 @@
-import warnings
 
 import numpy as np
 import pytest
@@ -363,39 +362,13 @@ def test_periodic_extension_propagation():
         assert np.allclose(t_small.hat(k), t_tiled.hat(k), atol=1e-13)
 
 
-def test_scale_monitor_warns():
-    sysj = make_free_jacobi((0, 260))
-    with pytest.warns(RuntimeWarning, match="1e150"):
-        hp.fundamental(sysj, 4j, 0, hsys.dirichlet(1), (0, 260))
-
-
-def _scale_warnings(record):
-    return [w for w in record if "1e150" in str(w.message)]
-
-
-def test_fundamental_scans_its_data_once():
-    # the fundamental is the trajectory its propagation built: one scan and
-    # one warning per call
-    sysj = make_free_jacobi((0, 400))
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        fund = hp.fundamental(sysj, -3 + 0.1j, 0, hsys.dirichlet(1), (0, 400))
-    assert len(_scale_warnings(record)) == 1
-    assert fund.scale_warning
-
-
 def test_column_blocks_reuse_the_parent_scan():
-    # the Phi-role block of a half-line kernel shares the data its parent
-    # already scanned: no second scan, no second warning
+    # the Phi-role block of a half-line kernel shares the plain values its
+    # parent already computed
     sysj = make_free_jacobi((0, 400))
-    with pytest.warns(RuntimeWarning, match="1e150"):
-        fund = hp.fundamental(sysj, -3 + 0.1j, 0, hsys.dirichlet(1), (0, 400))
-    assert np.max(np.abs(fund.data[:, :, 1:])) > hp.SCALE_LIMIT
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        phi = fund._columns(slice(1, None))
-    assert not _scale_warnings(record)
-    assert phi.scale_warning and phi.k0 == fund.k0
+    fund = hp.fundamental(sysj, -3 + 0.1j, 0, hsys.dirichlet(1), (0, 400))
+    phi = fund._columns(slice(1, None))
+    assert phi.k0 == fund.k0
     assert np.array_equal(phi.plain(200), fund.plain(200)[:, 1:])
 
 
