@@ -25,7 +25,8 @@ Each z gets the same bits whatever the batch or chunk it is assembled in.
 
 Trajectories are stored densely with no re-orthogonalization; callers
 that need only a subspace at one end sweep it with QR instead (the regular
-M of :mod:`hamweyl.weyl` sweeps ker bt inward from the far site).
+M of :mod:`hamweyl.weyl` sweeps ker bt inward from the far site, the
+half-line M the decaying subspace of a constant tail from the window edge).
 One trajectory type, :class:`HatTrajectory`, serves every caller: the
 fundamental system (Theta and Phi are its left and right column blocks),
 Weyl solutions and the role families of the Green's kernels; it computes

@@ -30,6 +30,7 @@ from .propagate import (
     HatTrajectory,
     _a_form_sum,
     _steps,
+    _transfers,
     _weighted,
     _weyl_columns,
     fundamental,
@@ -208,6 +209,23 @@ def _pole_rule(a: np.ndarray, b: np.ndarray):
     return M, smin, hit
 
 
+def _sweep_m(sys: HamiltonianSystem, k_inv: np.ndarray, k_start: int, k0: int,
+             y: np.ndarray, z: np.ndarray):
+    """(M, smin, hit) at every z of a batch for the solutions whose hats at
+    ``k_start`` span the m columns of ``y`` (shared, 2m x m): y is swept to
+    k0 through the transfers of :func:`hamweyl.propagate.propagate_hats`,
+    with a QR every 8 steps; then (C; D) = k_inv Y(k0), with k_inv the
+    inverse initial hat at k0, and M = D C^-1 under :func:`_pole_rule`."""
+    for j, t in enumerate(_steps(sys, z, k_start, k0)):
+        if j and j % _QR_STEPS == 0:
+            y = np.linalg.qr(y)[0]
+        y = t @ y
+    y = np.broadcast_to(y, z.shape + y.shape[-2:])  # no steps: still shared
+    cd =np.swapaxes(k_inv @ y, 1, 2)  # M^T = C^-T D^T
+    mt, smin, hit = _pole_rule(cd[:, :, :sys.m], cd[:, :, sys.m:])
+    return np.swapaxes(mt, 1, 2), smin, hit
+
+
 def _ker_basis(bt: np.ndarray) -> np.ndarray:
     """Orthonormal 2m x m basis of ker bt for a weighted boundary row bt."""
     return la.adjoint(np.linalg.svd(bt)[2][bt.shape[0]:])
@@ -336,6 +354,9 @@ _LP_THRESHOLD = 1e-6
 _LC_THRESHOLD = 1e-2
 _SCHEDULE_START = 8
 _RESCALE_STEPS = 16
+# tail multipliers closer to the unit circle than this times ||T||_F have
+# no trustworthy side
+_UNIT_MARGIN = 64 * np.finfo(float).eps
 
 
 @dataclass
@@ -349,7 +370,8 @@ class LimitOptions:
 
 @dataclass
 class HalfLineLimit:
-    """Result of chasing M along a far-site schedule toward one endpoint."""
+    """Half-line M toward one endpoint: exact from a constant tail, or
+    chased along a far-site schedule."""
 
     M_pm: np.ndarray | None
     direction: int
@@ -393,25 +415,66 @@ def _clip_psd(a: np.ndarray) -> np.ndarray:
     return la.herm((v * np.clip(w, 0.0, None)) @ v.conj().T)
 
 
+def _herglotz_cone(M: np.ndarray, sigma: int) -> np.ndarray:
+    """M with sigma Im M clipped to the positive semidefinite cone."""
+    return la.real_part(M) + 1j * sigma * _clip_psd(sigma * la.imag_part(M))
+
+
+def _tail_basis(sys: HamiltonianSystem, z: complex, edge: int, direction: int):
+    """Orthonormal 2m x m basis of the hats at ``edge`` of the solutions that
+    decay toward direction * infinity in a constant tail.
+
+    Every transfer beyond ``edge`` is the forward one at edge -> edge + 1
+    (direction +1) or edge - 1 -> edge (-1), and the decaying hats are its
+    invariant subspace with |lambda| < 1 (+1) or |lambda| > 1 (-1), read from
+    an ordered complex Schur form. A multiplier within rounding of the unit
+    circle, or a split other than m/m, raises :class:`InputError`.
+    """
+    start = edge if direction > 0 else edge - 1
+    t = _transfers(sys, np.array([z]), start, start + 1)[0, 0]
+    s, q, sdim = scipy.linalg.schur(t, output="complex",
+                                    sort="iuc" if direction > 0 else "ouc")
+    lam = np.abs(np.diag(s))
+    near = np.abs(lam - 1.0) <= _UNIT_MARGIN * np.linalg.norm(t)
+    if near.any() or sdim != sys.m:
+        what = (f"a multiplier of modulus {lam[np.argmax(near)]:.17g}"
+                if near.any() else f"a {sdim}/{2 * sys.m - sdim} split")
+        raise InputError(f"the constant tail at site {edge} has {what} at "
+                         f"z={z}, not an m/m split of its multipliers "
+                         "about the unit circle")
+    return q[:, :sys.m]
+
+
 def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
             direction, opts: LimitOptions | None = None) -> HalfLineLimit:
-    """Half-line limit of the regular M along ell -> +-infinity.
+    """Half-line limit M+- of the regular M along ell -> direction * infinity.
 
-    Propagates the fundamental hats at z and conj z as one batch, rescaled
-    by powers of two after every 16 steps or fewer (exact, so M is bit for
-    bit that of unscaled hats), and evaluates M with a fixed self-adjoint
-    far boundary (Dirichlet by default) and the disk diameter at each
-    schedule site. Stops when two consecutive values differ by less than
-    ``opts.tol`` relative or the window is exhausted; the latter yields an
-    inconclusive classification unless the last disk's diameter is itself
-    below ``opts.tol`` relative (a limit point: the limit lies in that
-    disk). A pencil failing its check at z or conj z raises
-    :class:`SteppingError`.
+    Exact path (no ``opts.ell_schedule``, ``constant-edge`` extension): the
+    solutions that decay toward direction * infinity are the tail's
+    invariant subspace of :func:`_tail_basis`, taken at the window edge
+    (or at k0 when k0 lies beyond it) and swept to k0 at z alone as in
+    :func:`regular_m_evaluator`. The result is a ``limit_point`` with
+    ``ell_sequence`` [edge], zero gap and diameter, and no far boundary:
+    ``opts.tol`` and ``opts.beta`` do not enter it (beta is only recorded).
+    No m/m split of the tail's multipliers raises :class:`InputError`, a
+    pole of M :class:`EigenvalueHitError`.
 
-    In the limit-point regime the returned value is boundary-independent; in
-    the limit-circle regime it depends on the chosen far boundary, which is
-    recorded on the result. The returned matrix is projected onto the
-    sigma-Herglotz sign cone (a no-op up to roundoff in valid runs).
+    Chase (an explicit ``opts.ell_schedule``, or a ``periodic`` or ``error``
+    system, which has no constant tail): propagates the fundamental hats at
+    z and conj z as one batch, rescaled by powers of two after every 16
+    steps or fewer (exact, so M is bit for bit that of unscaled hats), and
+    evaluates M with a fixed self-adjoint far boundary (Dirichlet by
+    default) and the disk diameter at each schedule site. Stops when two
+    consecutive values differ by less than ``opts.tol`` relative or the
+    window is exhausted; the latter yields an inconclusive classification
+    unless the last disk's diameter is itself below ``opts.tol`` relative
+    (a limit point: the limit lies in that disk). In the limit-point regime
+    the chased value is boundary-independent; in the limit-circle regime it
+    depends on the chosen far boundary, which is recorded on the result.
+
+    A pencil failing its check raises :class:`SteppingError`. The returned
+    matrix is projected onto the sigma-Herglotz sign cone (a no-op up to
+    roundoff in valid runs).
     """
     opts = opts or LimitOptions()
     direction = +1 if direction in (+1, "+", "plus") else -1
@@ -421,10 +484,21 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
     beta = opts.beta if opts.beta is not None else dirichlet(sys.m)
     if beta.sign_class != "zero":
         raise InputError("far boundary data must have sign class zero")
+    sigma = sigma_of(k0 + direction, k0, z)
+    if opts.ell_schedule is None and sys.extension == "constant-edge":
+        edge = max(sys.k_max, k0) if direction > 0 else min(sys.k_min, k0)
+        M, smin, hit = _sweep_m(sys, np.linalg.inv(initial_hat(sys, k0, alpha)),
+                                edge, k0, _tail_basis(sys, z, edge, direction),
+                                np.array([z]))
+        if hit[0]:
+            raise EigenvalueHitError(z, float(smin[0]))
+        return HalfLineLimit(M_pm=_herglotz_cone(M[0], sigma), direction=direction,
+                             ell_sequence=[edge], cauchy_gap=0.0,
+                             diameter_estimate=0.0, classification="limit_point",
+                             beta=beta)
     schedule = opts.ell_schedule or _default_schedule(sys, k0, direction)
     if not schedule:
         raise InputError("empty far-site schedule (window too small)")
-    sigma = sigma_of(k0 + direction, k0, z)
 
     hats = np.stack([initial_hat(sys, k0, alpha)] * 2)
     exps, k = np.zeros(2, dtype=int), k0
@@ -493,10 +567,8 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
         if not note and not converged:
             note = "window exhausted before the Cauchy criterion was met"
 
-    m_proj = la.real_part(M_final) + 1j * sigma * _clip_psd(
-        sigma * la.imag_part(M_final))
-    return HalfLineLimit(M_pm=m_proj, direction=direction, ell_sequence=ells,
-                         cauchy_gap=gaps[-1] if gaps else np.inf,
+    return HalfLineLimit(M_pm=_herglotz_cone(M_final, sigma), direction=direction,
+                         ell_sequence=ells, cauchy_gap=gaps[-1] if gaps else np.inf,
                          diameter_estimate=diam, classification=classification,
                          beta=beta, gaps=gaps, diameters=diameters, note=note)
 
@@ -580,12 +652,10 @@ def regular_m_evaluator(sys: HamiltonianSystem, k0: int, ell: int, alpha, beta):
     (returning (N, m, m)), as :func:`spectral_measure`, :func:`xi_function`
     and :func:`fit_herglotz_parts` require. Theta + Phi M is the solution
     whose hat at ell lies in ker bt, so all z of a call sweep an orthonormal
-    basis Y of ker bt from ell to k0 as one batch through the transfers and
-    pencil check of :func:`hamweyl.propagate.propagate_hats`, with a QR
-    every 8 steps (Miller's backward recurrence; Gautschi, SIAM Rev. 9,
-    1967); then (C; D) = initial_hat(k0)^-1 Y(k0) and M = D C^-1. Where z
-    is a pole of M the evaluator returns NaN and :func:`m_regular` raises.
-    ``extract`` maps a z array to the full (M, smin, hit) tuple.
+    basis of ker bt from ell to k0 as one batch (:func:`_sweep_m`; Miller's
+    backward recurrence, Gautschi, SIAM Rev. 9, 1967). Where z is a pole
+    of M the evaluator returns NaN and :func:`m_regular` raises. ``extract``
+    maps a z array to the full (M, smin, hit) tuple.
     """
     if ell == k0:
         raise InputError("ell must differ from k0")
@@ -593,15 +663,8 @@ def regular_m_evaluator(sys: HamiltonianSystem, k0: int, ell: int, alpha, beta):
     y0 = _ker_basis(_weighted(beta, sys, ell))
 
     def extract(z):
-        y = y0
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        for j, t in enumerate(_steps(sys, z, ell, k0)):
-            if j and j % _QR_STEPS == 0:
-                y = np.linalg.qr(y)[0]
-            y = t @ y
-        cd = np.swapaxes(k_inv @ y, 1, 2)  # M^T = C^-T D^T
-        mt, smin, hit = _pole_rule(cd[:, :, :sys.m], cd[:, :, sys.m:])
-        return np.swapaxes(mt, 1, 2), smin, hit
+        return _sweep_m(sys, k_inv, ell, k0, y0,
+                        np.atleast_1d(np.asarray(z, dtype=complex)))
 
     def ev(z):
         arr = np.asarray(z, dtype=complex)

@@ -17,8 +17,8 @@ def dirichlet1():
     return hsys.dirichlet(1)
 
 
-def make_free_jacobi(window):
-    return hsys.jacobi_system(lambda k: 1.0, lambda k: 0.0, window)
+def make_free_jacobi(window, extension="constant-edge"):
+    return hsys.jacobi_system(lambda k: 1.0, lambda k: 0.0, window, extension=extension)
 
 
 def boundary_family(m, n):

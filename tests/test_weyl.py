@@ -543,10 +543,11 @@ def test_limit_agrees_with_matrix_fixed_point():
 def test_limit_circle_classification():
     # zero three-term diagonal with quadratically growing weights: every
     # solution is square-summable, so the limiting disk keeps a positive
-    # diameter and the far-boundary dependence persists
+    # diameter and the far-boundary dependence persists; under the 'error'
+    # extension the window is all there is, so the chase judges it
     p = lambda k: float((abs(k) + 1) ** 2)
     q = lambda k: -(p(k + 1) + p(k))
-    sysg = hsys.jacobi_system(p, q, (0, 420))
+    sysg = hsys.jacobi_system(p, q, (0, 420), extension="error")
     al = hsys.dirichlet(1)
     lim = hwl.limit_m(sysg, 1j, 0, al, +1)
     assert lim.classification == "limit_circle"
@@ -572,8 +573,9 @@ def test_limit_agrees_with_fixed_point_dirac():
 
 def test_limit_point_by_last_disk_when_cauchy_gap_misses_tol():
     # on [-120, 120] at 1+0.2i the last Cauchy gap is ~3.6e-7 > tol, but the
-    # last disk (diameter ~4e-12) pins M to far below tol
-    sysj = make_free_jacobi((-120, 120))
+    # last disk (diameter ~4e-12) pins M to far below tol; the 'error'
+    # extension has no constant tail, so the chase runs
+    sysj = make_free_jacobi((-120, 120), extension="error")
     al = hsys.dirichlet(1)
     expect = {+1: ("-0x1.1d4d5912507a1p-1", "0x1.8c1cae3c6c49cp-1"),
               -1: ("-0x1.c5654ddb5f0c5p-2", "-0x1.f28314a2d2b00p-1")}
@@ -594,12 +596,68 @@ def test_limit_point_by_last_disk_when_cauchy_gap_misses_tol():
 
 
 def test_limit_inconclusive_when_window_short():
-    sysj = make_free_jacobi((0, 30))
+    # the 'error' extension has no constant tail, so the chase runs
+    sysj = make_free_jacobi((0, 30), extension="error")
     al = hsys.dirichlet(1)
     opts = hwl.LimitOptions(tol=1e-30)  # unreachable Cauchy tolerance
     lim = hwl.limit_m(sysj, 1j, 0, al, +1, opts)
     assert lim.classification == "inconclusive"
     assert lim.note
+
+
+CONST_M2 = (np.array([[1.0, 0.25j], [-0.25j, 0.8]]),
+            np.array([[0.3, 0.1], [0.1, -0.2]]))
+
+
+@pytest.mark.parametrize("z", [0.3 + 0.05j, 0.3 + 0.01j])
+def test_limit_exact_from_constant_tail_near_band(z):
+    # near the band the doubling chase on [-120, 120] stops 1e-5 to 1e-1
+    # off; the tail's decaying subspace gives M+- to rounding
+    p, q = CONST_M2
+    for sys_ in (make_free_jacobi((-120, 120)),
+                 hsys.jacobi_system(lambda k: p, lambda k: q, (-120, 120))):
+        al = hsys.dirichlet(sys_.m)
+        for direction in (+1, -1):
+            lim = hwl.limit_m(sys_, z, 0, al, direction)
+            v = htk.constant_riccati_fixed_point(sys_, z, direction)
+            assert lim.classification == "limit_point"
+            assert lim.ell_sequence == [120 * direction]
+            assert lim.cauchy_gap == lim.diameter_estimate == 0.0
+            assert la.opnorm(lim.M_pm + v) < 1e-12
+
+
+@pytest.mark.parametrize("seed", [5, 13])
+def test_limit_exact_matches_padded_sweep(seed):
+    # the chase read limit_circle here; the tail splits 2/2, so M+- is a
+    # limit point, and the regular M 1500 constant sites past the edge
+    # agrees with it
+    sysr = htk.random_system(2, (0, 100), seed, "general_A12zero")
+    al = hsys.dirichlet(2)
+    z = 1 + 0.2j
+    for direction, ell in ((+1, 1600), (-1, -1500)):
+        lim = hwl.limit_m(sysr, z, 50, al, direction)
+        ref = hwl.regular_m_evaluator(sysr, 50, ell, al, al)(z)
+        assert lim.classification == "limit_point"
+        assert la.opnorm(lim.M_pm - ref) < 1e-12 * (1 + la.opnorm(ref))
+
+
+def test_limit_exact_at_window_edge():
+    # k0 = k_min looking outward has no schedule site, only the tail
+    p, q = CONST_M2
+    sys_ = hsys.jacobi_system(lambda k: p, lambda k: q, (-120, 120))
+    z = 0.3 + 0.05j
+    lim = hwl.limit_m(sys_, z, -120, hsys.dirichlet(2), -1)
+    assert lim.ell_sequence == [-120]
+    assert la.opnorm(lim.M_pm + htk.constant_riccati_fixed_point(sys_, z, -1)) < 1e-12
+
+
+def test_limit_tail_without_split_raises():
+    # A = 0: the transfer does not depend on z, and its multipliers
+    # exp(+-i pi/3) lie on the unit circle
+    sys_ = hsys.HamiltonianSystem(1, (-30, 30), A=np.zeros((2, 2)),
+                                  B=[[1, 1], [1, 1]], rho=1)
+    with pytest.raises(InputError, match="m/m split"):
+        hwl.limit_m(sys_, 0.5 + 0.5j, 0, hsys.dirichlet(1), +1)
 
 
 def test_diameter_decreases_along_ell():
