@@ -22,7 +22,6 @@ import numpy as np
 
 from . import _linalg as la
 from . import green as hgreen
-from . import propagate as hprop
 from . import system as hsystem
 from . import testkit as htestkit
 from . import weyl as hweyl
@@ -333,20 +332,12 @@ def cmd_disk(args) -> int:
             schedule.append(args.ell_max)
     else:
         raise UsageError("give --ell-schedule or --ell-max")
-    ctxs = [hweyl.disk_context(sys_, z, args.k0, ell, alpha) for ell in schedule]
-    # one fundamental for every row: a hat is the same product whatever the range
-    sites = [args.k0] + schedule
-    fund = hprop.fundamental(sys_, z, args.k0, alpha, (min(sites), max(sites)))
-    rows = []
-    for ell, ctx in zip(schedule, ctxs):
-        mf = hweyl.m_regular(sys_, ctx, beta)
-        e_val = hweyl.e_functional(sys_, ctx, mf.M, fund=fund)
-        verdict = hweyl.disk_membership(e_val, tol=args.tol)
-        diam = hweyl.disk_diameter_estimate(sys_, ctx, fund=fund)
-        row = {"ell": ell, "membership": verdict,
-               "E_norm": la.opnorm(e_val), "diameter": diam}
-        row.update(_complex_columns("M", mf.M))
-        rows.append(row)
+    for ell in schedule:
+        hweyl.disk_context(sys_, z, args.k0, ell, alpha)
+    walk = hweyl._far_walk(sys_, z, args.k0, alpha, beta, schedule)
+    rows = [{"ell": ell, "membership": hweyl.disk_membership(e_rel, tol=args.tol),
+             "E_norm": e_norm, "diameter": diam, **_complex_columns("M", M)}
+            for ell, M, e_rel, e_norm, diam in walk]
     meta = {"command": "disk", "k0": args.k0, "z": str(z)}
     _write_output(rows, meta, args)
     return 0

@@ -23,10 +23,10 @@ block is B's for every z: its condition is computed once per system and
 site, and it is factorized once per site for the whole batch, as rho is.
 Each z gets the same bits whatever the batch or chunk it is assembled in.
 
-Trajectories are stored densely with no re-orthogonalization; callers
-that need only a subspace at one end sweep it with QR instead (the regular
-M of :mod:`hamweyl.weyl` sweeps ker bt inward from the far site, the
-half-line M the decaying subspace of a constant tail from the window edge).
+Trajectories are stored densely with no re-orthogonalization; every M of
+:mod:`hamweyl.weyl` sweeps a subspace inward with QR instead (ker bt from
+the far site, also in the limit chase and the disk walk, or the decaying
+subspace of a constant tail from the window edge).
 One trajectory type, :class:`HatTrajectory`, serves every caller: the
 fundamental system (Theta and Phi are its left and right column blocks),
 Weyl solutions and the role families of the Green's kernels; it computes

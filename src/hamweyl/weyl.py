@@ -33,7 +33,6 @@ from .propagate import (
     _transfers,
     _weighted,
     _weyl_columns,
-    fundamental,
     initial_hat,
     propagate_hats,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "a_form_sum",
     "e_functional",
     "m_regular",
-    "m_from_hat",
     "disk_membership",
     "lft_alpha_change",
     "disk_diameter_estimate",
@@ -151,23 +149,23 @@ def a_form_sum(sys: HamiltonianSystem, traj, sites: range) -> np.ndarray:
 # the disk functional and regular M-functions
 # ---------------------------------------------------------------------------
 
-def _fundamental_for(sys, ctx: DiskContext, fund: HatTrajectory | None):
-    if fund is not None:
-        return fund
-    lo, hi = min(ctx.k0, ctx.ell), max(ctx.k0, ctx.ell)
-    return fundamental(sys, ctx.z, ctx.k0, ctx.alpha, (lo, hi))
-
-
 def e_functional(sys: HamiltonianSystem, ctx: DiskContext, M,
                  fund: HatTrajectory | None = None) -> np.ndarray:
     """Disk functional E_ell(M), Hermitian m x m.
 
     Negative definite values lie in the open Weyl disk, zero on the circle.
+    Reads the fundamental hat at ell from ``fund`` when given.
     """
-    fund = _fundamental_for(sys, ctx, fund)
-    uhat = fund.hat(ctx.ell) @ _weyl_columns(fund.m, M)
-    g = uhat.conj().T @ sys.j_rho(ctx.ell) @ uhat
-    return la.herm(-1j * ctx.sigma * g)
+    hat = fund.hat(ctx.ell) if fund is not None else propagate_hats(
+        sys, ctx.z, ctx.k0, initial_hat(sys, ctx.k0, ctx.alpha), ctx.ell)[0]
+    return _disk_functional(sys, ctx.sigma, ctx.ell, hat, M)
+
+
+def _disk_functional(sys, sigma: int, ell: int, hat: np.ndarray, M) -> np.ndarray:
+    """E_ell(M) from the fundamental hat at ell; hat * 2**-e gives E * 4**-e."""
+    uhat = hat @ _weyl_columns(sys.m, M)
+    g = uhat.conj().T @ sys.j_rho(ell) @ uhat
+    return la.herm(-1j * sigma * g)
 
 
 @dataclass
@@ -229,20 +227,6 @@ def _sweep_m(sys: HamiltonianSystem, k_inv: np.ndarray, k_start: int, k0: int,
 def _ker_basis(bt: np.ndarray) -> np.ndarray:
     """Orthonormal 2m x m basis of ker bt for a weighted boundary row bt."""
     return la.adjoint(np.linalg.svd(bt)[2][bt.shape[0]:])
-
-
-def m_from_hat(sys: HamiltonianSystem, hat: np.ndarray, ell: int, beta):
-    """M = -[bt Phi^]^{-1} [bt Theta^] from one fundamental hat value at ell;
-    returns (M, smin).
-
-    ``beta`` is :class:`BoundaryData` (weighted at ell) or an m x 2m array
-    already in weighted form. M is None where the rule of
-    :func:`m_regular` reports a pole.
-    """
-    hats, m = hat[None], sys.m
-    bt = _weighted(beta, sys, ell)
-    M, smin, hit = _pole_rule(bt @ hats[:, :, m:], -(bt @ hats[:, :, :m]))
-    return (None if hit[0] else M[0]), float(smin[0])
 
 
 def m_regular(sys: HamiltonianSystem, ctx: DiskContext, beta,
@@ -337,19 +321,52 @@ def disk_diameter_estimate(sys: HamiltonianSystem, ctx: DiskContext,
                            fund: HatTrajectory | None = None) -> float:
     """Diameter 2 ||R_l|| ||R_r|| of the Weyl disk at (z, ell).
 
-    Reads the fundamental hat at z from ``fund`` (built when not given) and
-    propagates the base hat to ell once at conj z. Nonincreasing in |ell|
-    because the disks nest. ``n_samples`` is accepted and ignored.
+    Propagates the base hat to ell at z and conj z as one batch.
+    Nonincreasing in |ell| because the disks nest. ``n_samples`` and
+    ``fund`` are accepted and ignored.
     """
-    fund = _fundamental_for(sys, ctx, fund)
-    hat_bar = propagate_hats(sys, np.conj(ctx.z), ctx.k0,
-                             initial_hat(sys, ctx.k0, ctx.alpha), ctx.ell)[0]
-    return _disk_diameter(sys, ctx.z, ctx.k0, ctx.ell,
-                          np.stack([fund.hat(ctx.ell), hat_bar]), (0, 0))
+    hats = propagate_hats(sys, [ctx.z, np.conj(ctx.z)], ctx.k0,
+                          initial_hat(sys, ctx.k0, ctx.alpha), ctx.ell)
+    return _disk_diameter(sys, ctx.z, ctx.k0, ctx.ell, hats, (0, 0))
+
+
+def _far_walk(sys: HamiltonianSystem, z: complex, k0: int, alpha, beta, sites):
+    """Yield (ell, M, e_rel, e_norm, diameter) for each far site ell of
+    ``sites`` in turn. M is the regular M with far data ``beta`` from
+    :func:`_sweep_m`, bit for bit that of :func:`regular_m_evaluator`; a pole
+    raises :class:`EigenvalueHitError`. The fundamental hats at z and conj z
+    step outward from k0 as one batch, rescaled by powers of two (exact); a
+    site nearer k0 or across it restarts from k0. They give the diameter of
+    :func:`_disk_diameter`, e_norm = ||E(M)|| (inf past the float range) and
+    e_rel = E(M) / max(1, ||Psi^(ell)||^2 (1 + ||M||^2)), E against the scale
+    of its rounding; inf, inf and NaN once a step overflows the hats.
+    """
+    init = initial_hat(sys, k0, alpha)
+    k_inv, zz, k = np.linalg.inv(init), np.array([z, np.conj(z)]), None
+    for ell in sites:
+        if k is None or (ell - k0) * (k - k0) < 0 or abs(ell - k0) < abs(k - k0):
+            hats, exps, k = np.stack([init] * 2), np.zeros(2, dtype=int), k0
+        while k != ell:
+            step = min(max(ell, k - _RESCALE_STEPS), k + _RESCALE_STEPS)
+            hats, e = _rescaled(propagate_hats(sys, zz, k, hats, step))
+            exps, k = exps + e, step
+        y = _ker_basis(_weighted(beta, sys, ell))
+        (M,), (smin,), (hit,) = _sweep_m(sys, k_inv, ell, k0, y, zz[:1])
+        if hit:
+            raise EigenvalueHitError(z, float(smin))
+        if not la.all_finite(hats):  # a step grew past the float range
+            yield ell, M, np.full_like(M, np.nan), np.inf, np.inf
+            continue
+        e_s = _disk_functional(sys, sigma_of(ell, k0, z), ell, hats[0], M)
+        with np.errstate(over="ignore"):  # e_s is E * 4**-e
+            e_norm = float(np.ldexp(la.opnorm(e_s), 2 * exps[0]))
+        scale = max(np.ldexp(1.0, -2 * exps[0]),
+                    la.opnorm(hats[0]) ** 2 * (1.0 + la.opnorm(M) ** 2))
+        yield ell, M, e_s / scale, e_norm, _disk_diameter(sys, z, k0, ell, hats, exps)
 
 
 # classification thresholds relative to 1 + |M|, the first far-site offset,
-# and the most steps between power-of-two rescalings of the chased hats
+# and the most steps between power-of-two rescalings of the walked hats
 _LP_THRESHOLD = 1e-6
 _LC_THRESHOLD = 1e-2
 _SCHEDULE_START = 8
@@ -460,11 +477,11 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
     pole of M :class:`EigenvalueHitError`.
 
     Chase (an explicit ``opts.ell_schedule``, or a ``periodic`` or ``error``
-    system, which has no constant tail): propagates the fundamental hats at
-    z and conj z as one batch, rescaled by powers of two after every 16
-    steps or fewer (exact, so M is bit for bit that of unscaled hats), and
-    evaluates M with a fixed self-adjoint far boundary (Dirichlet by
-    default) and the disk diameter at each schedule site. Stops when two
+    system, which has no constant tail): walks the schedule sites with
+    :func:`_far_walk`, which gives at each the regular M with a fixed
+    self-adjoint far boundary (Dirichlet by default), bit for bit that of
+    :func:`regular_m_evaluator`, and the disk diameter, recorded at most as
+    large as the one before it (the disks nest). Stops when two
     consecutive values differ by less than ``opts.tol`` relative or the
     window is exhausted; the latter yields an inconclusive classification
     unless the last disk's diameter is itself below ``opts.tol`` relative
@@ -500,42 +517,28 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
     if not schedule:
         raise InputError("empty far-site schedule (window too small)")
 
-    hats = np.stack([initial_hat(sys, k0, alpha)] * 2)
-    exps, k = np.zeros(2, dtype=int), k0
-    ells, values, gaps, diameters = [], [], [], []
-    prev = None
-    converged = False
-    note = ""
-    for ell in schedule:
-        while k != ell:
-            step = min(max(ell, k - _RESCALE_STEPS), k + _RESCALE_STEPS)
-            hats, e = _rescaled(propagate_hats(sys, [z, np.conj(z)], k, hats, step))
-            exps, k = exps + e, step
-        if not la.all_finite(hats):
-            note = f"propagation lost finiteness before ell={ell}"
-            break
-        M, smin = m_from_hat(sys, hats[0], ell, beta)
-        if M is None:
-            note = f"far boundary block singular at ell={ell} (smin={smin:.2e})"
-            break
-        ells.append(ell)
-        values.append(M)
-        diameters.append(_disk_diameter(sys, z, k0, ell, hats, exps))
-        if prev is not None:
-            gap = la.opnorm(M - prev) / (1.0 + la.opnorm(M))
-            gaps.append(gap)
-            if gap < opts.tol:
-                converged = True
+    ells, gaps, diameters, M_final = [], [], [], None
+    converged, note = False, ""
+    try:
+        for ell, M, _, _, diam in _far_walk(sys, z, k0, alpha, beta, schedule):
+            if ells:
+                gaps.append(la.opnorm(M - M_final) / (1.0 + la.opnorm(M)))
+            ells.append(ell)
+            M_final = M
+            # the disks nest: a wider one is F22 losing definiteness to rounding
+            diameters.append(min(diam, diameters[-1]) if diameters else diam)
+            converged = bool(gaps) and gaps[-1] < opts.tol
+            if converged:
                 break
-        prev = M
+    except EigenvalueHitError as err:
+        note = f"{err} at ell={schedule[len(ells)]}"
 
-    if not values:
+    if not ells:
         return HalfLineLimit(M_pm=None, direction=direction, ell_sequence=ells,
                              cauchy_gap=np.inf, diameter_estimate=np.inf,
                              classification="inconclusive", beta=beta,
                              gaps=gaps, note=note or "no M values computed")
 
-    M_final = values[-1]
     scale = 1.0 + la.opnorm(M_final)
     recent = diameters[-3:]
     diam = recent[-1]
@@ -557,7 +560,7 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
             note = (note + "; " if note else "") + \
                 f"Cauchy criterion not met; the disk diameter {diam:.1e} at " \
                 f"ell={ells[-1]} bounds the distance to the limit"
-    elif big and stalled and len(recent) >= 2:
+    elif big and stalled:
         classification = "limit_circle"
         note = (note + "; " if note else "") + \
             "limit-circle regime: the returned value depends on the " \

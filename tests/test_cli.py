@@ -224,3 +224,30 @@ def test_measure_command(free_fixture, tmp_path):
     assert all(t > -1e-12 for t in tr)
     # one eigenvalue of the ell=6 problem lies in this window
     assert sum(t for t in tr) > 0.05
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_disk_on_a_long_window(tmp_path):
+    # the fundamental hats pass the float range near ell = 450; the disk
+    # walk keeps them rescaled, so every row stays finite and on the circle
+    from hamweyl import testkit as htk
+
+    sysj = make_free_jacobi((0, 1000))
+    path, out = tmp_path / "long.json", tmp_path / "d.json"
+    hsys.save_coefficients(sysj, path)
+    z = -3 + 0.1j
+    rc = main(["disk", "--input", str(path), "--z=-3,0.1",
+               "--ell-schedule", "20,100,200,300,450,600", "--format", "json",
+               "--output", str(out), "--no-timestamp"])
+    assert rc == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [r["ell"] for r in rows] == [20, 100, 200, 300, 450, 600]
+    assert all(r["membership"] == "circle" for r in rows)
+    assert not any(isinstance(v, float) and np.isnan(v)
+                   for r in rows for v in r.values())
+    diam = np.array([r["diameter"] for r in rows])
+    assert np.all(np.isfinite(diam)) and np.all(diam >= 0)
+    assert np.all(np.diff(diam) <= 0)
+    v = htk.constant_riccati_fixed_point(sysj, z, +1)[0, 0]
+    for r in rows:
+        assert abs(complex(r["M_00_re"], r["M_00_im"]) + v) <= 1e-12 * (1 + abs(v))

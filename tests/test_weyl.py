@@ -144,10 +144,17 @@ def test_exactly_singular_block_is_a_pole_not_an_exception():
     M, smin, hit = hwl._pole_rule(a, b)
     assert hit.tolist() == [True, False] and smin[0] == 0.0
     assert np.all(np.isnan(M[0])) and np.array_equal(M[1], np.eye(2))
-    sysr = htk.random_system(2, (0, 10), seed=3, cls="jacobi")
-    hat = np.zeros((4, 4), dtype=complex)
-    hat[:, :2] = np.eye(4)[:, :2]
-    assert hwl.m_from_hat(sysr, hat, 5, hsys.dirichlet(2))[0] is None
+    # two decoupled free chains on [0, 2] have the eigenvalue 2 exactly: the
+    # swept block C is exactly zero there
+    sys2 = hsys.jacobi_system(lambda k: np.eye(2), lambda k: np.zeros((2, 2)),
+                              (0, 12))
+    d2 = hsys.dirichlet(2)
+    M, smin, hit = hwl.regular_m_evaluator(sys2, 0, 2, d2, d2).extract(
+        np.array([2.0, 2.0 + 0.5j]))
+    assert hit.tolist() == [True, False] and smin[0] == 0.0
+    assert np.all(np.isnan(M[0])) and np.all(np.isfinite(M[1]))
+    with pytest.raises(EigenvalueHitError):
+        hwl.m_regular(sys2, hwl.DiskContext(2.0 + 0j, 0, 2, d2), d2)
 
 
 def test_evaluator_pencil_check_matches_m_regular():
@@ -361,9 +368,8 @@ def test_detected_eigenvalues_are_m_poles():
     assert len(found) == 10
     for lam in found:
         # the norm of M exceeds 1e6 somewhere within 1e-6 of the eigenvalue
-        fund = hp.fundamental(sysj, complex(lam + 1e-8), 0, al, (0, 11))
-        M, smin = hwl.m_from_hat(sysj, fund.hat(11), 11, be)
-        assert M is None or la.opnorm(M) > 1e6
+        M = hwl.regular_m_evaluator(sysj, 0, 11, al, be)(complex(lam + 1e-8))
+        assert np.all(np.isnan(M)) or la.opnorm(M) > 1e6
 
 
 def test_eigenvalues_are_m_poles_for_any_end_and_data():
@@ -560,6 +566,25 @@ def test_limit_circle_classification():
     assert la.opnorm(other.M_pm - lim.M_pm) > 1e-2
 
 
+def test_no_limit_circle_from_collapsed_forward_columns():
+    # on these general m=2 systems F22 at the last site loses definiteness to
+    # rounding (an unbounded disk after a small one); the disks nest, so the
+    # chase keeps the smaller diameter and never reads a limit circle, and
+    # its swept M agrees with the exact half-line M of the constant tail
+    al = hsys.dirichlet(2)
+    z = 1 + 0.2j
+    for seed in (5, 13):
+        sysr = htk.random_system(2, (0, 100), seed=seed, cls="general_A12zero")
+        for direction in (+1, -1):
+            exact = hwl.limit_m(sysr, z, 50, al, direction).M_pm
+            sched = [50 + direction * e for e in (8, 16, 32, 50)]
+            lim = hwl.limit_m(sysr, z, 50, al, direction,
+                              hwl.LimitOptions(ell_schedule=sched))
+            assert lim.classification != "limit_circle"
+            assert np.all(np.diff(lim.diameters) <= 0)
+            assert la.opnorm(lim.M_pm - exact) <= 1e-12 * la.opnorm(exact)
+
+
 def test_limit_agrees_with_fixed_point_dirac():
     sysd = hsys.dirac_system(lambda k: 1.0, (-140, 140))
     al = hsys.dirichlet(1)
@@ -577,8 +602,11 @@ def test_limit_point_by_last_disk_when_cauchy_gap_misses_tol():
     # extension has no constant tail, so the chase runs
     sysj = make_free_jacobi((-120, 120), extension="error")
     al = hsys.dirichlet(1)
-    expect = {+1: ("-0x1.1d4d5912507a1p-1", "0x1.8c1cae3c6c49cp-1"),
-              -1: ("-0x1.c5654ddb5f0c5p-2", "-0x1.f28314a2d2b00p-1")}
+    expect = {+1: ("-0x1.1d4d5912507a0p-1", "0x1.8c1cae3c6c49cp-1"),
+              -1: ("-0x1.c5654ddb5f0bep-2", "-0x1.f28314a2d2b02p-1")}
+    # the same M read from forward hats, before the chase swept it inward
+    forward = {+1: ("-0x1.1d4d5912507a1p-1", "0x1.8c1cae3c6c49cp-1"),
+               -1: ("-0x1.c5654ddb5f0c5p-2", "-0x1.f28314a2d2b00p-1")}
     for direction in (+1, -1):
         lim = hwl.limit_m(sysj, 1 + 0.2j, 0, al, direction)
         assert lim.cauchy_gap > 1e-9
@@ -586,9 +614,15 @@ def test_limit_point_by_last_disk_when_cauchy_gap_misses_tol():
         assert lim.classification == "limit_point"
         assert "Cauchy criterion not met" in lim.note
         # the classification does not touch the chase: M keeps its pinned
-        # bytes, which are also those of an unreachable-tol run
+        # bytes, which are those of the regular M at the last site and of an
+        # unreachable-tol run
         M = lim.M_pm[0, 0]
         assert (M.real.hex(), M.imag.hex()) == expect[direction]
+        ev = hwl.regular_m_evaluator(sysj, 0, 120 * direction, al,
+                                     hsys.dirichlet(1))
+        assert np.array_equal(lim.M_pm, ev(1 + 0.2j))
+        old = complex(*(float.fromhex(h) for h in forward[direction]))
+        assert abs(M - old) <= 1e-15 * (1 + abs(M))
         short = hwl.limit_m(sysj, 1 + 0.2j, 0, al, direction,
                             hwl.LimitOptions(tol=1e-30))
         assert short.classification == "inconclusive"
@@ -678,8 +712,7 @@ def test_diameter_close_to_dense_circle_sampling():
     for t in np.linspace(0, np.pi, 360, endpoint=False):
         bd = hsys.BoundaryData(np.array([[np.cos(t)]], dtype=complex),
                                np.array([[np.sin(t)]], dtype=complex), "zero")
-        M, _ = hwl.m_from_hat(sysj, fund.hat(6), 6, bd)
-        pts.append(M[0, 0])
+        pts.append(hwl.m_regular(sysj, ctx, bd).M[0, 0])
     pts = np.array(pts)
     brute = np.max(np.abs(pts[:, None] - pts[None, :]))
     closed = hwl.disk_diameter_estimate(sysj, ctx, fund=fund)
@@ -735,10 +768,10 @@ def test_limit_m_matches_unscaled_chase_bitwise():
                                               for e in (8, 19, 40, 70)],
                                 tol=1e-30)
         lim = hwl.limit_m(sysr, z, 0, al, direction, opts)
-        hat, k, gaps, prev = hp.initial_hat(sysr, 0, al), 0, [], None
+        # the chase's M at each site is the regular M evaluator's, bit for bit
+        gaps, prev = [], None
         for ell in lim.ell_sequence:
-            hat, k = hp.propagate_hats(sysr, z, k, hat, ell)[0], ell
-            M = hwl.m_from_hat(sysr, hat, ell, beta)[0]
+            M = hwl.regular_m_evaluator(sysr, 0, ell, al, beta)(z)
             if prev is not None:
                 gaps.append(la.opnorm(M - prev) / (1.0 + la.opnorm(M)))
             prev = M
