@@ -336,7 +336,7 @@ def cmd_disk(args) -> int:
         hweyl.disk_context(sys_, z, args.k0, ell, alpha)
     walk = hweyl._far_walk(sys_, z, args.k0, alpha, beta, schedule)
     rows = [{"ell": ell, "membership": hweyl.disk_membership(e_rel, tol=args.tol),
-             "E_norm": e_norm, "diameter": diam, **_complex_columns("M", M)}
+             "E_norm": e_norm, "diameter": float(diam[0]), **_complex_columns("M", M)}
             for ell, M, e_rel, e_norm, diam in walk]
     meta = {"command": "disk", "k0": args.k0, "z": str(z)}
     _write_output(rows, meta, args)
@@ -379,15 +379,8 @@ def _kernel_from_args(args, sys_):
     variant = args.variant
     need_plus = variant in ("whole", "half-plus")
     need_minus = variant in ("whole", "half-minus")
-    mp = mm = None
-    if need_plus:
-        lim = hweyl.limit_m(sys_, z if z.imag > 0 else np.conj(z),
-                            args.k0, alpha, +1)
-        mp = lim.M_pm if z.imag > 0 else lim.M_pm.conj().T
-    if need_minus:
-        lim = hweyl.limit_m(sys_, z if z.imag > 0 else np.conj(z),
-                            args.k0, alpha, -1)
-        mm = lim.M_pm if z.imag > 0 else lim.M_pm.conj().T
+    mp = hweyl.limit_m(sys_, z, args.k0, alpha, +1).M_pm if need_plus else None
+    mm = hweyl.limit_m(sys_, z, args.k0, alpha, -1).M_pm if need_minus else None
     if variant == "whole":
         return hgreen.build_whole_kernel(sys_, z, args.k0, alpha, mp, mm, window)
     if variant == "half-plus":

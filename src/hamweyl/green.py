@@ -9,17 +9,15 @@ delta-residual identity
 
     ((S_rho - zA - B) K(z, ., ell))(k) = delta_{k ell} I_{2m},
 
-never trusted; a failure is logged together with the residual of the
-alternative row mixing rather than silently swapped.
+never trusted: a defect above 1e-6 raises :class:`KernelConstructionError`.
 
-Kernels for Im z < 0 are produced from the conjugation symmetry
-K(z, k, ell) = K(conj z, ell, k)* rather than re-derived.
+Every kernel is built at its own z, in either half plane, from the families
+at z and conj z; the Herglotz signs of M+- follow sign(Im z).
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,25 +66,21 @@ class GreensKernel:
     omega: np.ndarray
     M_plus: np.ndarray | None
     M_minus: np.ndarray | None
-    # solution families in the +/- roles at z_pos and conj(z_pos)
+    # solution families in the +/- roles at z and conj(z)
     _up_z: HatTrajectory = None
     _up_zb: HatTrajectory = None
     _um_z: HatTrajectory = None
     _um_zb: HatTrajectory = None
     _fund_z: HatTrajectory = None
     _fund_zb: HatTrajectory = None
-    conjugated: bool = False
     diagnostics: dict = field(default_factory=dict)
 
     @property
     def m(self) -> int:
         return self.sys.m
 
-    @property
-    def z_pos(self) -> complex:
-        return self.z if not self.conjugated else np.conj(self.z)
-
-    def _at_pos(self, k: int, ell: int) -> np.ndarray:
+    def at(self, k: int, ell: int) -> np.ndarray:
+        """Kernel block K(z, k, ell)."""
         om = self.omega
         if k > ell:
             return self._up_z.plain(k) @ om @ self._um_zb.plain(ell).conj().T
@@ -94,14 +88,12 @@ class GreensKernel:
             return self._um_z.plain(k) @ om @ self._up_zb.plain(ell).conj().T
         return self._diag(range(k, k + 1))[0]
 
-    def _diag(self, sites: range, alternative: bool = False) -> np.ndarray:
-        """Diagonal blocks K(z_pos, k, k) over a run of sites as a stack: top
-        rows from U+ Omega U-'*, bottom rows from U- Omega U+'* (swapped for
-        the ``alternative`` row mixing), one product per m x m block."""
+    def _diag(self, sites: range) -> np.ndarray:
+        """Diagonal blocks K(z, k, k) over a run of sites as a stack: top
+        rows from U+ Omega U-'*, bottom rows from U- Omega U+'*, one product
+        per m x m block."""
         m = self.m
         rows = [(self._up_z, self._um_zb), (self._um_z, self._up_zb)]
-        if alternative:
-            rows.reverse()
         out = np.empty((len(sites), 2 * m, 2 * m), dtype=complex)
         for half, (left, right) in zip((slice(None, m), slice(m, None)), rows):
             u = left.plains(sites)[:, half] @ self.omega
@@ -109,12 +101,6 @@ class GreensKernel:
             out[:, half, :m] = u @ la.adjoint(v[:, :m])
             out[:, half, m:] = u @ la.adjoint(v[:, m:])
         return out
-
-    def at(self, k: int, ell: int) -> np.ndarray:
-        """Kernel block K(z, k, ell)."""
-        if self.conjugated:
-            return self._at_pos(ell, k).conj().T
-        return self._at_pos(k, ell)
 
     def source_sites(self) -> range:
         """Sites where a source term is admitted by the variant."""
@@ -131,13 +117,14 @@ class GreensKernel:
         return fam.hat(k)
 
 
-def _herglotz_sign_check(M: np.ndarray, want_positive: bool, label: str) -> None:
+def _herglotz_sign_check(M: np.ndarray, want_positive: bool, label: str,
+                         z: complex) -> None:
     im = la.imag_part(M)
     lo = la.min_eig_herm(im) if want_positive else -la.max_eig_herm(im)
     if lo <= 0 and abs(lo) > 1e-10 * (1.0 + la.opnorm(M)):
         sign = "positive" if want_positive else "negative"
         raise KernelConstructionError(
-            f"Im {label} must be {sign} definite for Im z > 0 "
+            f"Im {label} must be {sign} definite at z={z} "
             f"(offending eigenvalue {lo:.3e})")
 
 
@@ -154,14 +141,9 @@ def _certify(kernel: GreensKernel, n_probe: int = 4) -> None:
     worst = max(delta_residual(kernel, ell) for ell in probes)
     kernel.diagnostics["delta_defect"] = worst
     if worst > 1e-6:
-        alt = max(_delta_residual_with_diag(
-            kernel, ell, kernel._diag(range(ell, ell + 1), alternative=True)[0])
-            for ell in probes)
-        kernel.diagnostics["delta_defect_alternative_diag"] = alt
-        warnings.warn(
-            f"delta-residual certificate failed (printed diagonal: {worst:.2e}, "
-            f"alternative mixing: {alt:.2e}); kernel kept as printed",
-            RuntimeWarning, stacklevel=3)
+        raise KernelConstructionError(
+            f"delta-residual certificate failed: defect {worst:.2e} > 1e-6 "
+            f"at the sites {probes} next to k0")
 
 
 def _operator_residual(sys: HamiltonianSystem, z: complex, y: np.ndarray,
@@ -177,32 +159,23 @@ def _operator_residual(sys: HamiltonianSystem, z: complex, y: np.ndarray,
                            rho[:-1] @ y[:-2, :m] - py[:, m:]), axis=1), p
 
 
-def _delta_residual_with_diag(kernel: GreensKernel, ell: int,
-                              diag_block: np.ndarray) -> float:
+def delta_residual(kernel: GreensKernel, ell: int) -> float:
+    """Max norm over interior sites of (S_rho - zA - B) K(., ell) - delta I."""
     lo, hi = kernel.window
-    column = _unit_column(kernel, ell, False, diag_block)[:-1]
-    res, _ = _operator_residual(kernel.sys, kernel.z_pos, column, lo)
+    column = _unit_column(kernel, ell, False, kernel.at(ell, ell))[:-1]
+    res, _ = _operator_residual(kernel.sys, kernel.z, column, lo)
     if lo < ell < hi:
         res[ell - lo - 1] -= np.eye(2 * kernel.m)
     return max([0.0] + la.opnorm(res).tolist())
-
-
-def delta_residual(kernel: GreensKernel, ell: int) -> float:
-    """Max norm over interior sites of (S_rho - zA - B) K(., ell) - delta I."""
-    return _delta_residual_with_diag(kernel, ell, kernel._at_pos(ell, ell))
 
 
 def _build(sys, z, k0, alpha, window, variant, M_plus, M_minus, certify=True):
     z = complex(z)
     if z.imag == 0:
         raise InputError("Green's kernels require Im z != 0")
-    conjugated = z.imag < 0
-    z_pos = np.conj(z) if conjugated else z
+    upper = z.imag > 0  # sign(Im z) sets the Herglotz signs of M+-
     mp = None if M_plus is None else la.as_complex_matrix(M_plus)
     mm = None if M_minus is None else la.as_complex_matrix(M_minus)
-    if conjugated:
-        mp = None if mp is None else mp.conj().T
-        mm = None if mm is None else mm.conj().T
 
     lo, hi = int(window[0]), int(window[1])
     if not lo <= k0 <= hi:
@@ -212,8 +185,8 @@ def _build(sys, z, k0, alpha, window, variant, M_plus, M_minus, certify=True):
     if variant == "whole":
         if mp is None or mm is None:
             raise InputError("whole-line kernel needs both M_plus and M_minus")
-        _herglotz_sign_check(mp, True, "M_plus")
-        _herglotz_sign_check(mm, False, "M_minus")
+        _herglotz_sign_check(mp, upper, "M_plus", z)
+        _herglotz_sign_check(mm, not upper, "M_minus", z)
         diff = mm - mp
         if la.rcond(diff) < 1e-13:
             raise KernelConstructionError("M_minus - M_plus is singular")
@@ -221,20 +194,20 @@ def _build(sys, z, k0, alpha, window, variant, M_plus, M_minus, certify=True):
     elif variant == "half_plus":
         if mp is None:
             raise InputError("half_plus kernel needs M_plus")
-        _herglotz_sign_check(mp, True, "M_plus")
+        _herglotz_sign_check(mp, upper, "M_plus", z)
         omega = np.eye(m, dtype=complex)
     elif variant == "half_minus":
         if mm is None:
             raise InputError("half_minus kernel needs M_minus")
-        _herglotz_sign_check(mm, False, "M_minus")
+        _herglotz_sign_check(mm, not upper, "M_minus", z)
         omega = -np.eye(m, dtype=complex)
     else:
         raise InputError(f"unknown variant {variant!r}")
 
     # cache one site above the window: hats at the top edge (and the hat of
     # the base-site boundary value for the left half line) read psi2 there
-    fund_z = fundamental(sys, z_pos, k0, alpha, (lo, hi + 1))
-    fund_zb = fundamental(sys, np.conj(z_pos), k0, alpha, (lo, hi + 1))
+    fund_z = fundamental(sys, z, k0, alpha, (lo, hi + 1))
+    fund_zb = fundamental(sys, np.conj(z), k0, alpha, (lo, hi + 1))
 
     def weyl_roles(M):
         return weyl_solution(fund_z, M), weyl_solution(fund_zb, M.conj().T)
@@ -255,13 +228,9 @@ def _build(sys, z, k0, alpha, window, variant, M_plus, M_minus, certify=True):
 
     kernel = GreensKernel(variant=variant, z=z, k0=k0, alpha=alpha,
                           window=(lo, hi), sys=sys, omega=omega,
-                          M_plus=None if mp is None else
-                          (mp.conj().T if conjugated else mp),
-                          M_minus=None if mm is None else
-                          (mm.conj().T if conjugated else mm),
+                          M_plus=mp, M_minus=mm,
                           _up_z=up_z, _up_zb=up_zb, _um_z=um_z, _um_zb=um_zb,
-                          _fund_z=fund_z, _fund_zb=fund_zb,
-                          conjugated=conjugated)
+                          _fund_z=fund_z, _fund_zb=fund_zb)
     # the pairing is exactly constant in k; far-site drift measures float
     # cancellation in the decaying family, not a formula error
     defects = _pairing_defects(um_zb, up_z, range(lo, hi), target)
@@ -281,9 +250,10 @@ def build_whole_kernel(sys: HamiltonianSystem, z: complex, k0: int, alpha,
     """Whole-line Green's kernel from a pair of half-line (or circle
     surrogate) matrices.
 
-    Requires Im M_plus > 0 and Im M_minus < 0 for Im z > 0 and an invertible
-    difference; the kernel identity holds for any admissible pair since only
-    the solution property and the coupling inverse enter.
+    Requires sigma Im M_plus > 0 and sigma Im M_minus < 0, sigma = sign(Im z),
+    and an invertible difference; the kernel identity holds for any
+    admissible pair since only the solution property and the coupling
+    inverse enter.
     """
     return _build(sys, z, k0, alpha, window, "whole", M_plus, M_minus, certify)
 
@@ -316,8 +286,6 @@ def alternative_representation(kernel: GreensKernel, k: int, ell: int) -> np.nda
         raise InputError("alternative representation applies to whole-line kernels")
     if k == ell:
         raise InputError("alternative representation holds off the diagonal")
-    if kernel.conjugated:
-        return alternative_representation_conj(kernel, k, ell)
     om = kernel.omega
     a, b = (kernel.M_plus, kernel.M_minus) if k > ell \
         else (kernel.M_minus, kernel.M_plus)
@@ -325,13 +293,6 @@ def alternative_representation(kernel: GreensKernel, k: int, ell: int) -> np.nda
     psi_z = kernel._fund_z.plain(k)
     psi_zb = kernel._fund_zb.plain(ell)
     return psi_z @ t @ psi_zb.conj().T
-
-
-def alternative_representation_conj(kernel: GreensKernel, k: int, ell: int):
-    inner = replace(kernel, conjugated=False, z=kernel.z_pos,
-                    M_plus=kernel.M_plus.conj().T,
-                    M_minus=kernel.M_minus.conj().T)
-    return alternative_representation(inner, ell, k).conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -391,18 +352,19 @@ def _coerce_source(kernel: GreensKernel, f) -> dict:
 
 
 def _superpose(kernel: GreensKernel, g: np.ndarray, span: range,
-               conjugated: bool) -> np.ndarray:
+               rows: bool) -> np.ndarray:
     """Off-diagonal part of y(k) = sum_ell K(k, ell) g(ell) at the sites
     lo .. hi+1 of ``g`` (sources in ``span``): U+(k) Omega S-(k) + U-(k)
     Omega S+(k), with S- the prefix sum of U-'(ell)* g(ell) over ell < k and
-    S+ the suffix sum of U+'(ell)* g(ell) over ell > k (' marks conj z). The
-    ``conjugated`` frame, K(z, k, ell) = K(conj z, ell, k)*, swaps the z and
-    conj(z) families and takes Omega*."""
+    S+ the suffix sum of U+'(ell)* g(ell) over ell > k (' marks conj z).
+    With ``rows`` the sum runs over the adjoint kernel K(k, ell)* =
+    K(conj z, ell, k), whose columns are the rows of K: the z and conj(z)
+    families swap and Omega becomes Omega*."""
     lo, hi = kernel.window
     # reversing the order swaps the z and conj(z) families
     up, umb, um, upb = (kernel._up_z, kernel._um_zb, kernel._um_z,
-                        kernel._up_zb)[::-1 if conjugated else 1]
-    om = kernel.omega.conj().T if conjugated else kernel.omega
+                        kernel._up_zb)[::-1 if rows else 1]
+    om = kernel.omega.conj().T if rows else kernel.omega
     y = np.zeros_like(g)
     if not span:
         return y
@@ -419,14 +381,15 @@ def _superpose(kernel: GreensKernel, g: np.ndarray, span: range,
     return y
 
 
-def _unit_column(kernel: GreensKernel, ell: int, conjugated: bool,
+def _unit_column(kernel: GreensKernel, ell: int, rows: bool,
                  diag_block) -> np.ndarray:
-    """Column K(., ell) over lo .. hi+1 in the frame of :func:`_superpose`,
-    bit for bit the site-by-site blocks (a product with I is exact)."""
+    """Column K(., ell) over lo .. hi+1 (with ``rows``, the adjoint row
+    K(ell, .)*) as :func:`_superpose` gives it, bit for bit the site-by-site
+    blocks (a product with I is exact)."""
     lo, hi = kernel.window
     g = np.zeros((hi + 2 - lo, 2 * kernel.m, 2 * kernel.m), dtype=complex)
     g[ell - lo] = np.eye(2 * kernel.m)
-    column = _superpose(kernel, g, range(ell, ell + 1), conjugated)
+    column = _superpose(kernel, g, range(ell, ell + 1), rows)
     column[ell - lo] = diag_block
     return column
 
@@ -452,9 +415,8 @@ def solve_nonhomogeneous(kernel: GreensKernel, f) -> NonhomogeneousSolve:
     g = a @ f_all
     src = kernel.source_sites()
     rows = slice(src.start - lo, src.stop - lo)
-    y = _superpose(kernel, g, src, kernel.conjugated)
-    diag = kernel._diag(src)
-    y[rows] += (la.adjoint(diag) if kernel.conjugated else diag) @ g[rows]
+    y = _superpose(kernel, g, src, False)
+    y[rows] += kernel._diag(src) @ g[rows]
 
     res, pencils = _operator_residual(sys, z, y[:-1], lo)
     af = g[1:-2]
@@ -466,8 +428,8 @@ def solve_nonhomogeneous(kernel: GreensKernel, f) -> NonhomogeneousSolve:
     lhs = float(np.vdot(y[rows], a[rows] @ y[rows]).real)
     ksq = {}
     for k in (lo, (lo + hi) // 2, hi):
-        # the row K(k, .) is the adjoint of the other frame's column at k
-        col = _unit_column(kernel, k, not kernel.conjugated,
+        # the row K(k, .), read as the adjoint column K(k, .)*
+        col = _unit_column(kernel, k, True,
                            kernel.at(k, k).conj().T if k in src else 0.0)
         ksq[k] = float(np.vdot(col[rows], a[rows] @ col[rows]).real)
 
@@ -530,8 +492,6 @@ def diagonal_riccati_blocks(kernel: GreensKernel, sites=None) -> dict:
     cross-checks against the directly evaluated diagonal block. Sites with a
     singular leading block are reported as errors.
     """
-    if kernel.conjugated:
-        raise InputError("diagonal Riccati blocks are computed on Im z > 0 kernels")
     sys = kernel.sys
     m = kernel.m
     lo, hi = kernel.window
@@ -561,7 +521,7 @@ def diagonal_riccati_blocks(kernel: GreensKernel, sites=None) -> dict:
             [core, core @ np.linalg.solve(phi_m_c.conj().T, th_m_c.conj().T)],
             [left, left @ np.linalg.solve(phi_p_c.conj().T, th_p_c.conj().T)]])
         out["blocks"][k] = blk
-        out["defect"][k] = la.opnorm(blk - kernel._at_pos(k, k))
+        out["defect"][k] = la.opnorm(blk - kernel.at(k, k))
         out["V_plus"][k] = v_p
         out["V_minus"][k] = v_m
     return out

@@ -769,8 +769,8 @@ def normal_form(sys: HamiltonianSystem):
 
 
 def to_unit_rho(sys: HamiltonianSystem, alpha: BoundaryData, beta: BoundaryData):
-    """Congruence transform onto unit weight: A, B conjugated by
-    diag(rho(k), rho(k-1))^{-1/2}, rho replaced by the identity.
+    """Congruence transform onto unit weight: A -> D A D and B -> D B D with
+    D = diag(rho(k), rho(k-1))^{-1/2}, rho replaced by the identity.
 
     The boundary pair acts without weights on the transformed system and the
     M-function is invariant, so (alpha, beta) is returned unchanged for use

@@ -296,24 +296,24 @@ def _rescaled(hats: np.ndarray):
 
 
 def _disk_diameter(sys, z: complex, k0: int, ell: int, hats: np.ndarray,
-                   exps) -> float:
-    """Diameter 2 ||R_l|| ||R_r|| of the Weyl disk at (z, ell) from the
-    fundamental hats at ell for [z, conj z], standing for hats * 2**exps.
+                   exps) -> np.ndarray:
+    """Per-direction diameters d_i = 2 (lam_i(F22(z)) lam_i(F22(conj z)))^(-1/2)
+    of the Weyl disk at (z, ell), descending, from the fundamental hats at
+    ell for [z, conj z], standing for hats * 2**exps; d_0 = 2 ||R_l|| ||R_r||.
 
     R_l = F22(z)^(-1/2) and R_r = F22(conj z)^(-1/2), with F22(w) = sigma(w)
     herm(-i Phi^(w)* J_rho(ell) Phi^(w)), which the energy identity makes
-    2 |Im z| sum Phi* A Phi over the plus interval. Rescaled hats and logs
-    keep every product finite; inf when a form is not positive definite
-    (the disk is unbounded).
+    2 |Im z| sum Phi* A Phi over the plus interval; lam_i is the i-th
+    smallest eigenvalue. Rescaled hats and logs keep every product finite;
+    inf where an eigenvalue is not positive (the disk is unbounded there).
     """
     hats, e = _rescaled(hats)
     phi = hats[:, :, sys.m:]
     sign = sigma_of(ell, k0, z) * np.array([1, -1])[:, None, None]
     f22 = la.herm(-1j * sign * (la.adjoint(phi) @ sys.j_rho(ell) @ phi))
-    lam = np.linalg.eigvalsh(f22)[:, 0]
-    if not np.all(lam > 0):
-        return np.inf
-    return float(np.exp2(1.0 - 0.5 * np.sum(np.log2(lam)) - np.sum(e + exps)))
+    lam = np.linalg.eigvalsh(f22)
+    logs = np.log2(lam, out=np.full_like(lam, -np.inf), where=lam > 0)
+    return np.exp2(1.0 - 0.5 * logs.sum(axis=0) - np.sum(e + exps))
 
 
 def disk_diameter_estimate(sys: HamiltonianSystem, ctx: DiskContext,
@@ -327,35 +327,47 @@ def disk_diameter_estimate(sys: HamiltonianSystem, ctx: DiskContext,
     """
     hats = propagate_hats(sys, [ctx.z, np.conj(ctx.z)], ctx.k0,
                           initial_hat(sys, ctx.k0, ctx.alpha), ctx.ell)
-    return _disk_diameter(sys, ctx.z, ctx.k0, ctx.ell, hats, (0, 0))
+    return float(_disk_diameter(sys, ctx.z, ctx.k0, ctx.ell, hats, (0, 0))[0])
 
 
 def _far_walk(sys: HamiltonianSystem, z: complex, k0: int, alpha, beta, sites):
-    """Yield (ell, M, e_rel, e_norm, diameter) for each far site ell of
+    """Yield (ell, M, e_rel, e_norm, diameters) for each far site ell of
     ``sites`` in turn. M is the regular M with far data ``beta`` from
     :func:`_sweep_m`, bit for bit that of :func:`regular_m_evaluator`; a pole
     raises :class:`EigenvalueHitError`. The fundamental hats at z and conj z
-    step outward from k0 as one batch, rescaled by powers of two (exact); a
-    site nearer k0 or across it restarts from k0. They give the diameter of
-    :func:`_disk_diameter`, e_norm = ||E(M)|| (inf past the float range) and
-    e_rel = E(M) / max(1, ||Psi^(ell)||^2 (1 + ||M||^2)), E against the scale
-    of its rounding; inf, inf and NaN once a step overflows the hats.
+    step outward from k0 as one batch, rescaled by powers of two (exact)
+    every 16 sites, or every site of a chunk that outgrew the float range;
+    a site nearer k0 or across it restarts from k0. They give the
+    per-direction diameters of :func:`_disk_diameter`, e_norm = ||E(M)||
+    (inf past the float range) and e_rel = E(M) / max(1, ||Psi^(ell)||^2
+    (1 + ||M||^2)), E against the scale of its rounding; inf, inf and NaN
+    once a single step overflows the hats.
     """
     init = initial_hat(sys, k0, alpha)
     k_inv, zz, k = np.linalg.inv(init), np.array([z, np.conj(z)]), None
     for ell in sites:
         if k is None or (ell - k0) * (k - k0) < 0 or abs(ell - k0) < abs(k - k0):
             hats, exps, k = np.stack([init] * 2), np.zeros(2, dtype=int), k0
-        while k != ell:
-            step = min(max(ell, k - _RESCALE_STEPS), k + _RESCALE_STEPS)
-            hats, e = _rescaled(propagate_hats(sys, zz, k, hats, step))
-            exps, k = exps + e, step
+        with np.errstate(over="ignore", invalid="ignore"):
+            while k != ell:
+                step = min(max(ell, k - _RESCALE_STEPS), k + _RESCALE_STEPS)
+                nxt = propagate_hats(sys, zz, k, hats, step)
+                if not np.isfinite(nxt).all():
+                    # a transfer outgrew 2**64 per step: redo the chunk one
+                    # site at a time with a rescale after each
+                    d = 1 if step > k else -1
+                    for s in range(k, step, d):
+                        hats, e = _rescaled(propagate_hats(sys, zz, s, hats, s + d))
+                        exps = exps + e
+                    nxt = hats
+                hats, e = _rescaled(nxt)
+                exps, k = exps + e, step
         y = _ker_basis(_weighted(beta, sys, ell))
         (M,), (smin,), (hit,) = _sweep_m(sys, k_inv, ell, k0, y, zz[:1])
         if hit:
             raise EigenvalueHitError(z, float(smin))
         if not la.all_finite(hats):  # a step grew past the float range
-            yield ell, M, np.full_like(M, np.nan), np.inf, np.inf
+            yield ell, M, np.full_like(M, np.nan), np.inf, np.full(sys.m, np.inf)
             continue
         e_s = _disk_functional(sys, sigma_of(ell, k0, z), ell, hats[0], M)
         with np.errstate(over="ignore"):  # e_s is E * 4**-e
@@ -365,10 +377,10 @@ def _far_walk(sys: HamiltonianSystem, z: complex, k0: int, alpha, beta, sites):
         yield ell, M, e_s / scale, e_norm, _disk_diameter(sys, z, k0, ell, hats, exps)
 
 
-# classification thresholds relative to 1 + |M|, the first far-site offset,
-# and the most steps between power-of-two rescalings of the walked hats
+# the largest limit-point diameter of a converged chase relative to 1 + |M|,
+# the first far-site offset, and the most steps between power-of-two
+# rescalings of the walked hats
 _LP_THRESHOLD = 1e-6
-_LC_THRESHOLD = 1e-2
 _SCHEDULE_START = 8
 _RESCALE_STEPS = 16
 # tail multipliers closer to the unit circle than this times ||T||_F have
@@ -395,26 +407,22 @@ class HalfLineLimit:
     ell_sequence: list[int]
     cauchy_gap: float
     diameter_estimate: float
-    classification: str  # "limit_point" | "limit_circle" | "inconclusive"
+    # "limit_point" | "intermediate" | "limit_circle" | "inconclusive"
+    classification: str
     beta: BoundaryData
     gaps: list[float] = field(default_factory=list)
     diameters: list[float] = field(default_factory=list)
     note: str = ""
+    circle_rank: int = 0  # directions whose disk radius stays positive
 
     def square_summable_dimension(self) -> int | None:
-        """Numerical estimate of the square-summable solution count.
-
-        m columns in the limit-point regime, 2m in the limit-circle regime,
+        """Numerical estimate of the square-summable solution count:
+        m + ``circle_rank``, from m (limit point) to 2m (limit circle);
         None when the run was inconclusive.
         """
-        if self.M_pm is None:
+        if self.M_pm is None or self.classification == "inconclusive":
             return None
-        m = self.M_pm.shape[0]
-        if self.classification == "limit_point":
-            return m
-        if self.classification == "limit_circle":
-            return 2 * m
-        return None
+        return self.M_pm.shape[0] + self.circle_rank
 
 
 def _default_schedule(sys, k0, direction):
@@ -480,14 +488,20 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
     system, which has no constant tail): walks the schedule sites with
     :func:`_far_walk`, which gives at each the regular M with a fixed
     self-adjoint far boundary (Dirichlet by default), bit for bit that of
-    :func:`regular_m_evaluator`, and the disk diameter, recorded at most as
-    large as the one before it (the disks nest). Stops when two
-    consecutive values differ by less than ``opts.tol`` relative or the
-    window is exhausted; the latter yields an inconclusive classification
-    unless the last disk's diameter is itself below ``opts.tol`` relative
-    (a limit point: the limit lies in that disk). In the limit-point regime
-    the chased value is boundary-independent; in the limit-circle regime it
-    depends on the chosen far boundary, which is recorded on the result.
+    :func:`regular_m_evaluator`, and the disk's per-direction diameters,
+    each recorded at most as large as the one before it (the disks nest).
+    Stops when two consecutive values differ by less than ``opts.tol``
+    relative or the window is exhausted. Relative to 1 + |M|, a direction
+    is limit-point when its last diameter is at most ``opts.tol`` (the
+    limit lies in that disk), or below ``_LP_THRESHOLD`` after the chase
+    converged; it is limit-circle otherwise when its last two finite,
+    unclipped diameters did not halve (a point direction shrinks
+    geometrically along the doubling schedule). All point reads
+    ``limit_point``, all circle ``limit_circle``, a mix of the two
+    ``intermediate`` (``circle_rank`` counts the circle directions), and
+    anything else ``inconclusive``. In the limit-point regime the chased
+    value is boundary-independent; otherwise it depends on the chosen far
+    boundary, which is recorded on the result.
 
     A pencil failing its check raises :class:`SteppingError`. The returned
     matrix is projected onto the sigma-Herglotz sign cone (a no-op up to
@@ -517,7 +531,7 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
     if not schedule:
         raise InputError("empty far-site schedule (window too small)")
 
-    ells, gaps, diameters, M_final = [], [], [], None
+    ells, gaps, raw, M_final = [], [], [], None
     converged, note = False, ""
     try:
         for ell, M, _, _, diam in _far_walk(sys, z, k0, alpha, beta, schedule):
@@ -525,8 +539,7 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
                 gaps.append(la.opnorm(M - M_final) / (1.0 + la.opnorm(M)))
             ells.append(ell)
             M_final = M
-            # the disks nest: a wider one is F22 losing definiteness to rounding
-            diameters.append(min(diam, diameters[-1]) if diameters else diam)
+            raw.append(diam)
             converged = bool(gaps) and gaps[-1] < opts.tol
             if converged:
                 break
@@ -539,31 +552,33 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
                              classification="inconclusive", beta=beta,
                              gaps=gaps, note=note or "no M values computed")
 
+    # the disks nest: a wider one is F22 losing definiteness to rounding
+    raw = np.array(raw)
+    nested = np.minimum.accumulate(raw, axis=0)
+    diameters = nested[:, 0].tolist()
+    diam, r = diameters[-1], nested[-1]
     scale = 1.0 + la.opnorm(M_final)
-    recent = diameters[-3:]
-    diam = recent[-1]
-
-    # limit point: the disks have collapsed, and either the chase converged
-    # or the last disk alone pins M to tol (the limit lies in every nested
-    # disk, so M_final is within diam of it).
-    # limit circle: the disks stay large and their shrinking has stalled
-    # (in the point case the diameter decays geometrically along the
-    # doubling schedule; a stalled ratio across some recent doubling is the
-    # finite-window signature of a positive-diameter limiting disk).
-    ratios = [b / a for a, b in zip(recent, recent[1:]) if a > 0]
-    stalled = bool(ratios) and max(ratios) >= 0.5
-    big = max(recent) > _LC_THRESHOLD * scale
-    pinned = diam < opts.tol * scale
-    if (converged or pinned) and diam < _LP_THRESHOLD * scale:
+    # per direction: limit point when the disk pins M to tol (the limit lies
+    # in every nested disk) or the chase converged inside a small disk;
+    # limit circle when the last two finite, unclipped diameters did not
+    # halve (a point direction shrinks geometrically along the doubling)
+    point = (r <= opts.tol * scale) | (converged & (r < _LP_THRESHOLD * scale))
+    circle = np.zeros(sys.m, dtype=bool)
+    for i in np.flatnonzero(~point):
+        d = raw[(raw[:, i] == nested[:, i]) & np.isfinite(raw[:, i]), i]
+        circle[i] = len(d) >= 2 and d[-1] >= 0.5 * d[-2]
+    if point.all():
         classification = "limit_point"
         if not converged:
             note = (note + "; " if note else "") + \
                 f"Cauchy criterion not met; the disk diameter {diam:.1e} at " \
                 f"ell={ells[-1]} bounds the distance to the limit"
-    elif big and stalled:
-        classification = "limit_circle"
+    elif circle.any() and np.all(point | circle):
+        classification = "limit_circle" if circle.all() else "intermediate"
+        regime = "limit-circle" if circle.all() else \
+            f"intermediate ({circle.sum()} of {sys.m} directions limit-circle)"
         note = (note + "; " if note else "") + \
-            "limit-circle regime: the returned value depends on the " \
+            f"{regime} regime: the returned value depends on the " \
             "recorded far boundary data"
     else:
         classification = "inconclusive"
@@ -573,7 +588,8 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
     return HalfLineLimit(M_pm=_herglotz_cone(M_final, sigma), direction=direction,
                          ell_sequence=ells, cauchy_gap=gaps[-1] if gaps else np.inf,
                          diameter_estimate=diam, classification=classification,
-                         beta=beta, gaps=gaps, diameters=diameters, note=note)
+                         beta=beta, gaps=gaps, diameters=diameters, note=note,
+                         circle_rank=int(circle.sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -251,3 +251,44 @@ def test_disk_on_a_long_window(tmp_path):
     v = htk.constant_riccati_fixed_point(sysj, z, +1)[0, 0]
     for r in rows:
         assert abs(complex(r["M_00_re"], r["M_00_im"]) + v) <= 1e-12 * (1 + abs(v))
+
+
+def test_failed_kernel_certificate_exits_3(tmp_path):
+    # const_m2 at 0.5+0.5i: on +-80 the kernel's delta defect near k0 is
+    # ~7e-2, so green and solve refuse it; on +-40 it certifies
+    p = np.array([[1.0, 0.25j], [-0.25j, 0.8]])
+    q = np.array([[0.3, 0.1], [0.1, -0.2]])
+    path = tmp_path / "const_m2.json"
+    hsys.save_coefficients(
+        hsys.jacobi_system(lambda k: p, lambda k: q, (-120, 120)), path)
+    for command in ("green", "solve"):
+        for w, rc in ((80, 3), (40, 0)):
+            assert main([command, "--input", str(path), "--z", "0.5,0.5",
+                         f"--window=-{w},{w}", "--no-timestamp",
+                         "--output", str(tmp_path / "k.csv")]) == rc
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_disk_walk_survives_a_chunk_that_overflows(tmp_path):
+    # p = 1e-20: each step grows the hats by about 1e20, past the float
+    # range inside one 16-site chunk; the walk redoes such a chunk site by
+    # site, so every row stays on the circle with the regular M
+    from hamweyl import weyl as hwl
+
+    sys_ = hsys.jacobi_system(1e-20, 0.0, (0, 100), extension="error")
+    path, out = tmp_path / "tiny.json", tmp_path / "d.json"
+    hsys.save_coefficients(sys_, path)
+    sched = [8, 16, 32, 64, 100]
+    rc = main(["disk", "--input", str(path), "--z", "0.5,0.5",
+               "--ell-schedule", ",".join(map(str, sched)), "--format", "json",
+               "--output", str(out), "--no-timestamp"])
+    assert rc == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [r["ell"] for r in rows] == sched
+    assert all(r["membership"] == "circle" for r in rows)
+    # the diameter (2e-40)**ell underflows to 0 rather than overflowing
+    assert all(0.0 <= r["diameter"] < 1e-300 for r in rows)
+    for r in rows:
+        ev = hwl.regular_m_evaluator(sys_, 0, r["ell"], hsys.dirichlet(1),
+                                     hsys.dirichlet(1))
+        assert complex(r["M_00_re"], r["M_00_im"]) == ev(0.5 + 0.5j)[0, 0]

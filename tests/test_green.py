@@ -83,12 +83,48 @@ def test_alternative_representation(free_kernels):
 
 
 def test_kernel_conjugation_symmetry(free_kernels):
+    # kernels at conj z are built at conj z, not mirrored, and still obey
+    # K(conj z, k, ell) = K(z, ell, k)*, blockwise and through the solve
     sysj, al, z, mp, mm, whole, plus, minus = free_kernels
-    kerc = hg.build_whole_kernel(sysj, np.conj(z), 0, al, mp.conj().T,
-                                 mm.conj().T, (-12, 12))
+    zc, mpc, mmc = np.conj(z), mp.conj().T, mm.conj().T
+    kerc = hg.build_whole_kernel(sysj, zc, 0, al, mpc, mmc, (-12, 12))
     for k, ell in ((3, 5), (5, 3), (4, 4), (-2, 6)):
         assert la.opnorm(kerc.at(k, ell) - whole.at(ell, k).conj().T) < 1e-12
     assert hg.delta_residual(kerc, 2) < 1e-9
+    plusc = hg.build_half_kernel_plus(sysj, zc, 0, al, mpc, (0, 12))
+    minusc = hg.build_half_kernel_minus(sysj, zc, 0, al, mmc, (-12, 0))
+    for ker, kerz, pairs in ((plusc, plus, ((2, 7), (7, 2), (5, 5), (0, 9))),
+                             (minusc, minus, ((-2, -7), (-7, -2), (-5, -5),
+                                              (-9, 0)))):
+        for k, ell in pairs:
+            assert la.opnorm(ker.at(k, ell) - kerz.at(ell, k).conj().T) < 1e-12
+    rng = np.random.default_rng(17)
+    for ker, kerz in ((kerc, whole), (plusc, plus), (minusc, minus)):
+        src = [k for k in ker.source_sites() if k in kerz.source_sites()]
+        fd = {k: rng.normal(size=(2, 1)) + 1j * rng.normal(size=(2, 1))
+              for k in src}
+        sol = hg.solve_nonhomogeneous(ker, fd)
+        lo, hi = kerz.window
+        for k in range(lo + 1, hi):
+            ref = sum(kerz.at(ell, k).conj().T @ sysj.A(ell) @ v
+                      for ell, v in fd.items())
+            assert np.max(np.abs(sol.y[k] - ref)) < 1e-12
+
+
+def test_certificate_failure_raises():
+    # const_m2 at 0.5+0.5i with exact M+-: the Theta + Phi M role families
+    # cancel so badly at +-80 that the delta defect near k0 is ~7e-2, which
+    # the certificate rejects; at +-40 it holds (~4e-9)
+    p = np.array([[1.0, 0.25j], [-0.25j, 0.8]])
+    q = np.array([[0.3, 0.1], [0.1, -0.2]])
+    sys_ = hsys.jacobi_system(lambda k: p, lambda k: q, (-120, 120))
+    z, al = 0.5 + 0.5j, hsys.dirichlet(2)
+    mp = hwl.limit_m(sys_, z, 0, al, +1).M_pm
+    mm = hwl.limit_m(sys_, z, 0, al, -1).M_pm
+    with pytest.raises(KernelConstructionError, match="certificate"):
+        hg.build_whole_kernel(sys_, z, 0, al, mp, mm, (-80, 80))
+    ker = hg.build_whole_kernel(sys_, z, 0, al, mp, mm, (-40, 40))
+    assert ker.diagnostics["delta_defect"] < 1e-6
 
 
 def test_kernel_rejects_sites_outside_its_window(free_kernels):
@@ -204,6 +240,18 @@ def test_diagonal_riccati_blocks(free_kernels):
     assert la.opnorm(vm_r - vp_r.conj().T) < 1e-5
     assert la.opnorm(np.linalg.inv(vp_r - vm_r)
                      - np.linalg.inv(2j * la.imag_part(vp_r))) < 1e-4
+
+
+def test_diagonal_riccati_blocks_below_the_real_axis(free_kernels):
+    # the Riccati diagonal holds at conj z on the kernel built there
+    sysj, al, z, mp, mm, whole, plus, minus = free_kernels
+    kerc = hg.build_whole_kernel(sysj, np.conj(z), 0, al, mp.conj().T,
+                                 mm.conj().T, (-10, 10))
+    out = hg.diagonal_riccati_blocks(kerc, sites=range(-8, 9))
+    assert not out["errors"]
+    assert max(out["defect"].values()) < 1e-9
+    for side in ("V_plus", "V_minus"):
+        assert hwl.riccati_residual(sysj, np.conj(z), out[side]).max_norm < 1e-10
 
 
 def test_whole_kernel_matrix_true_limits():

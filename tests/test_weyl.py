@@ -566,6 +566,23 @@ def test_limit_circle_classification():
     assert la.opnorm(other.M_pm - lim.M_pm) > 1e-2
 
 
+@pytest.mark.parametrize("z", [1j, 0.5 + 0.5j, -1 + 0.2j, 0.5 + 0.05j])
+def test_square_summable_dimension_between_m_and_2m(z):
+    # the limit-circle chain above next to a free chain: 3 of the 4
+    # solutions are square-summable, so one disk radius stays positive
+    # while the other collapses; the free block is the free chain's M+
+    p = lambda k: np.diag([(abs(k) + 1.0) ** 2, 1.0])
+    q = lambda k: np.diag([-((abs(k + 1) + 1.0) ** 2 + (abs(k) + 1.0) ** 2), 0.0])
+    sysg = hsys.jacobi_system(p, q, (0, 420), extension="error")
+    lim = hwl.limit_m(sysg, z, 0, hsys.dirichlet(2), +1)
+    assert lim.classification == "intermediate"
+    assert lim.circle_rank == 1
+    assert lim.square_summable_dimension() == 3
+    assert "far boundary" in lim.note
+    v = htk.constant_riccati_fixed_point(make_free_jacobi((0, 420)), z, +1)
+    assert abs(lim.M_pm[1, 1] + v[0, 0]) < 1e-12
+
+
 def test_no_limit_circle_from_collapsed_forward_columns():
     # on these general m=2 systems F22 at the last site loses definiteness to
     # rounding (an unbounded disk after a small one); the disks nest, so the
