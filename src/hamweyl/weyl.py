@@ -336,7 +336,7 @@ def _far_walk(sys: HamiltonianSystem, z: complex, k0: int, alpha, beta, sites):
     :func:`_sweep_m`, bit for bit that of :func:`regular_m_evaluator`; a pole
     raises :class:`EigenvalueHitError`. The fundamental hats at z and conj z
     step outward from k0 as one batch, rescaled by powers of two (exact)
-    every 16 sites, or every site of a chunk that outgrew the float range;
+    every 16 sites, or every site once a chunk outgrew the float range;
     a site nearer k0 or across it restarts from k0. They give the
     per-direction diameters of :func:`_disk_diameter`, e_norm = ||E(M)||
     (inf past the float range) and e_rel = E(M) / max(1, ||Psi^(ell)||^2
@@ -348,18 +348,16 @@ def _far_walk(sys: HamiltonianSystem, z: complex, k0: int, alpha, beta, sites):
     for ell in sites:
         if k is None or (ell - k0) * (k - k0) < 0 or abs(ell - k0) < abs(k - k0):
             hats, exps, k = np.stack([init] * 2), np.zeros(2, dtype=int), k0
+        stride = _RESCALE_STEPS
         with np.errstate(over="ignore", invalid="ignore"):
             while k != ell:
-                step = min(max(ell, k - _RESCALE_STEPS), k + _RESCALE_STEPS)
+                step = min(max(ell, k - stride), k + stride)
                 nxt = propagate_hats(sys, zz, k, hats, step)
-                if not np.isfinite(nxt).all():
-                    # a transfer outgrew 2**64 per step: redo the chunk one
-                    # site at a time with a rescale after each
-                    d = 1 if step > k else -1
-                    for s in range(k, step, d):
-                        hats, e = _rescaled(propagate_hats(sys, zz, s, hats, s + d))
-                        exps = exps + e
-                    nxt = hats
+                if stride > 1 and not np.isfinite(nxt).all():
+                    # a transfer outgrew 2**64 per step: go on one site at a
+                    # time with a rescale after each
+                    stride = 1
+                    continue
                 hats, e = _rescaled(nxt)
                 exps, k = exps + e, step
         y = _ker_basis(_weighted(beta, sys, ell))
@@ -494,12 +492,12 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
     relative or the window is exhausted. Relative to 1 + |M|, a direction
     is limit-point when its last diameter is at most ``opts.tol`` (the
     limit lies in that disk), or below ``_LP_THRESHOLD`` after the chase
-    converged; it is limit-circle otherwise when its last two finite,
-    unclipped diameters did not halve (a point direction shrinks
-    geometrically along the doubling schedule). All point reads
-    ``limit_point``, all circle ``limit_circle``, a mix of the two
-    ``intermediate`` (``circle_rank`` counts the circle directions), and
-    anything else ``inconclusive``. In the limit-point regime the chased
+    converged; it is limit-circle otherwise when its last finite, unclipped
+    diameter is at least half the latest one at no more than half its
+    offset from k0 (a point direction shrinks geometrically as the offset
+    doubles). All point reads ``limit_point``, all circle ``limit_circle``,
+    a mix of the two ``intermediate`` (``circle_rank`` counts the circle
+    directions), and anything else ``inconclusive``. In the limit-point regime the chased
     value is boundary-independent; otherwise it depends on the chosen far
     boundary, which is recorded on the result.
 
@@ -560,13 +558,17 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
     scale = 1.0 + la.opnorm(M_final)
     # per direction: limit point when the disk pins M to tol (the limit lies
     # in every nested disk) or the chase converged inside a small disk;
-    # limit circle when the last two finite, unclipped diameters did not
-    # halve (a point direction shrinks geometrically along the doubling)
+    # limit circle when the last finite, unclipped diameter is at least half
+    # the latest one at no more than half its offset from k0 (a point
+    # direction shrinks geometrically as the offset doubles; a window edge
+    # just past a doubling site says nothing about that)
     point = (r <= opts.tol * scale) | (converged & (r < _LP_THRESHOLD * scale))
+    offsets = np.abs(np.array(ells) - k0)
     circle = np.zeros(sys.m, dtype=bool)
     for i in np.flatnonzero(~point):
-        d = raw[(raw[:, i] == nested[:, i]) & np.isfinite(raw[:, i]), i]
-        circle[i] = len(d) >= 2 and d[-1] >= 0.5 * d[-2]
+        j = np.flatnonzero((raw[:, i] == nested[:, i]) & np.isfinite(raw[:, i]))
+        half = j[2 * offsets[j] <= offsets[j[-1]]] if len(j) else j
+        circle[i] = len(half) > 0 and raw[j[-1], i] >= 0.5 * raw[half[-1], i]
     if point.all():
         classification = "limit_point"
         if not converged:

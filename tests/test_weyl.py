@@ -583,6 +583,21 @@ def test_square_summable_dimension_between_m_and_2m(z):
     assert abs(lim.M_pm[1, 1] + v[0, 0]) < 1e-12
 
 
+@pytest.mark.parametrize("n,z", [(260, 1 + 0.02j), (520, 0.5 + 0.01j),
+                                 (70, 0.5 + 0.01j), (130, 1.9 + 0.01j)])
+def test_no_limit_circle_from_a_window_edge_past_a_doubling_site(n, z):
+    # the free chain is limit-point, but near the real axis its disk is
+    # still shrinking when the window ends; the edge site, a few sites past
+    # the last doubling site, shrinks the disk by less than half, which
+    # must not read as a stalled (limit-circle) disk
+    sysf = hsys.jacobi_system(1.0, 0.0, (0, n), extension="error")
+    lim = hwl.limit_m(sysf, z, 0, hsys.dirichlet(1), +1)
+    assert lim.ell_sequence[-1] == n
+    assert lim.diameters[-1] >= 0.5 * lim.diameters[-2]
+    assert lim.classification == "inconclusive"
+    assert lim.square_summable_dimension() is None
+
+
 def test_no_limit_circle_from_collapsed_forward_columns():
     # on these general m=2 systems F22 at the last site loses definiteness to
     # rounding (an unbounded disk after a small one); the disks nest, so the
