@@ -62,8 +62,10 @@ class TransformPoleError(HamweylError):
 
 
 class KernelConstructionError(HamweylError):
-    """Half-plane sign check or coupling-matrix inversion failed while
-    assembling a Green's kernel."""
+    """A Green's kernel or its solve failed a check: the half-plane sign
+    check or the coupling-matrix inversion at assembly, the delta-residual
+    certificate at the sites next to k0, or the relative residual gate of
+    :func:`hamweyl.green.solve_nonhomogeneous`."""
 
 
 class ConvergenceError(HamweylError):

@@ -9,10 +9,12 @@ delta-residual identity
 
     ((S_rho - zA - B) K(z, ., ell))(k) = delta_{k ell} I_{2m},
 
-never trusted: a defect above 1e-6 raises :class:`KernelConstructionError`.
+never trusted: a defect above 1e-6, or a solve residual above it, raises
+:class:`KernelConstructionError`.
 
 Every kernel is built at its own z, in either half plane, from the families
-at z and conj z; the Herglotz signs of M+- follow sign(Im z).
+at z and conj z, each held as one array of plain values at [z, conj z];
+the Herglotz signs of M+- follow sign(Im z).
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ import numpy as np
 from . import _linalg as la
 from .errors import InputError, KernelConstructionError
 from .propagate import (
-    HatTrajectory,
+    _lower_edge_transfers,
     _pairing_defects,
+    _weyl_columns,
     fundamental,
-    weyl_solution,
 )
 from .system import HamiltonianSystem
 
@@ -45,16 +47,18 @@ __all__ = [
     "diagonal_riccati_blocks",
 ]
 
+_CERTIFICATE_TOL = 1e-6  # the bar of the kernel delta defect and the solve residual
+
 
 @dataclass
 class GreensKernel:
     """Evaluator for a 2m x 2m Green's matrix over a finite window.
 
-    ``at(k, ell)`` returns the kernel block; trajectories of the coupled
-    solution families at z and conj(z) cover the window and one site above
-    it, with their plain values computed once. For the
-    whole-line variant the coupling matrix is (M_minus - M_plus)^{-1}; the
-    half-line variants couple through +I and -I respectively.
+    ``at(k, ell)`` returns the kernel block. Each coupled solution family
+    is held as one array of its plain values (psi1(k); psi2(k)) over the
+    window and one site above it, at [z, conj(z)]: shape (2, n, 2m, m). For
+    the whole-line variant the coupling matrix is (M_minus - M_plus)^{-1};
+    the half-line variants couple through +I and -I respectively.
     """
 
     variant: str              # "whole" | "half_plus" | "half_minus"
@@ -66,38 +70,40 @@ class GreensKernel:
     omega: np.ndarray
     M_plus: np.ndarray | None
     M_minus: np.ndarray | None
-    # solution families in the +/- roles at z and conj(z)
-    _up_z: HatTrajectory = None
-    _up_zb: HatTrajectory = None
-    _um_z: HatTrajectory = None
-    _um_zb: HatTrajectory = None
-    _fund_z: HatTrajectory = None
-    _fund_zb: HatTrajectory = None
+    # plain values of the +/- role families and of the fundamental system
+    _up: np.ndarray = None
+    _um: np.ndarray = None
+    _psi: np.ndarray = None
     diagnostics: dict = field(default_factory=dict)
 
     @property
     def m(self) -> int:
         return self.sys.m
 
+    def _rows(self, k: int, n: int = 1) -> slice:
+        """Rows of the sites k .. k+n-1 in the arrays over lo .. hi+1."""
+        lo, hi = self.window
+        if n and not lo <= k <= k + n - 1 <= hi + 1:
+            raise InputError(f"sites {k}..{k + n - 1} outside [{lo},{hi + 1}]")
+        return slice(k - lo, k - lo + n)
+
     def at(self, k: int, ell: int) -> np.ndarray:
         """Kernel block K(z, k, ell)."""
-        om = self.omega
-        if k > ell:
-            return self._up_z.plain(k) @ om @ self._um_zb.plain(ell).conj().T
-        if k < ell:
-            return self._um_z.plain(k) @ om @ self._up_zb.plain(ell).conj().T
-        return self._diag(range(k, k + 1))[0]
+        if k == ell:
+            return self._diag(range(k, k + 1))[0]
+        u, v = (self._up, self._um) if k > ell else (self._um, self._up)
+        return u[0, self._rows(k)][0] @ self.omega @ v[1, self._rows(ell)][0].conj().T
 
     def _diag(self, sites: range) -> np.ndarray:
         """Diagonal blocks K(z, k, k) over a run of sites as a stack: top
         rows from U+ Omega U-'*, bottom rows from U- Omega U+'*, one product
         per m x m block."""
-        m = self.m
-        rows = [(self._up_z, self._um_zb), (self._um_z, self._up_zb)]
+        m, s = self.m, self._rows(sites.start, len(sites))
+        rows = [(self._up, self._um), (self._um, self._up)]
         out = np.empty((len(sites), 2 * m, 2 * m), dtype=complex)
         for half, (left, right) in zip((slice(None, m), slice(m, None)), rows):
-            u = left.plains(sites)[:, half] @ self.omega
-            v = right.plains(sites)
+            u = left[0, s, half] @ self.omega
+            v = right[1, s]
             out[:, half, :m] = u @ la.adjoint(v[:, :m])
             out[:, half, m:] = u @ la.adjoint(v[:, m:])
         return out
@@ -110,11 +116,6 @@ class GreensKernel:
         if self.variant == "half_minus":
             return range(lo, self.k0)
         return range(lo, hi + 1)
-
-    # hat values of the +/- role families at conj(z); used for flux checks
-    def u_hat_conj(self, side: str, k: int) -> np.ndarray:
-        fam = self._up_zb if side == "+" else self._um_zb
-        return fam.hat(k)
 
 
 def _herglotz_sign_check(M: np.ndarray, want_positive: bool, label: str,
@@ -140,10 +141,10 @@ def _certify(kernel: GreensKernel, n_probe: int = 4) -> None:
         return
     worst = max(delta_residual(kernel, ell) for ell in probes)
     kernel.diagnostics["delta_defect"] = worst
-    if worst > 1e-6:
+    if worst > _CERTIFICATE_TOL:
         raise KernelConstructionError(
-            f"delta-residual certificate failed: defect {worst:.2e} > 1e-6 "
-            f"at the sites {probes} next to k0")
+            f"delta-residual certificate failed: defect {worst:.2e} > "
+            f"{_CERTIFICATE_TOL:g} at the sites {probes} next to k0")
 
 
 def _operator_residual(sys: HamiltonianSystem, z: complex, y: np.ndarray,
@@ -190,50 +191,48 @@ def _build(sys, z, k0, alpha, window, variant, M_plus, M_minus, certify=True):
         diff = mm - mp
         if la.rcond(diff) < 1e-13:
             raise KernelConstructionError("M_minus - M_plus is singular")
-        omega = np.linalg.inv(diff)
+        omega, target = np.linalg.inv(diff), diff
     elif variant == "half_plus":
         if mp is None:
             raise InputError("half_plus kernel needs M_plus")
         _herglotz_sign_check(mp, upper, "M_plus", z)
-        omega = np.eye(m, dtype=complex)
+        omega = target = np.eye(m, dtype=complex)
     elif variant == "half_minus":
         if mm is None:
             raise InputError("half_minus kernel needs M_minus")
         _herglotz_sign_check(mm, not upper, "M_minus", z)
-        omega = -np.eye(m, dtype=complex)
+        omega = target = -np.eye(m, dtype=complex)
     else:
         raise InputError(f"unknown variant {variant!r}")
 
-    # cache one site above the window: hats at the top edge (and the hat of
-    # the base-site boundary value for the left half line) read psi2 there
-    fund_z = fundamental(sys, z, k0, alpha, (lo, hi + 1))
-    fund_zb = fundamental(sys, np.conj(z), k0, alpha, (lo, hi + 1))
+    # hats at [z, conj z] over the window and one site above it, so plain
+    # values reach the top edge; psi2 at lo comes from a backward transfer
+    zs = np.array([z, np.conj(z)])
+    hats = np.stack([fundamental(sys, w, k0, alpha, (lo, hi + 1)).data for w in zs])
+    t_lo = _lower_edge_transfers(sys, zs, lo)
 
-    def weyl_roles(M):
-        return weyl_solution(fund_z, M), weyl_solution(fund_zb, M.conj().T)
+    def plains(u):
+        psi2 = np.concatenate(((t_lo @ u[:, 0])[:, None, m:], u[:, :-1, m:]), axis=1)
+        return np.concatenate((u[:, :, :m], psi2), axis=2)
 
-    def phi_roles():
-        # the base-boundary roles are the fundamental's own Phi columns
-        return fund_z._columns(slice(m, None)), fund_zb._columns(slice(m, None))
+    psi = plains(hats)
 
-    if variant == "whole":
-        (up_z, up_zb), (um_z, um_zb) = weyl_roles(mp), weyl_roles(mm)
-        target = mm - mp
-    elif variant == "half_plus":
-        (up_z, up_zb), (um_z, um_zb) = weyl_roles(mp), phi_roles()
-        target = np.eye(m, dtype=complex)
-    else:
-        (up_z, up_zb), (um_z, um_zb) = phi_roles(), weyl_roles(mm)
-        target = -np.eye(m, dtype=complex)
+    def role(M):
+        """Hats and plains of Psi (I; M) at z and Psi (I; M*) at conj z, or
+        of the fundamental's Phi block where a half kernel has no M."""
+        if M is None:
+            return hats[..., m:], psi[..., m:]
+        u = np.stack([h @ _weyl_columns(m, w) for h, w in zip(hats, (M, M.conj().T))])
+        return u, plains(u)
 
+    (up_hats, up), (um_hats, um) = role(mp), role(mm)
     kernel = GreensKernel(variant=variant, z=z, k0=k0, alpha=alpha,
                           window=(lo, hi), sys=sys, omega=omega,
-                          M_plus=mp, M_minus=mm,
-                          _up_z=up_z, _up_zb=up_zb, _um_z=um_z, _um_zb=um_zb,
-                          _fund_z=fund_z, _fund_zb=fund_zb)
+                          M_plus=mp, M_minus=mm, _up=up, _um=um, _psi=psi)
     # the pairing is exactly constant in k; far-site drift measures float
     # cancellation in the decaying family, not a formula error
-    defects = _pairing_defects(um_zb, up_z, range(lo, hi), target)
+    defects = _pairing_defects(sys, um_hats[1, :-2], up_hats[0, :-2],
+                               range(lo, hi), target)
     kernel.diagnostics["coupling_defect"] = max(
         [0.0] + defects[max(k0 - 8 - lo, 0):k0 + 9 - lo])
     kernel.diagnostics["coupling_drift"] = max([0.0] + defects)
@@ -290,8 +289,8 @@ def alternative_representation(kernel: GreensKernel, k: int, ell: int) -> np.nda
     a, b = (kernel.M_plus, kernel.M_minus) if k > ell \
         else (kernel.M_minus, kernel.M_plus)
     t = np.block([[om, om @ b], [a @ om, a @ om @ b]])
-    psi_z = kernel._fund_z.plain(k)
-    psi_zb = kernel._fund_zb.plain(ell)
+    psi_z = kernel._psi[0, kernel._rows(k)][0]
+    psi_zb = kernel._psi[1, kernel._rows(ell)][0]
     return psi_z @ t @ psi_zb.conj().T
 
 
@@ -360,24 +359,21 @@ def _superpose(kernel: GreensKernel, g: np.ndarray, span: range,
     With ``rows`` the sum runs over the adjoint kernel K(k, ell)* =
     K(conj z, ell, k), whose columns are the rows of K: the z and conj(z)
     families swap and Omega becomes Omega*."""
-    lo, hi = kernel.window
-    # reversing the order swaps the z and conj(z) families
-    up, umb, um, upb = (kernel._up_z, kernel._um_zb, kernel._um_z,
-                        kernel._up_zb)[::-1 if rows else 1]
+    lo = kernel.window[0]
+    # flipping the z axis swaps the z and conj(z) families
+    up, um = (f[::-1] if rows else f for f in (kernel._up, kernel._um))
     om = kernel.omega.conj().T if rows else kernel.omega
     y = np.zeros_like(g)
     if not span:
         return y
     a, b = span.start - lo, span.stop - lo
     t = np.zeros((len(g), kernel.m, g.shape[2]), dtype=complex)
-    t[a:b] = la.adjoint(umb.plains(span)) @ g[a:b]
-    y[a + 1:] += (up.plains(range(span.start + 1, hi + 2)) @ om
-                  @ np.cumsum(t, axis=0)[a:-1])
+    t[a:b] = la.adjoint(um[1, a:b]) @ g[a:b]
+    y[a + 1:] += up[0, a + 1:] @ om @ np.cumsum(t, axis=0)[a:-1]
     t[:] = 0.0
-    above = range(max(span.start, lo + 1), span.stop)
-    t[above.start - lo:b] = la.adjoint(upb.plains(above)) @ g[above.start - lo:b]
-    y[:b - 1] += (um.plains(range(lo, span[-1])) @ om
-                  @ np.cumsum(t[::-1], axis=0)[::-1][1:b])
+    c = max(a, 1)
+    t[c:b] = la.adjoint(up[1, c:b]) @ g[c:b]
+    y[:b - 1] += um[0, :b - 1] @ om @ np.cumsum(t[::-1], axis=0)[::-1][1:b]
     return y
 
 
@@ -401,6 +397,8 @@ def solve_nonhomogeneous(kernel: GreensKernel, f) -> NonhomogeneousSolve:
     sites, the square-summability inequality
     sum y* A y <= (Im z)^{-2} sum f* A f (up to truncation slack), and
     reports the per-site kernel square sums for tail-decay diagnostics.
+    A relative residual above 1e-6 at any interior site raises
+    :class:`KernelConstructionError`; the kernel probes only next to k0.
     """
     sys = kernel.sys
     lo, hi = kernel.window
@@ -423,6 +421,11 @@ def solve_nonhomogeneous(kernel: GreensKernel, f) -> NonhomogeneousSolve:
     scale = 1.0 + la.opnorm(y[1:-2]) * la.opnorm(pencils) + la.opnorm(af)
     residual_by_site = dict(zip(range(lo + 1, hi),
                                 (la.opnorm(res - af) / scale).tolist()))
+    residual_max = max(residual_by_site.values(), default=0.0)
+    if residual_max > _CERTIFICATE_TOL:
+        raise KernelConstructionError(
+            f"solve certificate failed: relative residual {residual_max:.2e} > "
+            f"{_CERTIFICATE_TOL:g}")
 
     rhs = float(np.vdot(f_all, g).real)
     lhs = float(np.vdot(y[rows], a[rows] @ y[rows]).real)
@@ -436,7 +439,7 @@ def solve_nonhomogeneous(kernel: GreensKernel, f) -> NonhomogeneousSolve:
     return NonhomogeneousSolve(
         kernel=kernel, f=fd, y=dict(zip(range(lo, hi + 2), y)),
         residual_by_site=residual_by_site,
-        residual_max=max(residual_by_site.values()) if residual_by_site else 0.0,
+        residual_max=residual_max,
         l2a_lhs=lhs, l2a_rhs=rhs,
         l2a_bound=rhs / (z.imag ** 2),
         kernel_square_trace=ksq)
@@ -444,7 +447,8 @@ def solve_nonhomogeneous(kernel: GreensKernel, f) -> NonhomogeneousSolve:
 
 def boundary_flux(kernel: GreensKernel, solve: NonhomogeneousSolve | dict,
                   k: int, side: str = "+") -> np.ndarray:
-    """Flux pairing of the decaying family against a solution at site k.
+    """Flux pairing of the decaying family against a solution at a site k
+    of the window (the hats at k read the plain values at k and k+1).
 
     Returns Uhat_side(conj z, k)* J_rho(k) yhat(k); it must tend to zero at
     the corresponding singular endpoint, and vanishes identically when y is
@@ -456,7 +460,8 @@ def boundary_flux(kernel: GreensKernel, solve: NonhomogeneousSolve | dict,
         raise InputError("half_plus kernels have no minus-side flux")
     if kernel.variant == "half_minus" and side == "+":
         raise InputError("half_minus kernels have no plus-side flux")
-    uhat = kernel.u_hat_conj(side, k)
+    u = (kernel._up if side == "+" else kernel._um)[1, kernel._rows(k, 2)]
+    uhat = _hat_from_plain(u, 0, kernel.m)
     y = solve.y if isinstance(solve, NonhomogeneousSolve) else solve
     return uhat.conj().T @ kernel.sys.j_rho(k) @ _hat_from_plain(y, k, kernel.m)
 
@@ -498,24 +503,22 @@ def diagonal_riccati_blocks(kernel: GreensKernel, sites=None) -> dict:
     sites = range(lo, hi) if sites is None else sites
     out = {"blocks": {}, "defect": {}, "errors": {}, "V_plus": {}, "V_minus": {}}
     for k in sites:
-        up = kernel._up_z.plain
-        um = kernel._um_z.plain
-        phi_p, th_p = up(k)[:m], up(k)[m:]
-        phi_m, th_m = um(k)[:m], um(k)[m:]
+        s = kernel._rows(k, 2)  # the plain values at k and k+1
+        (up, up_c), (um, um_c) = kernel._up[:, s], kernel._um[:, s]
+        phi_p, th_p = up[0, :m], up[0, m:]
+        phi_m, th_m = um[0, :m], um[0, m:]
         if min(la.rcond(phi_p), la.rcond(phi_m)) < 1e-13:
             out["errors"][k] = "leading block singular"
             continue
-        v_p = sys.rho(k) @ la.rsolve(up(k + 1)[m:], phi_p)
-        v_m = sys.rho(k) @ la.rsolve(um(k + 1)[m:], phi_m)
+        v_p = sys.rho(k) @ la.rsolve(up[1, m:], phi_p)
+        v_m = sys.rho(k) @ la.rsolve(um[1, m:], phi_m)
         diff = v_p - v_m
         if la.rcond(diff) < 1e-13:
             out["errors"][k] = "V_plus - V_minus singular"
             continue
         core = np.linalg.inv(diff)
-        phi_p_c = kernel._up_zb.plain(k)[:m]
-        th_p_c = kernel._up_zb.plain(k)[m:]
-        phi_m_c = kernel._um_zb.plain(k)[:m]
-        th_m_c = kernel._um_zb.plain(k)[m:]
+        phi_p_c, th_p_c = up_c[0, :m], up_c[0, m:]
+        phi_m_c, th_m_c = um_c[0, :m], um_c[0, m:]
         left = la.rsolve(th_m, phi_m) @ core
         blk = np.block([
             [core, core @ np.linalg.solve(phi_m_c.conj().T, th_m_c.conj().T)],

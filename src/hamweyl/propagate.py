@@ -27,10 +27,10 @@ Trajectories are stored densely with no re-orthogonalization; every M of
 :mod:`hamweyl.weyl` sweeps a subspace inward with QR instead (ker bt from
 the far site, also in the limit chase and the disk walk, or the decaying
 subspace of a constant tail from the window edge).
-One trajectory type, :class:`HatTrajectory`, serves every caller: the
-fundamental system (Theta and Phi are its left and right column blocks),
-Weyl solutions and the role families of the Green's kernels; it computes
-its plain values once, on first read.
+One trajectory type, :class:`HatTrajectory`, serves the fundamental system
+(Theta and Phi are its left and right column blocks) and Weyl solutions; it
+computes its plain values once, on first read. Green's kernels hold their
+role families as arrays of plain values instead (:mod:`hamweyl.green`).
 """
 
 from __future__ import annotations
@@ -240,10 +240,6 @@ class HatTrajectory:
         return self.data.shape[1] // 2
 
     @property
-    def r(self) -> int:
-        return self.data.shape[2]
-
-    @property
     def k_hi(self) -> int:
         return self.k_lo + self.data.shape[0] - 1
 
@@ -300,24 +296,19 @@ class HatTrajectory:
 
     @cached_property
     def _plain_lo(self) -> np.ndarray:
-        # the psi2 rows of a backward transfer read only site k_lo; its
-        # psi1 rows, which would need rho(k_lo - 1), are built with rho(k_lo)
-        # and dropped
-        sys, k = self.sys, self.k_lo
-        t = _assemble(sys, np.array([self.z], dtype=complex), range(k, k - 2, -1),
-                      sys._indices(range(k, k + 1)).repeat(2), -1)
-        out = np.vstack([self.data[0, :self.m], (t[0] @ self.data[:1])[0, self.m:]])
+        t = _lower_edge_transfers(self.sys, self.z, self.k_lo)
+        out = np.vstack([self.data[0, :self.m], (t @ self.data[:1])[0, self.m:]])
         out.setflags(write=False)
         return out
 
-    def _columns(self, cols: slice) -> HatTrajectory:
-        """Trajectory of a column block sharing this trajectory's plain
-        values, which are computed now."""
-        block = HatTrajectory(self.sys, self.z, self.k_lo, self.data[:, :, cols],
-                              self.k0)
-        block._plain_above = self._plain_above[:, :, cols]
-        block._plain_lo = self._plain_lo[:, cols]
-        return block
+
+def _lower_edge_transfers(sys: HamiltonianSystem, z, k: int) -> np.ndarray:
+    """The (N, 2m, 2m) backward transfers at site k for a batch of z whose
+    psi2 rows give psi2(k) from the hat at k. They read only site k: their
+    psi1 rows, which would need rho(k - 1), are built with rho(k) and must
+    be dropped."""
+    return _assemble(sys, np.atleast_1d(np.asarray(z, dtype=complex)),
+                     range(k, k - 2, -1), sys._indices(range(k, k + 1)).repeat(2), -1)[0]
 
 
 def hat_trajectory(sys: HamiltonianSystem, z: complex, k_start: int, init,
@@ -464,13 +455,12 @@ def lagrange_telescoping_check(sys: HamiltonianSystem, z1: complex, z2: complex,
     return float(np.fmax.reduce(defects, initial=0.0))
 
 
-def _pairing_defects(left: HatTrajectory, right: HatTrajectory, sites: range,
-                     target: np.ndarray) -> list[float]:
-    """Per site of ``sites``, the deviation of left.hat(k)* J_rho(k)
-    right.hat(k) from ``target``, relative to the product of the paired
-    norms, the meaningful scale when solutions grow along the window."""
-    sys = right.sys
-    hl, hr = left.hats(sites), right.hats(sites)
+def _pairing_defects(sys: HamiltonianSystem, hl: np.ndarray, hr: np.ndarray,
+                     sites: range, target: np.ndarray) -> list[float]:
+    """Per site of ``sites``, the deviation of hl(k)* J_rho(k) hr(k) from
+    ``target`` for (n, 2m, r) hat stacks over those sites, relative to the
+    product of the paired norms, the meaningful scale when solutions grow
+    along the window."""
     g = lagrange_bilinear(sys, sites, hl, hr)
     rho = sys._rho[sys._indices(sites)]
     scale = 1.0 + la.opnorm(hl) * la.opnorm(hr) * la.opnorm(rho)
@@ -484,7 +474,8 @@ def fundamental_pair_defect(fund_z: HatTrajectory,
     sites = range(max(fund_z.k_lo, fund_zbar.k_lo),
                   min(fund_z.k_hi, fund_zbar.k_hi) + 1)
     target = -symplectic_unit(fund_z.m)
-    return max([0.0] + _pairing_defects(fund_zbar, fund_z, sites, target))
+    return max([0.0] + _pairing_defects(fund_z.sys, fund_zbar.hats(sites),
+                                        fund_z.hats(sites), sites, target))
 
 
 def _a_form_sum(sys: HamiltonianSystem, traj: HatTrajectory,

@@ -255,14 +255,17 @@ def test_disk_on_a_long_window(tmp_path):
 
 def test_failed_kernel_certificate_exits_3(tmp_path):
     # const_m2 at 0.5+0.5i: on +-80 the kernel's delta defect near k0 is
-    # ~7e-2, so green and solve refuse it; on +-40 it certifies
+    # ~7e-2, so green and solve refuse it; on +-40 it certifies, but the
+    # solve's relative residual (~1e-2) fails its own gate; on +-20 the
+    # solve holds (~3e-10)
     p = np.array([[1.0, 0.25j], [-0.25j, 0.8]])
     q = np.array([[0.3, 0.1], [0.1, -0.2]])
     path = tmp_path / "const_m2.json"
     hsys.save_coefficients(
         hsys.jacobi_system(lambda k: p, lambda k: q, (-120, 120)), path)
-    for command in ("green", "solve"):
-        for w, rc in ((80, 3), (40, 0)):
+    for command, cases in (("green", ((80, 3), (40, 0))),
+                           ("solve", ((80, 3), (40, 3), (20, 0)))):
+        for w, rc in cases:
             assert main([command, "--input", str(path), "--z", "0.5,0.5",
                          f"--window=-{w},{w}", "--no-timestamp",
                          "--output", str(tmp_path / "k.csv")]) == rc

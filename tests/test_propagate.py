@@ -362,16 +362,6 @@ def test_periodic_extension_propagation():
         assert np.allclose(t_small.hat(k), t_tiled.hat(k), atol=1e-13)
 
 
-def test_column_blocks_reuse_the_parent_scan():
-    # the Phi-role block of a half-line kernel shares the plain values its
-    # parent already computed
-    sysj = make_free_jacobi((0, 400))
-    fund = hp.fundamental(sysj, -3 + 0.1j, 0, hsys.dirichlet(1), (0, 400))
-    phi = fund._columns(slice(1, None))
-    assert phi.k0 == fund.k0
-    assert np.array_equal(phi.plain(200), fund.plain(200)[:, 1:])
-
-
 # ---------------------------------------------------------------------------
 # the bilinear pairing
 # ---------------------------------------------------------------------------
