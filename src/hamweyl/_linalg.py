@@ -21,6 +21,8 @@ __all__ = [
     "rcond",
     "smallest_singular_value",
     "is_hermitian",
+    "inverse",
+    "fails_check",
     "min_eig_herm",
     "max_eig_herm",
     "sqrtm_spd",
@@ -105,6 +107,66 @@ def is_hermitian(a: np.ndarray, tol: float = 1e-12):
     A bool for one matrix, an array of them for a stack of matrices.
     """
     return opnorm(a - adjoint(a)) <= tol * np.maximum(1.0, opnorm(a))
+
+
+#: A Frobenius bound decides a check verdict only where it clears the
+#: threshold by this factor; nearer the threshold the SVD decides.
+_BOUND_MARGIN = 4.0
+
+
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack."""
+    return np.sqrt(np.einsum("...ij,...ij->...", a.real, a.real)
+                   + np.einsum("...ij,...ij->...", a.imag, a.imag))
+
+
+def inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of each matrix of a stack, all NaN when one of them is
+    exactly singular (numpy then inverts none)."""
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return np.full_like(a, np.nan)
+
+
+def fails_check(a: np.ndarray, rule: str, limit: float, inv=None) -> np.ndarray:
+    """Verdict of a 2-norm input check on each matrix of an (..., m, m)
+    stack, as a boolean array over the leading axes.
+
+    Rule ``"hermitian"`` fails where ||A - A*||_2 > limit max(1, ||A||_2),
+    the negation of :func:`is_hermitian`; rule ``"rcond"`` fails where
+    :func:`rcond` is below ``limit``, and ``inv`` is the stack's inverse
+    when the caller has it. The verdicts are the SVD rules' own. Frobenius
+    norms bracket the 2-norms (||X||_F / sqrt(m) <= ||X||_2 <= ||X||_F, so
+    1/(||A||_F ||A^-1||_F) <= rcond(A) <= m/(||A||_F ||A^-1||_F)) and
+    decide every matrix whose bracket clears the threshold by
+    ``_BOUND_MARGIN``; the SVD decides the rest, and every matrix whose
+    norms leave the float range.
+    """
+    m = a.shape[-1]
+    with np.errstate(all="ignore"):
+        f_a = _frobenius(a)
+        if rule == "hermitian":
+            f_x = _frobenius(a - adjoint(a))
+            # bounds on ||A - A*||_2 / max(1, ||A||_2)
+            lo = f_x / np.sqrt(m) / np.maximum(1.0, f_a)
+            hi = f_x / np.maximum(1.0, f_a / np.sqrt(m))
+            bound_limit = limit
+            exact = lambda s: ~is_hermitian(a[s], limit)  # noqa: E731
+        elif rule == "rcond":
+            f_x = _frobenius((1.0 / a if m == 1 else inverse(a)) if inv is None else inv)
+            # bounds on the 2-norm condition number 1 / rcond(A)
+            hi = f_a * f_x
+            lo = hi / m
+            bound_limit = 1.0 / limit
+            exact = lambda s: rcond(a[s]) < limit  # noqa: E731
+        else:
+            raise ValueError(f"unknown check rule {rule!r}")
+        bad = lo > _BOUND_MARGIN * bound_limit
+        unsure = ~(bad | (hi * _BOUND_MARGIN <= bound_limit)) | ~np.isfinite(f_a * f_x)
+    if unsure.any():
+        bad[unsure] = exact(unsure)
+    return bad
 
 
 def min_eig_herm(a: np.ndarray) -> float:

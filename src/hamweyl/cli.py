@@ -160,13 +160,35 @@ def _fmt(x) -> str:
 
 
 def _complex_columns(prefix: str, mat: np.ndarray) -> dict:
-    mat = np.atleast_2d(mat)
     out = {}
-    for i in range(mat.shape[0]):
-        for j in range(mat.shape[1]):
-            out[f"{prefix}_{i}{j}_re"] = float(mat[i, j].real)
-            out[f"{prefix}_{i}{j}_im"] = float(mat[i, j].imag)
+    for i, row in enumerate(np.atleast_2d(np.asarray(mat, dtype=complex)).tolist()):
+        for j, v in enumerate(row):
+            out[f"{prefix}_{i}{j}_re"] = v.real
+            out[f"{prefix}_{i}{j}_im"] = v.imag
     return out
+
+
+def _json_default(o):
+    if isinstance(o, (np.floating, np.integer)):
+        return float(o)
+    if isinstance(o, np.bool_):
+        return bool(o)
+    return str(o)
+
+
+def _json_text(meta: dict, rows: list[dict]) -> str:
+    """The bytes of ``json.dumps({"meta": meta, "rows": rows}, indent=1,
+    default=_json_default) + "\\n"`` for flat (scalar-valued) dicts. Each
+    dict goes through the C encoder, whose item separator carries the
+    newline and indent of its depth."""
+    def flat(depth: int):
+        pad = "\n" + " " * depth
+        encode = json.JSONEncoder(separators=("," + pad, ": "),
+                                  default=_json_default).encode
+        return lambda d: "{" + pad + encode(d)[1:-1] + pad[:-1] + "}" if d else "{}"
+
+    rows_text = "[\n  " + ",\n  ".join(map(flat(3), rows)) + "\n ]" if rows else "[]"
+    return '{\n "meta": ' + flat(2)(meta) + ',\n "rows": ' + rows_text + "\n}\n"
 
 
 def _write_output(rows: list[dict], meta: dict, args) -> None:
@@ -174,16 +196,8 @@ def _write_output(rows: list[dict], meta: dict, args) -> None:
     if not args.no_timestamp:
         stamped["generated"] = datetime.now(timezone.utc).isoformat()
 
-    def _json_default(o):
-        if isinstance(o, (np.floating, np.integer)):
-            return float(o)
-        if isinstance(o, np.bool_):
-            return bool(o)
-        return str(o)
-
     if args.format == "json":
-        doc = {"meta": stamped, "rows": rows}
-        text = json.dumps(doc, indent=1, default=_json_default) + "\n"
+        text = _json_text(stamped, rows)
     else:
         buf = io.StringIO()
         for key in sorted(stamped):

@@ -90,19 +90,19 @@ def _pencil_check(sys: HamiltonianSystem, z: np.ndarray, sites: range,
     """
     a, b = (slice(None, sys.m), slice(sys.m, None))[::d]
     which = "(2,1)" if d > 0 else "(1,2)"
-    static, rc, passed = sys._offdiag_static[which]
-    if passed:
+    static, bad = sys._offdiag_static[which]
+    if static and not bad.any():
         return None
     blk = None
     if static:
-        rc = rc[p]
+        bad = bad[p]
     else:
         blk = sys._A[p, b, a, None] * z + sys._B[p, b, a, None]
-        rc = np.min(la.rcond(blk.transpose(0, 3, 1, 2)), axis=1, initial=np.inf)
-    bad = rc < RCOND_MIN
+        bad = la.fails_check(blk.transpose(0, 3, 1, 2), "rcond", RCOND_MIN).any(axis=1)
     if bad.any():
         j = int(np.argmax(bad))
-        raise SteppingError(site=sites[j], rcond=rc[j], which=which)
+        at_j = sys._B[p[j], b, a][None] if blk is None else blk[j].transpose(2, 0, 1)
+        raise SteppingError(site=sites[j], rcond=np.min(la.rcond(at_j)), which=which)
     return blk
 
 

@@ -38,6 +38,7 @@ always emits pairs.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -86,6 +87,10 @@ TOL_SYM = 1e-12
 TOL_PSD = 1e-10
 RCOND_MIN = 1e-12
 TOL_DEF = 1e-10
+
+#: Multiple of 2m eps ||G|| below which the smallest eigenvalue of a Gram
+#: matrix G is rounding, not evidence of definiteness.
+_DEF_ROUNDING = 10.0
 
 #: Definiteness is required for every z; a pass on this sample is evidence,
 #: not proof (no finite sample can certify an all-z statement).
@@ -325,15 +330,14 @@ class HamiltonianSystem:
     def _offdiag_static(self) -> dict:
         """Per off-diagonal pencil block ("(2,1)", "(1,2)"): whether that
         block of A vanishes at every stored site, so the pencil block is
-        B's for every z; the 2-norm rcond of B's block per stored site; and
-        whether the first holds and every rcond is at least ``RCOND_MIN``,
-        so the block passes the pencil check at every site and z."""
+        B's for every z, and if so, per stored site, whether B's block has
+        2-norm rcond below ``RCOND_MIN`` (None otherwise)."""
         top, bot = slice(None, self.m), slice(self.m, None)
         out = {}
         for which, r, c in (("(2,1)", bot, top), ("(1,2)", top, bot)):
             static = not np.any(self._A[:, r, c])
-            rc = la.rcond(self._B[:, r, c])
-            out[which] = static, rc, static and bool(rc.min() >= RCOND_MIN)
+            out[which] = static, (la.fails_check(self._B[:, r, c], "rcond", RCOND_MIN)
+                                  if static else None)
         return out
 
     def j_rho(self, k: int) -> np.ndarray:
@@ -489,9 +493,11 @@ def check_definiteness(sys: HamiltonianSystem, z: complex, interval,
     G = sum_{k in [c,d]} Psi(k)* A(k) Psi(k). Positivity of G as a quadratic
     form on initial data is equivalent to positivity of the sum for every
     nontrivial solution; the verdict is "definite" iff the smallest
-    eigenvalue exceeds ``tol_def``. The threshold is absolute: on long
-    windows G is extremely ill conditioned (solutions grow), yet the
-    smallest eigenvalue stays of the order of the one-site energy.
+    eigenvalue exceeds both ``tol_def`` and its own rounding,
+    ``_DEF_ROUNDING`` 2m eps times the largest. On long windows G is
+    extremely ill conditioned (solutions grow), yet the smallest eigenvalue
+    stays of the order of the one-site energy; one below the rounding of
+    G's entries is noise, whatever its sign.
     """
     from . import propagate  # local import; propagate depends on this module
 
@@ -500,8 +506,10 @@ def check_definiteness(sys: HamiltonianSystem, z: complex, interval,
     basis = propagate.hat_trajectory(
         sys, z, lo, np.eye(2 * sys.m, dtype=complex), (lo, hi))
     g = propagate._a_form_sum(sys, basis, range(lo, hi + 1))
-    min_eig = la.min_eig_herm(g)
-    verdict = "definite" if min_eig > tol_def else "indefinite"
+    eigs = np.linalg.eigvalsh(la.herm(g))
+    min_eig = float(eigs[0])
+    floor = _DEF_ROUNDING * 2 * sys.m * np.finfo(float).eps * eigs[-1]
+    verdict = "definite" if min_eig > max(tol_def, floor) else "indefinite"
     return DefinitenessReport(gram=g, verdict=verdict, min_eig=min_eig,
                               interval=(lo, hi), z=z)
 
@@ -532,10 +540,11 @@ def jacobi_system(p, q, window, m=None, extension="constant-edge") -> Hamiltonia
     p_vals = _coerce_site_values(p, window, m, "p")
     q_vals = _coerce_site_values(q, window, m, "q")
     _check_finite(p_vals, q_vals)
+    p_inv = la.inverse(p_vals)
     # the first failing site raises, with its checks in this order
-    bad = np.stack([~la.is_hermitian(p_vals, TOL_SYM),
-                    la.rcond(p_vals) < RCOND_MIN,
-                    ~la.is_hermitian(q_vals, TOL_SYM)], axis=1)
+    bad = np.stack([la.fails_check(p_vals, "hermitian", TOL_SYM),
+                    la.fails_check(p_vals, "rcond", RCOND_MIN, inv=p_inv),
+                    la.fails_check(q_vals, "hermitian", TOL_SYM)], axis=1)
     if np.any(bad):
         i, check = np.argwhere(bad)[0]
         name, fault = (("p", "not Hermitian"), ("p", "singular"),
@@ -549,7 +558,7 @@ def jacobi_system(p, q, window, m=None, extension="constant-edge") -> Hamiltonia
     B[:, :m, :m] = -q_vals
     B[:, :m, m:] = eye
     B[:, m:, :m] = eye
-    B[:, m:, m:] = np.linalg.inv(p_vals)
+    B[:, m:, m:] = p_inv
     rho = np.stack([eye] * n)
     jac = JacobiCoefficients(p_vals.copy(), q_vals.copy(), window[0], extension)
     return HamiltonianSystem(m, window, A, B, rho, extension, jacobi=jac)
@@ -562,7 +571,7 @@ def dirac_system(b, window, m=None, extension="constant-edge") -> HamiltonianSys
         m = _infer_m(b, window[0])
     b_vals = _coerce_site_values(b, window, m, "b")
     _check_finite(b_vals)
-    singular = np.flatnonzero(la.rcond(b_vals) < RCOND_MIN)
+    singular = np.flatnonzero(la.fails_check(b_vals, "rcond", RCOND_MIN))
     if singular.size:
         raise InputError(f"b at site {window[0] + singular[0]} is singular")
     n = b_vals.shape[0]
@@ -805,13 +814,19 @@ def _matrix_to_pairs(a: np.ndarray) -> list:
     return [[float(x.real), float(x.imag)] for x in flat]
 
 
+_SEQUENCE = (list, tuple, np.ndarray)
+
+
 def _pairs_to_matrix(pairs, m: int, name: str) -> np.ndarray:
+    if not isinstance(pairs, _SEQUENCE):
+        raise InputError(f"{name}: each site must be a list of entries")
     vals = []
     for entry in pairs:
-        if isinstance(entry, (int, float)):
+        if isinstance(entry, numbers.Real):
             vals.append(complex(entry))
         else:
-            if len(entry) != 2:
+            if not (isinstance(entry, _SEQUENCE) and len(entry) == 2
+                    and all(isinstance(x, numbers.Real) for x in entry)):
                 raise InputError(f"{name}: entries must be [re, im] pairs")
             vals.append(complex(entry[0], entry[1]))
     if len(vals) != m * m:
@@ -824,6 +839,8 @@ def _pairs_to_stack(sites, m: int, name: str) -> np.ndarray:
     (n, m, m) array. A block of numeric [re, im] pairs parses as one array;
     any other block (plain-number entries, malformed entries) is parsed site
     by site, which raises the per-entry error messages."""
+    if not isinstance(sites, _SEQUENCE):
+        raise InputError(f"{name}: expected a list of per-site entries")
     try:
         arr = np.asarray(sites)
     except ValueError:  # ragged nesting, a malformed block
@@ -832,8 +849,11 @@ def _pairs_to_stack(sites, m: int, name: str) -> np.ndarray:
             and arr.shape[1:] == (m * m, 2):
         arr = np.ascontiguousarray(arr, dtype=float)
         return arr.view(complex).reshape(-1, m, m)
-    return np.array([_pairs_to_matrix(site, m, name) for site in sites],
-                    dtype=complex).reshape(-1, m, m)
+    try:
+        return np.array([_pairs_to_matrix(site, m, name) for site in sites],
+                        dtype=complex).reshape(-1, m, m)
+    except OverflowError as e:  # an integer beyond the float range
+        raise InputError(f"{name}: entry out of the float range") from e
 
 
 def system_to_dict(sys: HamiltonianSystem) -> dict:
@@ -858,35 +878,49 @@ def system_to_dict(sys: HamiltonianSystem) -> dict:
     return head
 
 
+def _field(doc, key: str, what: str):
+    """``doc[key]`` of a JSON object, with :class:`InputError` for anything
+    else."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} must be a JSON object")
+    if key not in doc:
+        raise InputError(f"{what} missing field '{key}'")
+    return doc[key]
+
+
 def system_from_dict(doc: dict) -> HamiltonianSystem:
-    """Build a system from a coefficient document (full or shorthand form)."""
+    """Build a system from a coefficient document (full or shorthand form).
+
+    Every malformed document raises :class:`InputError`."""
+    what = "coefficient document"
     try:
-        m = int(doc["m"])
-        k_min = int(doc["k_min"])
-    except KeyError as e:
-        raise InputError(f"coefficient document missing field {e}") from e
+        m = int(_field(doc, "m", what))
+        k_min = int(_field(doc, "k_min", what))
+    except (TypeError, ValueError) as e:
+        raise InputError(f"{what}: m and k_min must be integers ({e})") from e
+    if m < 1:
+        raise InputError("block dimension m must be >= 1")
     extension = doc.get("extension", "constant-edge")
 
     if "jacobi" in doc:
         block = doc["jacobi"]
-        p = _pairs_to_stack(block["p"], m, "p")
-        q = _pairs_to_stack(block["q"], m, "q")
-        if len(p) != len(q):
-            raise InputError("jacobi block: p and q must cover the same sites")
+        p = _pairs_to_stack(_field(block, "p", "jacobi block"), m, "p")
+        q = _pairs_to_stack(_field(block, "q", "jacobi block"), m, "q")
+        if len(p) != len(q) or not len(p):
+            raise InputError("jacobi block: p and q must cover the same "
+                             "nonempty site range")
         window = (k_min, k_min + len(p) - 1)
         return jacobi_system(p, q, window, m=m, extension=extension)
     if "dirac" in doc:
-        block = doc["dirac"]
-        b = _pairs_to_stack(block["b"], m, "b")
+        b = _pairs_to_stack(_field(doc["dirac"], "b", "dirac block"), m, "b")
+        if not len(b):
+            raise InputError("dirac block: b must cover a nonempty site range")
         window = (k_min, k_min + len(b) - 1)
         return dirac_system(b, window, m=m, extension=extension)
 
-    for key in ("A", "B", "rho"):
-        if key not in doc:
-            raise InputError(f"coefficient document missing field '{key}'")
-    A = _pairs_to_stack(doc["A"], 2 * m, "A")
-    B = _pairs_to_stack(doc["B"], 2 * m, "B")
-    rho = _pairs_to_stack(doc["rho"], m, "rho")
+    A = _pairs_to_stack(_field(doc, "A", what), 2 * m, "A")
+    B = _pairs_to_stack(_field(doc, "B", what), 2 * m, "B")
+    rho = _pairs_to_stack(_field(doc, "rho", what), m, "rho")
     if not (len(A) == len(B) == len(rho)) or not len(A):
         raise InputError("A, B, rho must cover the same nonempty site range")
     window = (k_min, k_min + len(A) - 1)
@@ -902,6 +936,6 @@ def load_coefficients(path) -> HamiltonianSystem:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise InputError(f"malformed coefficient file: {e}") from e
     return system_from_dict(doc)

@@ -1,10 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hamweyl import system as hsys
-from hamweyl.cli import main
+from hamweyl.cli import _json_default, _json_text, main
 
 from conftest import make_free_jacobi
 
@@ -295,3 +296,64 @@ def test_disk_walk_survives_a_chunk_that_overflows(tmp_path):
         ev = hwl.regular_m_evaluator(sys_, 0, r["ell"], hsys.dirichlet(1),
                                      hsys.dirichlet(1))
         assert complex(r["M_00_re"], r["M_00_im"]) == ev(0.5 + 0.5j)[0, 0]
+
+
+VALID_JACOBI = {"p": [[[1.0, 0.0]]], "q": [[[0.0, 0.0]]]}
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],                                                   # top-level list
+    {"m": 1, "k_min": 0, "jacobi": [1, 2]},                   # block not an object
+    {"m": 1, "k_min": 0, "jacobi": {"p": [[[1.0, 0.0]]]}},    # jacobi without q
+    {"m": 1, "k_min": 0, "dirac": {}},                        # dirac without b
+    {"m": "two", "k_min": 0, "jacobi": VALID_JACOBI},         # m not an integer
+    {"m": 0, "k_min": 0, "A": [], "B": [], "rho": []},        # m = 0
+    {"m": 1, "k_min": 0, "jacobi": {"p": [], "q": []}},       # no sites
+    {"m": 1, "k_min": 0, "jacobi": {"p": [[["a", "b"]]],      # string entries
+                                    "q": [[[0.0, 0.0]]]}},
+    {"m": 1, "k_min": 0, "jacobi": {"p": [[[10 ** 400, 0]]],  # beyond floats
+                                    "q": [[[0.0, 0.0]]]}},
+], ids=["list", "jacobi-list", "no-q", "no-b", "m-word", "m-zero", "empty-pq",
+        "string-pair", "huge-int"])
+def test_malformed_coefficient_documents_exit_2(tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--input", str(path), "--output", "-"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# JSON output: the per-dict C encoding is byte for byte json.dumps(indent=1)
+# ---------------------------------------------------------------------------
+
+def _reference_json(meta, rows):
+    return json.dumps({"meta": meta, "rows": rows}, indent=1,
+                      default=_json_default) + "\n"
+
+
+@pytest.mark.parametrize("meta, rows", [
+    ({"x": float("nan"), "inf": float("inf"), "ninf": -float("inf")},
+     [{"a": float("nan"), "b": -float("inf"), "c": -0.0, "d": 1e-310}]),
+    ({"f": np.float64(0.1), "i": np.int64(-3), "b": np.bool_(True),
+      "f32": np.float32(0.1)},
+     [{"i": np.int64(7), "b": np.bool_(False), "t": True, "n": 12}]),
+    ({"none": None}, [{"delta_defect": None, "v": 2.5}, {"w": None}]),
+    ({"s": 'say "hi"\\ back\\slash\nnew line\ttab'},
+     [{"name": "Weyl–Titchmarsh ∞ é 中 \U0001f600", "k\"ey": "\x00\x1f"}]),
+    ({}, []),
+    ({"command": "green"}, []),
+    ({}, [{}, {"a": 1}, {}]),
+    ({"c": 1 + 2j}, [{"z": 0.5 - 1j, "path": Path("in.json")}]),
+], ids=["nonfinite", "numpy-scalars", "none", "strings", "empty", "empty-rows",
+        "empty-row", "default-str"])
+def test_json_writer_is_byte_identical_to_json_dumps(meta, rows):
+    assert _json_text(meta, rows) == _reference_json(meta, rows)
+
+
+def test_green_json_stdout_is_the_reference_encoding(free_fixture, capsys):
+    rc = main(["green", "--input", free_fixture, "--z", "0.5,0.5",
+               "--window=-10,10", "--format", "json", "--no-timestamp"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert len(doc["rows"]) == 21
+    assert out == _reference_json(doc["meta"], doc["rows"])

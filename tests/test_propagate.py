@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamweyl import _linalg as la
 from hamweyl import propagate as hp
 from hamweyl import system as hsys
 from hamweyl import testkit as htk
@@ -525,3 +526,30 @@ def test_entries_interpolate_as_polynomials_in_z():
     fit = np.polynomial.polynomial.polyfit(ts[::2], vals[::2], deg)
     check = np.polynomial.polynomial.polyval(ts[1::2], fit)
     assert np.max(np.abs(check - vals[1::2])) < 1e-8 * (1 + np.max(np.abs(vals)))
+
+
+def test_pencil_error_reports_the_svd_rcond_of_the_failing_site():
+    # verdicts come from norm bounds; the error still names the first failing
+    # site and its 2-norm rcond, min over the z batch
+    zs = np.array([0.3 + 0.2j, 0.5 + 1e-14j])
+    init = np.eye(4, dtype=complex)
+    # static (2,1) block: B21 = diag(1, 1e-14) at site 5 of an m = 2 chain
+    sysj = hsys.jacobi_system(np.eye(2), np.zeros((2, 2)), (0, 12))
+    B = sysj._B.copy()
+    B[5, 2:, :2] = np.diag([1.0, 1e-14])
+    static = hsys.HamiltonianSystem(2, sysj.window, sysj._A, B, sysj._rho)
+    with pytest.raises(SteppingError) as err:
+        hp.propagate_hats(static, zs, 0, init, 12)
+    assert (err.value.site, err.value.which) == (5, "(2,1)")
+    assert err.value.rcond == la.rcond(B[5, 2:, :2])
+    # z-dependent blocks z A21 + B21 = diag(1, z - 0.5), singular near z = 0.5
+    A = np.zeros((4, 4), dtype=complex)
+    A[3, 1] = A[1, 3] = 1.0
+    Bg = np.zeros((4, 4), dtype=complex)
+    Bg[2:, :2] = Bg[:2, 2:] = np.diag([1.0, -0.5])
+    sysg = hsys.HamiltonianSystem(2, (0, 12), A, Bg, np.eye(2))
+    for k_end, which, site in ((12, "(2,1)", 1), (-3, "(1,2)", 0)):
+        with pytest.raises(SteppingError) as err:
+            hp.propagate_hats(sysg, zs, 0, init, k_end)
+        assert (err.value.site, err.value.which) == (site, which)
+        assert err.value.rcond == min(la.rcond(z * A[2:, :2] + Bg[2:, :2]) for z in zs)

@@ -185,6 +185,26 @@ def test_definiteness_jacobi_interval_and_point():
     assert not single.definite
 
 
+def test_definiteness_below_the_gram_rounding_is_not_definite():
+    # A = diag(e1 e1*, 0) with m = 2: over 3 sites G is a sum of three rank-one
+    # terms, so its smallest eigenvalue is exactly 0. B22 = diag(1e4, 2e4)
+    # grows the solutions to ||G|| ~ 1e15, and the rounding of lambda_min
+    # (up to about 1 here, either sign) must not read as "definite"
+    A = np.zeros((4, 4), dtype=complex)
+    A[0, 0] = 1.0
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        B = np.zeros((4, 4), dtype=complex)
+        B[:2, 2:], B[2:, :2] = g, g.conj().T
+        B[2:, 2:] = np.diag([1e4, 2e4])
+        sys_ = hsys.HamiltonianSystem(2, (0, 6), A, B, np.eye(2))
+        for z in hsys.DEFAULT_Z_SAMPLE:
+            rep = hsys.check_definiteness(sys_, z, (0, 2))
+            assert not rep.definite, (seed, z, rep.min_eig)
+            assert rep.min_eig == np.linalg.eigvalsh(rep.gram)[0]
+
+
 # ---------------------------------------------------------------------------
 # boundary data
 # ---------------------------------------------------------------------------
