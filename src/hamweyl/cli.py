@@ -12,6 +12,7 @@ Exit codes: 0 ok, 1 usage error, 2 validation failure, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -41,29 +42,42 @@ class UsageError(Exception):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _parse_complex(text: str) -> complex:
-    t = text.strip()
+def _parse_numbers(text: str, what: str, kind=float, count=None, sep=","):
+    """The ``sep``-separated numbers of ``text``, blank entries skipped, each
+    read by ``kind``; exactly ``count`` of them when ``count`` is given."""
     try:
-        if "," in t:
-            re_s, im_s = t.split(",")
-            return complex(float(re_s), float(im_s))
-        return complex(t.replace("i", "j"))
+        values = [kind(x) for x in text.split(sep) if x.strip()]
+    except ValueError:
+        values = None
+    if values is None or count not in (None, len(values)):
+        raise UsageError(f"cannot parse {what} {text!r}")
+    return values
+
+
+def _parse_complex(text: str) -> complex:
+    try:
+        z = complex(*_parse_numbers(text, "--z re,im", count=2)) if "," in text \
+            else complex(text.strip().replace("i", "j"))
     except ValueError as e:
         raise UsageError(f"cannot parse complex number {text!r}") from e
+    if not cmath.isfinite(z):
+        raise UsageError(f"--z must be finite, got {text!r}")
+    return z
 
 
 def _parse_z_grid(text: str) -> np.ndarray:
     """Rectangle syntax 're0:re1:n,im0:im1:n' -> flattened row-major grid."""
-    try:
-        re_part, im_part = text.split(",")
-        r0, r1, rn = re_part.split(":")
-        i0, i1, im_n = im_part.split(":")
-        res = np.linspace(float(r0), float(r1), int(rn))
-        ims = np.linspace(float(i0), float(i1), int(im_n))
-    except ValueError as e:
-        raise UsageError(f"cannot parse z grid {text!r} "
-                         "(expected re0:re1:n,im0:im1:n)") from e
-    rr, ii = np.meshgrid(res, ims, indexing="ij")
+    what = "--z-grid re0:re1:n,im0:im1:n"
+    axes = text.split(",")
+    if len(axes) != 2:
+        raise UsageError(f"cannot parse {what} {text!r}")
+    (r0, r1, rn), (i0, i1, im_n) = (_parse_numbers(a, what, count=3, sep=":")
+                                    for a in axes)
+    if not (np.isfinite([r0, r1, i0, i1]).all()
+            and all(n >= 1 and n.is_integer() for n in (rn, im_n))):
+        raise UsageError(f"{what} needs finite ends and whole n >= 1, got {text!r}")
+    rr, ii = np.meshgrid(np.linspace(r0, r1, int(rn)),
+                         np.linspace(i0, i1, int(im_n)), indexing="ij")
     return (rr + 1j * ii).reshape(-1)
 
 
@@ -77,40 +91,14 @@ def _parse_boundary(text: str, m: int) -> hsystem.BoundaryData:
         rows = json.loads(text)
         mat = np.array([[complex(e[0], e[1]) if isinstance(e, (list, tuple))
                          else complex(e) for e in row] for row in rows])
-    except (json.JSONDecodeError, TypeError, IndexError) as e:
+    except (ValueError, TypeError, IndexError) as e:
         raise UsageError(f"cannot parse boundary data {text!r}") from e
     return hsystem.make_boundary_data(mat)
 
 
-def _parse_int_pair(text: str, what: str) -> tuple[int, int]:
-    try:
-        a, b = text.split(",")
-        return int(a), int(b)
-    except ValueError as e:
-        raise UsageError(f"cannot parse {what} {text!r} (expected a,b)") from e
-
-
-def _parse_float_pair(text: str, what: str) -> tuple[float, float]:
-    try:
-        a, b = text.split(",")
-        return float(a), float(b)
-    except ValueError as e:
-        raise UsageError(f"cannot parse {what} {text!r} (expected a,b)") from e
-
-
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError as e:
-        raise UsageError(f"cannot parse list {text!r}") from e
-
-
-def _parse_pairs(text: str) -> list[tuple[int, int]]:
-    out = []
-    for chunk in text.split(";"):
-        if chunk.strip():
-            out.append(_parse_int_pair(chunk, "site pair"))
-    return out
+def _parse_pairs(text: str) -> list:
+    return [_parse_numbers(chunk, "site pair k,l", int, 2)
+            for chunk in text.split(";") if chunk.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,16 +180,15 @@ def _json_text(meta: dict, rows: list[dict]) -> str:
 
 
 def _write_output(rows: list[dict], meta: dict, args) -> None:
-    stamped = dict(meta)
     if not args.no_timestamp:
-        stamped["generated"] = datetime.now(timezone.utc).isoformat()
+        meta["generated"] = datetime.now(timezone.utc).isoformat()
 
     if args.format == "json":
-        text = _json_text(stamped, rows)
+        text = _json_text(meta, rows)
     else:
         buf = io.StringIO()
-        for key in sorted(stamped):
-            buf.write(f"# {key}: {stamped[key]}\n")
+        for key in sorted(meta):
+            buf.write(f"# {key}: {meta[key]}\n")
         if rows:
             fields = []
             for row in rows:
@@ -221,23 +208,17 @@ def _write_output(rows: list[dict], meta: dict, args) -> None:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the parsed options and the loaded system and returns
+# its rows and meta (validate also its exit code); main writes them
 # ---------------------------------------------------------------------------
 
-def _load_system(args) -> hsystem.HamiltonianSystem:
-    if not args.input:
-        raise UsageError("--input is required")
-    return hsystem.load_coefficients(args.input)
-
-
-def cmd_validate(args) -> int:
-    sys_ = _load_system(args)
+def cmd_validate(args, sys_):
     z_sample = ([_parse_complex(args.z)] if args.z
                 else list(hsystem.DEFAULT_Z_SAMPLE))
     # default definiteness probe: a short interval (the Gram of a long window
     # is definite but ill conditioned, which only obscures the verdict)
-    interval = _parse_int_pair(args.interval, "interval") if args.interval \
-        else (sys_.k_min, min(sys_.k_max, sys_.k_min + 11))
+    interval = _parse_numbers(args.interval, "--interval c,d", int, 2) \
+        if args.interval else (sys_.k_min, min(sys_.k_max, sys_.k_min + 11))
     rows = []
     failed = False
     rep = hsystem.validate_pointwise(sys_)
@@ -257,65 +238,56 @@ def cmd_validate(args) -> int:
                      "kind": dr.verdict, "magnitude": dr.min_eig,
                      "message": f"min eig {dr.min_eig:.3e} on {dr.interval}"})
         failed |= not dr.definite
-    meta = {"command": "validate", "input": args.input,
-            "passed": not failed}
-    _write_output(rows, meta, args)
     print(f"validate: {'FAIL' if failed else 'ok'} ({len(rows)} records)",
           file=sys.stderr)
-    return 2 if failed else 0
+    return rows, {"input": args.input, "passed": not failed}, 2 if failed else 0
 
 
-def cmd_eig(args) -> int:
-    sys_ = _load_system(args)
+def _regular_problem(args, sys_, command: str):
+    """--ell, required, and the boundary data alpha at k0 and beta at ell."""
     if args.ell is None:
-        raise UsageError("--ell is required for eig")
-    alpha = _parse_boundary(args.alpha, sys_.m)
-    beta = _parse_boundary(args.beta, sys_.m)
-    a, b = _parse_float_pair(args.interval, "--interval") if args.interval \
-        else (-1.0, 5.0)
-    eigs = hweyl.eigenvalues(sys_, args.k0, args.ell, alpha, beta, (a, b))
+        raise UsageError(f"--ell is required for {command}")
+    return (args.ell, _parse_boundary(args.alpha, sys_.m),
+            _parse_boundary(args.beta, sys_.m))
+
+
+def cmd_eig(args, sys_):
+    ell, alpha, beta = _regular_problem(args, sys_, "eig")
+    a, b = _parse_numbers(args.interval, "--interval a,b", count=2) \
+        if args.interval else (-1.0, 5.0)
+    eigs = hweyl.eigenvalues(sys_, args.k0, ell, alpha, beta, (a, b))
     rows = [{"index": i, "eigenvalue": float(lam)} for i, lam in enumerate(eigs)]
     if rows and sys_.jacobi is not None:
         try:
             oracle = htestkit.jacobi_bvp_oracle(
-                htestkit.RegularBVP(sys_, args.k0, args.ell, alpha, beta))
+                htestkit.RegularBVP(sys_, args.k0, ell, alpha, beta))
         except HamweylError:
             oracle = np.empty(0)
         for row, lam in zip(rows, oracle[(oracle > a) & (oracle <= b)]):
             row["oracle"] = float(lam)
             row["deviation"] = abs(row["eigenvalue"] - float(lam))
-    meta = {"command": "eig", "k0": args.k0, "ell": args.ell,
-            "count": len(eigs)}
-    _write_output(rows, meta, args)
-    return 0
+    return rows, {"k0": args.k0, "ell": ell, "count": len(eigs)}
 
 
-def _z_list(args) -> np.ndarray:
+def cmd_mfun(args, sys_):
+    ell, alpha, beta = _regular_problem(args, sys_, "mfun")
     if args.z_grid:
-        return _parse_z_grid(args.z_grid)
-    if args.z:
-        return np.array([_parse_complex(args.z)])
-    raise UsageError("give --z or --z-grid")
-
-
-def cmd_mfun(args) -> int:
-    sys_ = _load_system(args)
-    if args.ell is None:
-        raise UsageError("--ell is required for mfun")
-    alpha = _parse_boundary(args.alpha, sys_.m)
-    beta = _parse_boundary(args.beta, sys_.m)
-    zs = _z_list(args)
+        zs = _parse_z_grid(args.z_grid)
+    elif args.z:
+        zs = np.array([_parse_complex(args.z)])
+    else:
+        raise UsageError("give --z or --z-grid")
     if np.any(zs.imag == 0):
         raise UsageError("all grid points must satisfy Im z != 0")
-    hweyl.disk_context(sys_, complex(zs[0]), args.k0, args.ell, alpha)
-    ev = hweyl.regular_m_evaluator(sys_, args.k0, args.ell, alpha, beta)
+    hweyl.disk_context(sys_, complex(zs[0]), args.k0, ell, alpha)
+    ev = hweyl.regular_m_evaluator(sys_, args.k0, ell, alpha, beta)
     Ms, smins, hits = ev.extract(zs)
     if np.any(hits):
         i = int(np.argmax(hits))
         raise EigenvalueHitError(complex(zs[i]), float(smins[i]))
     rows = []
     for z, M, smin in zip(zs, Ms, smins):
-        herg = la.min_eig_herm(hweyl.sigma_of(args.ell, args.k0, z)
+        herg = la.min_eig_herm(hweyl.sigma_of(ell, args.k0, z)
                                * la.imag_part(M))
         row = {"z_re": float(z.real), "z_im": float(z.imag)}
         row.update(_complex_columns("M", M))
@@ -323,19 +295,19 @@ def cmd_mfun(args) -> int:
         row["herglotz_min_eig"] = herg
         row["herglotz_ok"] = bool(herg > 0)
         rows.append(row)
-    meta = {"command": "mfun", "k0": args.k0, "ell": args.ell,
-            "points": len(rows)}
-    _write_output(rows, meta, args)
-    return 0
+    return rows, {"k0": args.k0, "ell": ell, "points": len(rows)}
 
 
-def cmd_disk(args) -> int:
-    sys_ = _load_system(args)
+def _z(args) -> complex:
+    return _parse_complex(args.z) if args.z else 1j
+
+
+def cmd_disk(args, sys_):
     alpha = _parse_boundary(args.alpha, sys_.m)
     beta = _parse_boundary(args.beta, sys_.m)
-    z = _parse_complex(args.z) if args.z else 1j
+    z = _z(args)
     if args.ell_schedule:
-        schedule = [int(x) for x in args.ell_schedule.split(",")]
+        schedule = _parse_numbers(args.ell_schedule, "--ell-schedule", int)
     elif args.ell_max is not None:
         schedule = []
         s = 4
@@ -352,15 +324,12 @@ def cmd_disk(args) -> int:
     rows = [{"ell": ell, "membership": hweyl.disk_membership(e_rel, tol=args.tol),
              "E_norm": e_norm, "diameter": float(diam[0]), **_complex_columns("M", M)}
             for ell, M, e_rel, e_norm, diam in walk]
-    meta = {"command": "disk", "k0": args.k0, "z": str(z)}
-    _write_output(rows, meta, args)
-    return 0
+    return rows, {"k0": args.k0, "z": str(z)}
 
 
-def cmd_limit(args) -> int:
-    sys_ = _load_system(args)
+def cmd_limit(args, sys_):
     alpha = _parse_boundary(args.alpha, sys_.m)
-    z = _parse_complex(args.z) if args.z else 1j
+    z = _z(args)
     rows = []
     for direction in (+1, -1):
         tag = "+" if direction > 0 else "-"
@@ -380,16 +349,14 @@ def cmd_limit(args) -> int:
         if lim.M_pm is not None:
             row.update(_complex_columns("M", lim.M_pm))
         rows.append(row)
-    meta = {"command": "limit", "k0": args.k0, "z": str(z)}
-    _write_output(rows, meta, args)
-    return 0
+    return rows, {"k0": args.k0, "z": str(z)}
 
 
 def _kernel_from_args(args, sys_):
     alpha = _parse_boundary(args.alpha, sys_.m)
-    z = _parse_complex(args.z) if args.z else 1j
-    window = _parse_int_pair(args.window, "--window") if args.window \
-        else sys_.window
+    z = _z(args)
+    window = _parse_numbers(args.window, "--window lo,hi", int, 2) \
+        if args.window else sys_.window
     variant = args.variant
     need_plus = variant in ("whole", "half-plus")
     need_minus = variant in ("whole", "half-minus")
@@ -404,8 +371,7 @@ def _kernel_from_args(args, sys_):
         sys_, z, args.k0, alpha, mm, (window[0], args.k0))
 
 
-def cmd_green(args) -> int:
-    sys_ = _load_system(args)
+def cmd_green(args, sys_):
     kernel = _kernel_from_args(args, sys_)
     lo, hi = kernel.window
     pairs = _parse_pairs(args.pairs) if args.pairs else \
@@ -415,22 +381,20 @@ def cmd_green(args) -> int:
         row = {"k": k, "ell": ell}
         row.update(_complex_columns("K", kernel.at(k, ell)))
         rows.append(row)
-    meta = {"command": "green", "variant": kernel.variant,
-            "window": str(kernel.window),
-            "delta_defect": kernel.diagnostics.get("delta_defect"),
-            "coupling_defect": kernel.diagnostics.get("coupling_defect")}
-    _write_output(rows, meta, args)
-    return 0
+    return rows, {"variant": kernel.variant, "window": str(kernel.window),
+                  "delta_defect": kernel.diagnostics.get("delta_defect"),
+                  "coupling_defect": kernel.diagnostics.get("coupling_defect")}
 
 
-def cmd_solve(args) -> int:
-    sys_ = _load_system(args)
+def cmd_solve(args, sys_):
     kernel = _kernel_from_args(args, sys_)
     sites = list(kernel.source_sites())
     if args.impulse_site is not None:
         f = {args.impulse_site: np.eye(2 * sys_.m, dtype=complex)}
         source = f"impulse at {args.impulse_site}"
     else:
+        if args.seed < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         # seeded random source over the admissible sites
         rng = np.random.default_rng(args.seed)
         f = {k: rng.normal(size=2 * sys_.m) + 1j * rng.normal(size=2 * sys_.m)
@@ -446,28 +410,23 @@ def cmd_solve(args) -> int:
         rows.append(row)
     sides = {"whole": ("+", "-"), "half_plus": ("+",),
              "half_minus": ("-",)}[kernel.variant]
-    meta = {"command": "solve", "variant": kernel.variant,
+    meta = {"variant": kernel.variant,
             "source": source, "residual_max": sol.residual_max,
             "l2a_lhs": sol.l2a_lhs, "l2a_bound": sol.l2a_bound,
             "l2a_ok": sol.l2a_ok}
     for side in sides:
         trend = hgreen.flux_trend(kernel, sol, side)
         meta[f"flux_ratio_{'plus' if side == '+' else 'minus'}"] = trend["ratio"]
-    _write_output(rows, meta, args)
-    return 0
+    return rows, meta
 
 
-def cmd_measure(args) -> int:
-    sys_ = _load_system(args)
-    if args.ell is None:
-        raise UsageError("--ell is required for measure")
-    alpha = _parse_boundary(args.alpha, sys_.m)
-    beta = _parse_boundary(args.beta, sys_.m)
-    interval = _parse_float_pair(args.interval, "--interval") \
+def cmd_measure(args, sys_):
+    ell, alpha, beta = _regular_problem(args, sys_, "measure")
+    interval = _parse_numbers(args.interval, "--interval a,b", count=2) \
         if args.interval else (-1.0, 5.0)
-    eps = _parse_float_list(args.eps_schedule)
-    sigma = 1 if args.ell > args.k0 else -1
-    m_eval = hweyl.regular_m_evaluator(sys_, args.k0, args.ell, alpha, beta)
+    eps = _parse_numbers(args.eps_schedule, "--eps-schedule")
+    sigma = 1 if ell > args.k0 else -1
+    m_eval = hweyl.regular_m_evaluator(sys_, args.k0, ell, alpha, beta)
     sm = hweyl.spectral_measure(m_eval, interval, args.grid_n, eps,
                                 sigma=sigma)
     rows = []
@@ -476,29 +435,17 @@ def cmd_measure(args) -> int:
         row.update(_complex_columns("Omega", sm.increments[i]))
         row["trace"] = float(np.real(np.trace(sm.increments[i])))
         rows.append(row)
-    meta = {"command": "measure", "k0": args.k0, "ell": args.ell,
-            "eps_schedule": args.eps_schedule,
-            "converged": sm.converged, "convergence_gap": sm.convergence_gap}
-    _write_output(rows, meta, args)
-    return 0
+    return rows, {"k0": args.k0, "ell": ell, "eps_schedule": args.eps_schedule,
+                  "converged": sm.converged, "convergence_gap": sm.convergence_gap}
 
 
-DISPATCH = {
-    "validate": cmd_validate,
-    "eig": cmd_eig,
-    "mfun": cmd_mfun,
-    "disk": cmd_disk,
-    "limit": cmd_limit,
-    "green": cmd_green,
-    "solve": cmd_solve,
-    "measure": cmd_measure,
-}
+DISPATCH = {command: globals()[f"cmd_{command}"] for command in COMMANDS}
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     command = args.command or args.command_opt
@@ -506,10 +453,15 @@ def main(argv=None) -> int:
         print("error: positional command and --command disagree", file=sys.stderr)
         return 1
     if command is None:
-        parser.print_usage(sys.stderr)
+        _PARSER.print_usage(sys.stderr)
         return 1
     try:
-        return DISPATCH[command](args)
+        if not args.input:
+            raise UsageError("--input is required")
+        rows, meta, *code = DISPATCH[command](
+            args, hsystem.load_coefficients(args.input))
+        _write_output(rows, {"command": command, **meta}, args)
+        return code[0] if code else 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -172,8 +172,8 @@ def delta_residual(kernel: GreensKernel, ell: int) -> float:
 
 def _build(sys, z, k0, alpha, window, variant, M_plus, M_minus, certify=True):
     z = complex(z)
-    if z.imag == 0:
-        raise InputError("Green's kernels require Im z != 0")
+    if not (np.isfinite(z) and z.imag != 0):
+        raise InputError("Green's kernels require a finite z with Im z != 0")
     upper = z.imag > 0  # sign(Im z) sets the Herglotz signs of M+-
     mp = None if M_plus is None else la.as_complex_matrix(M_plus)
     mm = None if M_minus is None else la.as_complex_matrix(M_minus)

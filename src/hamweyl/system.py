@@ -45,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _linalg as la
-from .errors import DomainError, InputError
+from .errors import DomainError, HamweylError, InputError
 
 __all__ = [
     "TOL_SYM",
@@ -497,15 +497,20 @@ def check_definiteness(sys: HamiltonianSystem, z: complex, interval,
     ``_DEF_ROUNDING`` 2m eps times the largest. On long windows G is
     extremely ill conditioned (solutions grow), yet the smallest eigenvalue
     stays of the order of the one-site energy; one below the rounding of
-    G's entries is noise, whatever its sign.
+    G's entries is noise, whatever its sign. A G that leaves the float range
+    raises :class:`HamweylError`.
     """
     from . import propagate  # local import; propagate depends on this module
 
     c, d = int(interval[0]), int(interval[1])
     lo, hi = min(c, d), max(c, d)
-    basis = propagate.hat_trajectory(
-        sys, z, lo, np.eye(2 * sys.m, dtype=complex), (lo, hi))
-    g = propagate._a_form_sum(sys, basis, range(lo, hi + 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # G is checked below
+        basis = propagate.hat_trajectory(
+            sys, z, lo, np.eye(2 * sys.m, dtype=complex), (lo, hi))
+        g = propagate._a_form_sum(sys, basis, range(lo, hi + 1))
+    if not np.isfinite(g).all():
+        raise HamweylError(f"Gram matrix over [{lo}, {hi}] at z={z} is not finite: "
+                           "the solutions leave the float range")
     eigs = np.linalg.eigvalsh(la.herm(g))
     min_eig = float(eigs[0])
     floor = _DEF_ROUNDING * 2 * sys.m * np.finfo(float).eps * eigs[-1]

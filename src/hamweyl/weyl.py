@@ -113,8 +113,8 @@ def disk_context(sys: HamiltonianSystem, z: complex, k0: int, ell: int,
     is examined only on intervals shorter than that.
     """
     z = complex(z)
-    if z.imag == 0:
-        raise InputError("disk context requires Im z != 0")
+    if not (np.isfinite(z) and z.imag != 0):
+        raise InputError("disk context requires a finite z with Im z != 0")
     if ell == k0:
         raise InputError("disk context requires ell != k0")
     if isinstance(alpha, BoundaryData):
@@ -508,8 +508,8 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
     opts = opts or LimitOptions()
     direction = +1 if direction in (+1, "+", "plus") else -1
     z = complex(z)
-    if z.imag == 0:
-        raise InputError("half-line limits require Im z != 0")
+    if not (np.isfinite(z) and z.imag != 0):
+        raise InputError("half-line limits require a finite z with Im z != 0")
     beta = opts.beta if opts.beta is not None else dirichlet(sys.m)
     if beta.sign_class != "zero":
         raise InputError("far boundary data must have sign class zero")
@@ -915,11 +915,14 @@ def spectral_measure(m_eval, interval, grid_n: int, eps_schedule, *,
     ``measure_tol`` flags the schedule as non-convergent (not fatal).
     Increments are Hermitized by one stacked eigendecomposition; eigenvalues
     in [-tol_psd, 0) are clipped to zero and bins with larger negatives
-    flagged.
+    flagged. A non-finite interval or ``grid_n`` < 1 is an
+    :class:`InputError`, raised before any quadrature.
     """
     lo, hi = float(interval[0]), float(interval[1])
-    if not hi > lo:
-        raise InputError("interval must be nondegenerate")
+    if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
+        raise InputError("interval must be finite and nondegenerate")
+    if int(grid_n) < 1:
+        raise InputError(f"grid_n must be >= 1, got {grid_n}")
     eps_list = [float(e) for e in np.atleast_1d(np.asarray(eps_schedule, dtype=float))]
     if not eps_list or any(e <= 0 for e in eps_list):
         raise InputError("eps schedule must be positive")

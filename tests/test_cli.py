@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hamweyl import cli
 from hamweyl import system as hsys
 from hamweyl.cli import _json_default, _json_text, main
 
@@ -53,6 +54,42 @@ def test_usage_errors(free_fixture):
     assert main(["eig", "--input", free_fixture]) == 1       # missing ell
     assert main(["nonsense"]) == 1
     assert main(["eig"]) == 1                                # missing input
+
+
+@pytest.mark.parametrize("argv", [
+    ["disk", "--ell-schedule", "4,x"],
+    ["mfun", "--ell", "5", "--z-grid", "0:1:0,0.1:1:2"],
+    ["mfun", "--ell", "5", "--z-grid", "0:inf:3,0.1:1:2"],
+    ["solve", "--z", "0.5,0.5", "--window=-5,5", "--seed", "-1"],
+    ["disk", "--z", "nan,1", "--ell-schedule", "4,8"],
+    ["limit", "--z", "inf,1"],
+    ["green", "--z", "0.5,inf", "--window=-5,5"],
+])
+def test_bad_option_values_are_usage_errors(free_fixture, capsys, argv):
+    assert main(argv[:1] + ["--input", free_fixture] + argv[1:]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("grid_n", ["0", "-1"])
+def test_measure_empty_grid_is_an_input_error(free_fixture, grid_n):
+    assert main(["measure", "--input", free_fixture, "--ell", "5",
+                 "--grid-n", grid_n]) == 2
+
+
+def test_validate_gram_overflow_exits_3(free_fixture, capsys):
+    rc = main(["validate", "--input", free_fixture, "--interval", "0,300",
+               "--z=-2,0.5"])
+    assert rc == 3
+    assert "not finite" in capsys.readouterr().err
+
+
+def test_main_never_rebuilds_the_parser(free_fixture, monkeypatch):
+    def rebuild():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuild)
+    assert main(["limit", "--input", free_fixture, "--z", "0.5,0.5"]) == 0
 
 
 def test_command_flag_alias(free_fixture, tmp_path):

@@ -12,6 +12,14 @@ from hamweyl.errors import InputError, KernelConstructionError
 from conftest import boundary_family, make_free_jacobi
 
 
+@pytest.mark.parametrize("z", [complex(0.5, np.inf), complex(np.nan, 1.0)])
+def test_kernel_at_non_finite_z_is_an_input_error(z):
+    sysj = make_free_jacobi((-10, 10))
+    with pytest.raises(InputError, match="finite z"):
+        hg.build_whole_kernel(sysj, z, 0, hsys.dirichlet(1), np.array([[1j]]),
+                              np.array([[-1j]]), (-5, 5))
+
+
 @pytest.fixture(scope="module")
 def free_kernels():
     """Whole and half kernels of the free chain with oracle half-line data."""

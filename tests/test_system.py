@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hamweyl import _linalg as la
 from hamweyl import system as hsys
 from hamweyl import testkit as htk
-from hamweyl.errors import DomainError, InputError
+from hamweyl.errors import DomainError, HamweylError, InputError
 
 from conftest import make_free_jacobi
 
@@ -203,6 +203,16 @@ def test_definiteness_below_the_gram_rounding_is_not_definite():
             rep = hsys.check_definiteness(sys_, z, (0, 2))
             assert not rep.definite, (seed, z, rep.min_eig)
             assert rep.min_eig == np.linalg.eigvalsh(rep.gram)[0]
+
+
+def test_definiteness_of_a_gram_past_the_float_range_raises():
+    # at z = -2 + 0.5i the free chain's solutions grow by about 2.4 per site,
+    # so G leaves the float range after some 270 sites; its min eig read nan
+    # and the verdict "indefinite"
+    sysj = make_free_jacobi((-120, 120))
+    with pytest.raises(HamweylError, match="not finite"):
+        hsys.check_definiteness(sysj, -2 + 0.5j, (0, 300))
+    assert hsys.check_definiteness(sysj, -2 + 0.5j, (0, 11)).definite
 
 
 # ---------------------------------------------------------------------------

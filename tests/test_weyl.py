@@ -272,6 +272,17 @@ def test_disk_context_validation():
         hwl.disk_context(sysj, 1j, 0, 1, hsys.dirichlet(1))
 
 
+@pytest.mark.parametrize("z", [complex(np.nan, 1.0), complex(0.5, np.inf),
+                               complex(-np.inf, 0.5)])
+def test_non_finite_z_is_an_input_error(z):
+    sysj = make_free_jacobi((-10, 10))
+    al = hsys.dirichlet(1)
+    with pytest.raises(InputError, match="finite z"):
+        hwl.disk_context(sysj, z, 0, 5, al)
+    with pytest.raises(InputError, match="finite z"):
+        hwl.limit_m(sysj, z, 0, al, +1)
+
+
 # ---------------------------------------------------------------------------
 # eigenvalues of the regular problem
 # ---------------------------------------------------------------------------
@@ -917,6 +928,18 @@ def test_measure_empty_interval_below_spectrum():
     sm = hwl.spectral_measure(free_half_line_m_plus(), (-2.0, -0.05), 40,
                               [1e-5, 1e-6])
     assert float(np.sum(sm.trace_increments(richardson=True))) <= 1e-6
+
+
+@pytest.mark.parametrize("interval,grid_n", [((0.0, np.inf), 4), ((-np.inf, 1.0), 4),
+                                             ((0.0, 1.0), 0), ((0.0, 1.0), -1)])
+def test_measure_input_is_checked_before_any_quadrature(interval, grid_n):
+    # an infinite interval made every Simpson segment NaN, so none was ever
+    # accepted and the open segments doubled each level until memory ran out
+    def evaluator(nu):
+        raise AssertionError("the quadrature ran")
+
+    with pytest.raises(InputError):
+        hwl.spectral_measure(evaluator, interval, grid_n, [1e-5])
 
 
 def test_measure_increments_psd_and_additive():
