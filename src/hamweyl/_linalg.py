@@ -180,24 +180,23 @@ def max_eig_herm(a: np.ndarray) -> float:
 
 
 def sqrtm_spd(a: np.ndarray) -> np.ndarray:
-    """Unique positive-definite square root of a Hermitian positive matrix.
+    """Unique positive-definite square root of a Hermitian positive matrix,
+    or of each matrix of a stack.
 
-    Raises ValueError when ``a`` is not positive definite.
+    Raises ValueError when a matrix is not positive definite.
     """
-    ah = herm(as_complex_matrix(a))
-    w, v = np.linalg.eigh(ah)
-    if w[0] <= 0.0:
-        raise ValueError(f"matrix is not positive definite (min eigenvalue {w[0]:.3e})")
-    return (v * np.sqrt(w)) @ v.conj().T
+    w, v = np.linalg.eigh(herm(as_complex_matrix(a)))
+    if w[..., 0].min() <= 0.0:
+        raise ValueError(f"matrix is not positive definite (min eigenvalue {np.min(w):.3e})")
+    return (v * np.sqrt(w)[..., None, :]) @ adjoint(v)
 
 
 def invsqrtm_spd(a: np.ndarray) -> np.ndarray:
     """Inverse of :func:`sqrtm_spd`."""
-    ah = herm(as_complex_matrix(a))
-    w, v = np.linalg.eigh(ah)
-    if w[0] <= 0.0:
-        raise ValueError(f"matrix is not positive definite (min eigenvalue {w[0]:.3e})")
-    return (v / np.sqrt(w)) @ v.conj().T
+    w, v = np.linalg.eigh(herm(as_complex_matrix(a)))
+    if w[..., 0].min() <= 0.0:
+        raise ValueError(f"matrix is not positive definite (min eigenvalue {np.min(w):.3e})")
+    return (v / np.sqrt(w)[..., None, :]) @ adjoint(v)
 
 
 def rsolve(b: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -320,7 +320,7 @@ def cmd_disk(args, sys_):
         raise UsageError("give --ell-schedule or --ell-max")
     for ell in schedule:
         hweyl.disk_context(sys_, z, args.k0, ell, alpha)
-    walk = hweyl._far_walk(sys_, z, args.k0, alpha, beta, schedule)
+    walk = hweyl._far_walk(sys_, z, args.k0, alpha, beta, [schedule])
     rows = [{"ell": ell, "membership": hweyl.disk_membership(e_rel, tol=args.tol),
              "E_norm": e_norm, "diameter": float(diam[0]), **_complex_columns("M", M)}
             for ell, M, e_rel, e_norm, diam in walk]

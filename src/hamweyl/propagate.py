@@ -328,15 +328,15 @@ def hat_trajectory(sys: HamiltonianSystem, z: complex, k_start: int, init,
                          k_start)
 
 
-def _weighted(bd, sys: HamiltonianSystem, k: int) -> np.ndarray:
-    """Boundary data weighted at site k; an m x 2m array is taken as already
-    weighted."""
+def _weighted(bd, sys: HamiltonianSystem, k) -> np.ndarray:
+    """Boundary data weighted at site k, or stacked over a sequence of
+    sites; an m x 2m array is taken as already weighted."""
     if isinstance(bd, BoundaryData):
         return weighted_boundary(bd, sys, k)
     at = la.as_complex_matrix(bd)
     if at.shape != (sys.m, 2 * sys.m):
         raise InputError(f"weighted boundary matrix must be m x 2m, got {at.shape}")
-    return at
+    return np.broadcast_to(at, np.shape(k) + at.shape)
 
 
 def initial_hat(sys: HamiltonianSystem, k0: int, alpha) -> np.ndarray:

@@ -313,8 +313,11 @@ class HamiltonianSystem:
     def B(self, k: int) -> np.ndarray:
         return self._B[self._index(k)]
 
-    def rho(self, k: int) -> np.ndarray:
-        return self._rho[self._index(k)]
+    def rho(self, k) -> np.ndarray:
+        """rho at site k, or the stack of rho at each of a sequence of sites."""
+        if isinstance(k, (int, np.integer)):
+            return self._rho[self._index(k)]
+        return self._rho[[self._index(j) for j in k]]
 
     def pencil(self, z: complex, k: int) -> np.ndarray:
         """z A(k) + B(k)."""
@@ -340,7 +343,8 @@ class HamiltonianSystem:
                                   if static else None)
         return out
 
-    def j_rho(self, k: int) -> np.ndarray:
+    def j_rho(self, k) -> np.ndarray:
+        """J_rho at site k, or at each of a sequence of sites as a stack."""
         return J_rho(self.rho(k))
 
     def i_rho(self, k: int) -> np.ndarray:
@@ -667,13 +671,14 @@ def neumann(m: int) -> BoundaryData:
                         "zero")
 
 
-def weighted_boundary(gamma: BoundaryData, sys: HamiltonianSystem, k: int) -> np.ndarray:
-    """Weighted form gamma diag(rho(k)^{1/2}, rho(k)^{1/2}) as an m x 2m array.
+def weighted_boundary(gamma: BoundaryData, sys: HamiltonianSystem, k) -> np.ndarray:
+    """Weighted form gamma diag(rho(k)^{1/2}, rho(k)^{1/2}) as an m x 2m
+    array, or as an (n, m, 2m) stack for a sequence of n sites.
 
     rho^{1/2} is the unique positive-definite square root.
     """
     r = la.sqrtm_spd(sys.rho(k))
-    return np.hstack([gamma.gamma1 @ r, gamma.gamma2 @ r])
+    return np.concatenate([gamma.gamma1 @ r, gamma.gamma2 @ r], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .propagate import (
     _steps,
     _transfers,
     _weighted,
-    _weyl_columns,
     initial_hat,
     propagate_hats,
 )
@@ -158,13 +157,17 @@ def e_functional(sys: HamiltonianSystem, ctx: DiskContext, M,
     """
     hat = fund.hat(ctx.ell) if fund is not None else propagate_hats(
         sys, ctx.z, ctx.k0, initial_hat(sys, ctx.k0, ctx.alpha), ctx.ell)[0]
-    return _disk_functional(sys, ctx.sigma, ctx.ell, hat, M)
+    return _disk_functional(sys, ctx.sigma, ctx.ell,
+                            hat, la.as_complex_matrix(M, (sys.m, sys.m), "M"))
 
 
-def _disk_functional(sys, sigma: int, ell: int, hat: np.ndarray, M) -> np.ndarray:
-    """E_ell(M) from the fundamental hat at ell; hat * 2**-e gives E * 4**-e."""
-    uhat = hat @ _weyl_columns(sys.m, M)
-    g = uhat.conj().T @ sys.j_rho(ell) @ uhat
+def _disk_functional(sys, sigma: int, ell, hat: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """E_ell(M) from the fundamental hat at ell, or one per site over a
+    sequence of sites with stacks of hats and M; hat * 2**-e gives
+    E * 4**-e."""
+    eye = np.broadcast_to(np.eye(sys.m, dtype=complex), M.shape)
+    uhat = hat @ np.concatenate([eye, M], axis=-2)  # Psi^ (I; M)
+    g = la.adjoint(uhat) @ sys.j_rho(ell) @ uhat
     return la.herm(-1j * sigma * g)
 
 
@@ -207,26 +210,46 @@ def _pole_rule(a: np.ndarray, b: np.ndarray):
     return M, smin, hit
 
 
-def _sweep_m(sys: HamiltonianSystem, k_inv: np.ndarray, k_start: int, k0: int,
+def _sweep_m(sys: HamiltonianSystem, k_inv: np.ndarray, starts, k0: int,
              y: np.ndarray, z: np.ndarray):
-    """(M, smin, hit) at every z of a batch for the solutions whose hats at
-    ``k_start`` span the m columns of ``y`` (shared, 2m x m): y is swept to
-    k0 through the transfers of :func:`hamweyl.propagate.propagate_hats`,
-    with a QR every 8 steps; then (C; D) = k_inv Y(k0), with k_inv the
-    inverse initial hat at k0, and M = D C^-1 under :func:`_pole_rule`."""
-    for j, t in enumerate(_steps(sys, z, k_start, k0)):
-        if j and j % _QR_STEPS == 0:
-            y = np.linalg.qr(y)[0]
-        y = t @ y
-    y = np.broadcast_to(y, z.shape + y.shape[-2:])  # no steps: still shared
-    cd =np.swapaxes(k_inv @ y, 1, 2)  # M^T = C^-T D^T
+    """(M, smin, hit) for each member of a stack of solution families: at
+    every z of a batch for one member, or at one z for several.
+
+    Member i is the family whose hats at ``starts[i]`` span the m columns
+    of y[i] (2m x m); the sites lie on one side of k0, farthest first. One
+    inward pass sweeps them all through the transfers of
+    :func:`hamweyl.propagate.propagate_hats`, from starts[0] to k0: member i
+    joins the stack when the pass reaches starts[i], and takes a QR every 8
+    of its own steps, so each M is bit for bit that of a pass of its own.
+    Then (C; D) = k_inv Y(k0), with k_inv the inverse initial hat at k0, and
+    M = D C^-1 under :func:`_pole_rule`.
+    """
+    joins = [abs(s - starts[0]) for s in starts]  # steps before each joins
+    by_phase = {}
+    for i, j in enumerate(joins):
+        by_phase.setdefault(j % _QR_STEPS, []).append(i)
+    stack, n = y[:1], 1
+    for j, t in enumerate(_steps(sys, z, starts[0], k0)):
+        if j % _QR_STEPS in by_phase:
+            due = [i for i in by_phase[j % _QR_STEPS] if joins[i] < j]
+            if len(due) == n:
+                stack = np.linalg.qr(stack)[0]
+            elif due:
+                stack[due] = np.linalg.qr(stack[due])[0]
+        if n < len(joins) and joins[n] == j:
+            stack, n = np.concatenate([stack, y[n:n + 1]]), n + 1
+        stack = t @ stack
+    if len(stack) < len(z):  # one member and no steps: still shared
+        stack = np.broadcast_to(stack, z.shape + stack.shape[-2:])
+    cd = np.swapaxes(k_inv @ stack, 1, 2)  # M^T = C^-T D^T
     mt, smin, hit = _pole_rule(cd[:, :, :sys.m], cd[:, :, sys.m:])
     return np.swapaxes(mt, 1, 2), smin, hit
 
 
 def _ker_basis(bt: np.ndarray) -> np.ndarray:
-    """Orthonormal 2m x m basis of ker bt for a weighted boundary row bt."""
-    return la.adjoint(np.linalg.svd(bt)[2][bt.shape[0]:])
+    """Orthonormal 2m x m basis of ker bt for a weighted boundary row bt,
+    or one for each row of an (n, m, 2m) stack."""
+    return la.adjoint(np.linalg.svd(bt)[2][..., bt.shape[-2]:, :])
 
 
 def m_regular(sys: HamiltonianSystem, ctx: DiskContext, beta,
@@ -291,15 +314,16 @@ def lft_alpha_change(M_gamma, alpha: BoundaryData, gamma: BoundaryData) -> np.nd
 def _rescaled(hats: np.ndarray):
     """(hats / 2**e, e) with e the binary exponent of each hat's largest
     entry; exact, since only exponents change."""
-    _, e = np.frexp(np.max(np.abs(hats), axis=(1, 2)))
-    return hats * np.ldexp(1.0, -e)[:, None, None], e
+    _, e = np.frexp(np.max(np.abs(hats), axis=(-2, -1)))
+    return hats * np.ldexp(1.0, -e)[..., None, None], e
 
 
-def _disk_diameter(sys, z: complex, k0: int, ell: int, hats: np.ndarray,
-                   exps) -> np.ndarray:
+def _disk_diameter(sys, sigma: int, ell, hats: np.ndarray, exps) -> np.ndarray:
     """Per-direction diameters d_i = 2 (lam_i(F22(z)) lam_i(F22(conj z)))^(-1/2)
     of the Weyl disk at (z, ell), descending, from the fundamental hats at
     ell for [z, conj z], standing for hats * 2**exps; d_0 = 2 ||R_l|| ||R_r||.
+    Over a sequence of sites on one side of k0, hats and exps are stacked
+    per site and so are the diameters.
 
     R_l = F22(z)^(-1/2) and R_r = F22(conj z)^(-1/2), with F22(w) = sigma(w)
     herm(-i Phi^(w)* J_rho(ell) Phi^(w)), which the energy identity makes
@@ -308,12 +332,14 @@ def _disk_diameter(sys, z: complex, k0: int, ell: int, hats: np.ndarray,
     inf where an eigenvalue is not positive (the disk is unbounded there).
     """
     hats, e = _rescaled(hats)
-    phi = hats[:, :, sys.m:]
-    sign = sigma_of(ell, k0, z) * np.array([1, -1])[:, None, None]
-    f22 = la.herm(-1j * sign * (la.adjoint(phi) @ sys.j_rho(ell) @ phi))
+    phi = hats[..., sys.m:]
+    sign = sigma * np.array([1, -1])[:, None, None]
+    jr = np.expand_dims(sys.j_rho(ell), -3)  # shared by z and conj z
+    f22 = la.herm(-1j * sign * (la.adjoint(phi) @ jr @ phi))
     lam = np.linalg.eigvalsh(f22)
     logs = np.log2(lam, out=np.full_like(lam, -np.inf), where=lam > 0)
-    return np.exp2(1.0 - 0.5 * logs.sum(axis=0) - np.sum(e + exps))
+    return np.exp2(1.0 - 0.5 * logs.sum(axis=-2)
+                   - np.sum(e + exps, axis=-1)[..., None])
 
 
 def disk_diameter_estimate(sys: HamiltonianSystem, ctx: DiskContext,
@@ -327,29 +353,18 @@ def disk_diameter_estimate(sys: HamiltonianSystem, ctx: DiskContext,
     """
     hats = propagate_hats(sys, [ctx.z, np.conj(ctx.z)], ctx.k0,
                           initial_hat(sys, ctx.k0, ctx.alpha), ctx.ell)
-    return float(_disk_diameter(sys, ctx.z, ctx.k0, ctx.ell, hats, (0, 0))[0])
+    return float(_disk_diameter(sys, ctx.sigma, ctx.ell, hats, (0, 0))[0])
 
 
-def _far_walk(sys: HamiltonianSystem, z: complex, k0: int, alpha, beta, sites):
-    """Yield (ell, M, e_rel, e_norm, diameters) for each far site ell of
-    ``sites`` in turn. M is the regular M with far data ``beta`` from
-    :func:`_sweep_m`, bit for bit that of :func:`regular_m_evaluator`; a pole
-    raises :class:`EigenvalueHitError`. The fundamental hats at z and conj z
-    step outward from k0 as one batch, rescaled by powers of two (exact)
-    every 16 sites, or every site once a chunk outgrew the float range;
-    a site nearer k0 or across it restarts from k0. They give the
-    per-direction diameters of :func:`_disk_diameter`, e_norm = ||E(M)||
-    (inf past the float range) and e_rel = E(M) / max(1, ||Psi^(ell)||^2
-    (1 + ||M||^2)), E against the scale of its rounding; inf, inf and NaN
-    once a single step overflows the hats.
-    """
-    init = initial_hat(sys, k0, alpha)
-    k_inv, zz, k = np.linalg.inv(init), np.array([z, np.conj(z)]), None
-    for ell in sites:
-        if k is None or (ell - k0) * (k - k0) < 0 or abs(ell - k0) < abs(k - k0):
-            hats, exps, k = np.stack([init] * 2), np.zeros(2, dtype=int), k0
-        stride = _RESCALE_STEPS
-        with np.errstate(over="ignore", invalid="ignore"):
+def _outward(sys, zz: np.ndarray, k: int, hats, exps, sites) -> list:
+    """[(hats, exps)] at each of ``sites`` (one side of k0, in order of
+    offset) of the fundamental hats at zz = [z, conj z], hats * 2**exps,
+    stepped out from site k; rescaled by powers of two (exact) at each site
+    and every 16 steps, or every step once a 16-step chunk overflowed."""
+    at = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ell in sites:
+            stride = _RESCALE_STEPS
             while k != ell:
                 step = min(max(ell, k - stride), k + stride)
                 nxt = propagate_hats(sys, zz, k, hats, step)
@@ -360,19 +375,75 @@ def _far_walk(sys: HamiltonianSystem, z: complex, k0: int, alpha, beta, sites):
                     continue
                 hats, e = _rescaled(nxt)
                 exps, k = exps + e, step
-        y = _ker_basis(_weighted(beta, sys, ell))
-        (M,), (smin,), (hit,) = _sweep_m(sys, k_inv, ell, k0, y, zz[:1])
-        if hit:
-            raise EigenvalueHitError(z, float(smin))
-        if not la.all_finite(hats):  # a step grew past the float range
-            yield ell, M, np.full_like(M, np.nan), np.inf, np.full(sys.m, np.inf)
-            continue
-        e_s = _disk_functional(sys, sigma_of(ell, k0, z), ell, hats[0], M)
-        with np.errstate(over="ignore"):  # e_s is E * 4**-e
-            e_norm = float(np.ldexp(la.opnorm(e_s), 2 * exps[0]))
-        scale = max(np.ldexp(1.0, -2 * exps[0]),
-                    la.opnorm(hats[0]) ** 2 * (1.0 + la.opnorm(M) ** 2))
-        yield ell, M, e_s / scale, e_norm, _disk_diameter(sys, z, k0, ell, hats, exps)
+            at.append((hats, exps))
+    return at
+
+
+def _side_rows(sys, z: complex, k0: int, k_inv, beta, sites, at) -> dict:
+    """ell -> (smin, walk row, None at a pole) for the far sites on one side
+    of k0, in order of offset, with their hats ``at`` from :func:`_outward`:
+    every M from one :func:`_sweep_m` pass, then E(M), the norms, the scale
+    and the diameters once over the stack of sites with finite hats."""
+    far = sites[::-1]
+    M, smin, hit = (a[::-1] for a in _sweep_m(
+        sys, k_inv, far, k0, _ker_basis(_weighted(beta, sys, far)), np.array([z])))
+    hats, exps = map(np.stack, zip(*at))
+    n, m, sigma = len(sites), sys.m, sigma_of(sites[0], k0, z)
+    e_rel = np.full((n, m, m), np.nan, dtype=complex)
+    e_norm, diam = np.full(n, np.inf), np.full((n, m), np.inf)
+    ok = ~hit & np.isfinite(hats).all(axis=(1, 2, 3))
+    if ok.any():
+        at_ok = [ell for ell, good in zip(sites, ok) if good]
+        h, x, Mk = hats[ok], exps[ok], M[ok]
+        e_s = _disk_functional(sys, sigma, at_ok, h[:, 0], Mk)  # E * 4**-x
+        with np.errstate(over="ignore"):
+            e_norm[ok] = np.ldexp(la.opnorm(e_s), 2 * x[:, 0])
+        # float_power is the C library's pow, as float ** 2 is; x * x can
+        # differ from it in the last bit
+        scale = np.maximum(np.ldexp(1.0, -2 * x[:, 0]),
+                           np.float_power(la.opnorm(h[:, 0]), 2)
+                           * (1.0 + np.float_power(la.opnorm(Mk), 2)))
+        e_rel[ok] = e_s / scale[:, None, None]
+        diam[ok] = _disk_diameter(sys, sigma, at_ok, h, x)
+    return {ell: (smin[i], None if hit[i] else
+                  (ell, M[i], e_rel[i], float(e_norm[i]), diam[i]))
+            for i, ell in enumerate(sites)}
+
+
+def _far_walk(sys: HamiltonianSystem, z: complex, k0: int, alpha, beta, blocks):
+    """Yield (ell, M, e_rel, e_norm, diameters) for each far site ell of
+    each block of sites in turn; a site of a later block lies beyond every
+    earlier site on its side of k0. M is the regular M with far data
+    ``beta``, bit for bit that of :func:`regular_m_evaluator`; a pole raises
+    :class:`EigenvalueHitError` once the rows before it are out.
+
+    Per block and side of k0, one outward pass (:func:`_outward`) carries
+    the fundamental hats at z and conj z from the farthest site so far
+    through the block's sites, and one inward pass from the block's
+    farthest site gives every M (:func:`_side_rows`). So a walk takes steps
+    in proportion to its largest offset, not to the sum of its offsets, in
+    any order of sites. The hats give the per-direction diameters of
+    :func:`_disk_diameter`, e_norm = ||E(M)|| (inf past the float range)
+    and e_rel = E(M) / max(1, ||Psi^(ell)||^2 (1 + ||M||^2)), E against the
+    scale of its rounding; inf, inf and NaN once a single step overflows
+    the hats.
+    """
+    init = initial_hat(sys, k0, alpha)
+    k_inv, zz = np.linalg.inv(init), np.array([z, np.conj(z)])
+    ends = dict.fromkeys((1, -1), (k0, np.stack([init] * 2), np.zeros(2, dtype=int)))
+    for block in blocks:
+        rows = {}
+        for d in ends:
+            sites = sorted({ell for ell in block if d * (ell - k0) > 0}, key=lambda e: d * e)
+            if sites:
+                at = _outward(sys, zz, *ends[d], sites)
+                ends[d] = (sites[-1],) + at[-1]
+                rows.update(_side_rows(sys, z, k0, k_inv, beta, sites, at))
+        for ell in block:
+            smin, row = rows[ell]
+            if row is None:
+                raise EigenvalueHitError(z, float(smin))
+            yield row
 
 
 # the largest limit-point diameter of a converged chase relative to 1 + |M|,
@@ -433,6 +504,17 @@ def _default_schedule(sys, k0, direction):
     return out + [edge] if edge != k0 else out
 
 
+def _doubling_blocks(schedule, k0):
+    """The schedule cut into blocks, each ending at its first site at least
+    twice as far from k0 as the block's first site."""
+    blocks = []
+    for ell in schedule:
+        if not blocks or abs(blocks[-1][-1] - k0) >= 2 * abs(blocks[-1][0] - k0):
+            blocks.append([])
+        blocks[-1].append(ell)
+    return blocks
+
+
 def _clip_psd(a: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(la.herm(a))
     return la.herm((v * np.clip(w, 0.0, None)) @ v.conj().T)
@@ -483,25 +565,32 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
     pole of M :class:`EigenvalueHitError`.
 
     Chase (an explicit ``opts.ell_schedule``, or a ``periodic`` or ``error``
-    system, which has no constant tail): walks the schedule sites with
-    :func:`_far_walk`, which gives at each the regular M with a fixed
-    self-adjoint far boundary (Dirichlet by default), bit for bit that of
-    :func:`regular_m_evaluator`, and the disk's per-direction diameters,
-    each recorded at most as large as the one before it (the disks nest).
-    Stops when two consecutive values differ by less than ``opts.tol``
-    relative or the window is exhausted. Relative to 1 + |M|, a direction
-    is limit-point when its last diameter is at most ``opts.tol`` (the
-    limit lies in that disk), or below ``_LP_THRESHOLD`` after the chase
-    converged; it is limit-circle otherwise when its last finite, unclipped
-    diameter is at least half the latest one at no more than half its
-    offset from k0 (a point direction shrinks geometrically as the offset
-    doubles). All point reads ``limit_point``, all circle ``limit_circle``,
-    a mix of the two ``intermediate`` (``circle_rank`` counts the circle
-    directions), and anything else ``inconclusive``. In the limit-point regime the chased
+    system, which has no constant tail): the schedule sites must lie on
+    the direction's side of k0 with strictly increasing offsets, all in
+    reach, or :class:`InputError` is raised before any step. The chase
+    walks them with :func:`_far_walk`, in blocks that each end at their
+    first site at least twice as far from k0 as the block's first site (one
+    outward pass and one inward sweep per block), which gives at each site
+    the regular M with a fixed self-adjoint far boundary (Dirichlet by
+    default), bit for bit that of :func:`regular_m_evaluator`, and the
+    disk's per-direction diameters, each recorded at most as large as the
+    one before it (the disks nest). Stops when two consecutive values
+    differ by less than ``opts.tol`` relative or the window is exhausted;
+    the rest of that block has been walked, so a pencil failing there
+    raises too. Relative to 1 + |M|, a direction is limit-point when its
+    last diameter is at most ``opts.tol`` (the limit lies in that disk), or
+    below ``_LP_THRESHOLD`` after the chase converged; it is limit-circle
+    otherwise when its last finite, unclipped diameter is at least half the
+    latest one at no more than half its offset from k0 (a point direction
+    shrinks geometrically as the offset doubles). All point reads
+    ``limit_point``, all circle ``limit_circle``, a mix of the two
+    ``intermediate`` (``circle_rank`` counts the circle directions), and
+    anything else ``inconclusive``. In the limit-point regime the chased
     value is boundary-independent; otherwise it depends on the chosen far
     boundary, which is recorded on the result.
 
-    A pencil failing its check raises :class:`SteppingError`. The returned
+    A pencil failing its check raises :class:`SteppingError`; a pole at a
+    site ends the chase at the site before it, with a note. The returned
     matrix is projected onto the sigma-Herglotz sign cone (a no-op up to
     roundoff in valid runs).
     """
@@ -517,7 +606,7 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
     if opts.ell_schedule is None and sys.extension == "constant-edge":
         edge = max(sys.k_max, k0) if direction > 0 else min(sys.k_min, k0)
         M, smin, hit = _sweep_m(sys, np.linalg.inv(initial_hat(sys, k0, alpha)),
-                                edge, k0, _tail_basis(sys, z, edge, direction),
+                                [edge], k0, _tail_basis(sys, z, edge, direction)[None],
                                 np.array([z]))
         if hit[0]:
             raise EigenvalueHitError(z, float(smin[0]))
@@ -528,11 +617,20 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
     schedule = opts.ell_schedule or _default_schedule(sys, k0, direction)
     if not schedule:
         raise InputError("empty far-site schedule (window too small)")
+    offsets = [direction * (ell - k0) for ell in schedule]
+    if not all(a < b for a, b in zip([0] + offsets, offsets)):
+        raise InputError(f"far sites {list(schedule)} must lie on the "
+                         f"{'+' if direction > 0 else '-'} side of k0={k0} "
+                         "with strictly increasing offsets")
+    if not all(map(sys.in_reach, schedule)):
+        raise InputError(f"far sites {list(schedule)} leave the window "
+                         f"{sys.window} of an 'error' system")
 
     ells, gaps, raw, M_final = [], [], [], None
     converged, note = False, ""
     try:
-        for ell, M, _, _, diam in _far_walk(sys, z, k0, alpha, beta, schedule):
+        for ell, M, _, _, diam in _far_walk(sys, z, k0, alpha, beta,
+                                            _doubling_blocks(schedule, k0)):
             if ells:
                 gaps.append(la.opnorm(M - M_final) / (1.0 + la.opnorm(M)))
             ells.append(ell)
@@ -681,10 +779,10 @@ def regular_m_evaluator(sys: HamiltonianSystem, k0: int, ell: int, alpha, beta):
     if ell == k0:
         raise InputError("ell must differ from k0")
     k_inv = np.linalg.inv(initial_hat(sys, k0, alpha))
-    y0 = _ker_basis(_weighted(beta, sys, ell))
+    y0 = _ker_basis(_weighted(beta, sys, ell))[None]
 
     def extract(z):
-        return _sweep_m(sys, k_inv, ell, k0, y0,
+        return _sweep_m(sys, k_inv, [ell], k0, y0,
                         np.atleast_1d(np.asarray(z, dtype=complex)))
 
     def ev(z):

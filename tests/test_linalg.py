@@ -106,3 +106,17 @@ def test_clear_sites_are_decided_without_an_svd(monkeypatch):
 def test_fails_check_rejects_an_unknown_rule():
     with pytest.raises(ValueError, match="unknown check rule"):
         la.fails_check(np.eye(2)[None], "unitary", 1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_spd_roots_of_a_stack_equal_each_matrix_bitwise(m):
+    rng = np.random.default_rng(70 + m)
+    g = rng.normal(size=(5, m, m)) + 1j * rng.normal(size=(5, m, m))
+    a = g @ la.adjoint(g) + 0.1 * np.eye(m)
+    for f in (la.sqrtm_spd, la.invsqrtm_spd):
+        stacked = f(a)
+        assert stacked.shape == a.shape
+        for one, ai in zip(stacked, a):
+            assert np.array_equal(one, f(ai))
+    with pytest.raises(ValueError, match="not positive definite"):
+        la.sqrtm_spd(np.stack([a[0], -a[1]]))

@@ -628,6 +628,77 @@ def test_no_limit_circle_from_collapsed_forward_columns():
             assert la.opnorm(lim.M_pm - exact) <= 1e-12 * la.opnorm(exact)
 
 
+@pytest.mark.parametrize("sched", [[-8, -16, -32, -64, -128],
+                                   [128, 64, 32, 16, 8],
+                                   [8, 8, 16], [0, 8, 16], [8, 32, 16]])
+def test_limit_rejects_a_schedule_off_its_side_or_not_outward(sched, monkeypatch):
+    # toward +infinity these schedules read limit_point with the wrong M:
+    # M- (-0.44277) for the mirrored one, and the regular M at ell = 8 for
+    # the reversed one, with a note that its tiny diameter bounds the error
+    sysj = make_free_jacobi((-200, 200), extension="error")
+    monkeypatch.setattr(hwl, "_steps", None)  # rejected before any step
+    with pytest.raises(InputError, match="strictly increasing offsets"):
+        hwl.limit_m(sysj, 1 + 0.2j, 0, hsys.dirichlet(1), +1,
+                    hwl.LimitOptions(ell_schedule=sched))
+
+
+def test_limit_rejects_a_schedule_out_of_reach_before_any_step(monkeypatch):
+    sysj = make_free_jacobi((-200, 200), extension="error")
+    monkeypatch.setattr(hwl, "_steps", None)
+    with pytest.raises(InputError, match="leave the window"):
+        hwl.limit_m(sysj, 1 + 0.2j, 0, hsys.dirichlet(1), +1,
+                    hwl.LimitOptions(ell_schedule=[8, 16, 300]))
+
+
+def test_limit_from_beyond_a_periodic_window_rejects_its_default_schedule():
+    # k0 past the window's right end: the default schedule toward + is the
+    # window edge, which lies on the - side (read as M+ before)
+    r = htk.random_system(2, (0, 80), 4, "jacobi")
+    sysp = hsys.HamiltonianSystem(2, r.window, r._A, r._B, r._rho,
+                                  extension="periodic")
+    with pytest.raises(InputError, match=r"\+ side of k0=100"):
+        hwl.limit_m(sysp, 1 + 0.2j, 100, hsys.dirichlet(2), +1)
+    lim = hwl.limit_m(sysp, 1 + 0.2j, 100, hsys.dirichlet(2), -1)
+    assert lim.ell_sequence == [92, 84, 68, 36, 0]
+
+
+def test_chase_steps_through_its_whole_doubling_block():
+    # the pencil's (2,1) block vanishes at z at site 50: the chase converges
+    # at ell = 32, but the block [32, 64] is walked as one, so the failing
+    # pencil between 32 and 64 raises instead of going unseen
+    sysj = make_free_jacobi((0, 200), extension="error")
+    z = 1 + 1j
+    A, B = sysj._A.copy(), sysj._B.copy()
+    A[50] = [[1.0, 0.5], [0.5, 1.0]]
+    B[50] = [[0.0, -0.5 * z], [-0.5 * np.conj(z), 0.0]]
+    sys_ = hsys.HamiltonianSystem(1, (0, 200), A, B, sysj._rho, extension="error")
+    opts = hwl.LimitOptions(ell_schedule=[8, 16, 32, 64, 128], tol=1e-6)
+    with pytest.raises(SteppingError) as err:
+        hwl.limit_m(sys_, z, 0, hsys.dirichlet(1), +1, opts)
+    assert err.value.site == 50
+    # without the site the chase converges at 32
+    lim = hwl.limit_m(sysj, z, 0, hsys.dirichlet(1), +1, opts)
+    assert lim.ell_sequence == [8, 16, 32] and lim.cauchy_gap < 1e-6
+
+
+@pytest.mark.parametrize("cls", ["jacobi", "dirac", "general_A12zero"])
+def test_one_sweep_of_many_sites_equals_a_sweep_per_site_bitwise(cls):
+    # members join the inward pass at their own sites and keep their own QR
+    # cadence, so each M is that of the evaluator at its site, bit for bit
+    for m in (1, 2, 3):
+        sysr = htk.random_system(m, (-60, 60), seed=17 + m, cls=cls)
+        al, be = hsys.dirichlet(m), boundary_family(m, 3)[1]
+        k_inv = np.linalg.inv(hp.initial_hat(sysr, 3, al))
+        for z, far in ((0.5 + 0.4j, [57, 41, 40, 22, 13, 4]),
+                       (0.3 - 0.7j, [-55, -31, -20, -19, -9, 2])):
+            y = hwl._ker_basis(hp._weighted(be, sysr, far))
+            M, smin, hit = hwl._sweep_m(sysr, k_inv, far, 3, y, np.array([z]))
+            for i, ell in enumerate(far):
+                one = hwl.regular_m_evaluator(sysr, 3, ell, al, be).extract(np.array([z]))
+                assert np.array_equal(M[i], one[0][0])
+                assert smin[i] == one[1][0] and hit[i] == one[2][0]
+
+
 def test_limit_agrees_with_fixed_point_dirac():
     sysd = hsys.dirac_system(lambda k: 1.0, (-140, 140))
     al = hsys.dirichlet(1)
