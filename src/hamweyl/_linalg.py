@@ -28,6 +28,8 @@ __all__ = [
     "sqrtm_spd",
     "invsqrtm_spd",
     "rsolve",
+    "ginibre",
+    "haar_from_ginibre",
     "haar_unitary",
 ]
 
@@ -204,9 +206,22 @@ def rsolve(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a.T, b.T).T
 
 
+def ginibre(x: np.ndarray) -> np.ndarray:
+    """Complex Ginibre matrices X[..., 0, :, :] + i X[..., 1, :, :] from
+    standard normals drawn as (..., 2, m, m): each real part's draws come
+    before its imaginary part's."""
+    return x[..., 0, :, :] + 1j * x[..., 1, :, :]
+
+
+def haar_from_ginibre(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries Q diag(r_ii / |r_ii|) from the QR of Ginibre matrices,
+    of one matrix or of each in a stack (factored member by member, so bit
+    for bit as one at a time)."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed m x m unitary via QR of a Ginibre matrix."""
-    g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return haar_from_ginibre(ginibre(rng.normal(size=(2, m, m))))

@@ -30,6 +30,7 @@ from .propagate import (
     _pairing_defects,
     _weyl_columns,
     fundamental,
+    lagrange_bilinear,
 )
 from .system import HamiltonianSystem
 
@@ -314,17 +315,19 @@ class NonhomogeneousSolve:
     kernel_square_trace: dict[int, float]
 
     def y_hat(self, k: int) -> np.ndarray:
-        return _hat_from_plain(self.y, k, self.kernel.m)
+        return _hats([self.y[k], self.y[k + 1]], self.kernel.m)[0]
 
     @property
     def l2a_ok(self) -> bool:
         return self.l2a_lhs <= self.l2a_bound + 1e-6 * (1.0 + self.l2a_rhs)
 
 
-def _hat_from_plain(y, k: int, m: int) -> np.ndarray:
-    """Hat (y1(k); y2(k+1)) of a family of plain (2m, r) or (2m,) values."""
-    return np.vstack([np.asarray(y[k], dtype=complex)[:m].reshape(m, -1),
-                      np.asarray(y[k + 1], dtype=complex)[m:].reshape(m, -1)])
+def _hats(plains, m: int) -> np.ndarray:
+    """Hats (y1(k); y2(k+1)) of n + 1 consecutive plain (2m, r) or (2m,)
+    values y(k), as an (n, 2m, r) stack."""
+    p = np.asarray(plains, dtype=complex)
+    p = p.reshape(p.shape[:2] + (-1,))
+    return np.concatenate([p[:-1, :m], p[1:, m:]], axis=1)
 
 
 def _coerce_source(kernel: GreensKernel, f) -> dict:
@@ -445,6 +448,21 @@ def solve_nonhomogeneous(kernel: GreensKernel, f) -> NonhomogeneousSolve:
         kernel_square_trace=ksq)
 
 
+def _fluxes(kernel: GreensKernel, y, sites: range, side: str) -> np.ndarray:
+    """(n, m, r) stack of Uhat_side(conj z, k)* J_rho(k) yhat(k) over a
+    range of sites of the window."""
+    if side not in ("+", "-"):
+        raise InputError("side must be '+' or '-'")
+    if kernel.variant == "half_plus" and side == "-":
+        raise InputError("half_plus kernels have no minus-side flux")
+    if kernel.variant == "half_minus" and side == "+":
+        raise InputError("half_minus kernels have no plus-side flux")
+    u = (kernel._up if side == "+" else kernel._um)[1]
+    uhat = _hats(u[kernel._rows(sites.start, len(sites) + 1)], kernel.m)
+    yhat = _hats([y[k] for k in range(sites.start, sites.stop + 1)], kernel.m)
+    return lagrange_bilinear(kernel.sys, sites, uhat, yhat)
+
+
 def boundary_flux(kernel: GreensKernel, solve: NonhomogeneousSolve | dict,
                   k: int, side: str = "+") -> np.ndarray:
     """Flux pairing of the decaying family against a solution at a site k
@@ -454,16 +472,8 @@ def boundary_flux(kernel: GreensKernel, solve: NonhomogeneousSolve | dict,
     the corresponding singular endpoint, and vanishes identically when y is
     the decaying family itself.
     """
-    if side not in ("+", "-"):
-        raise InputError("side must be '+' or '-'")
-    if kernel.variant == "half_plus" and side == "-":
-        raise InputError("half_plus kernels have no minus-side flux")
-    if kernel.variant == "half_minus" and side == "+":
-        raise InputError("half_minus kernels have no plus-side flux")
-    u = (kernel._up if side == "+" else kernel._um)[1, kernel._rows(k, 2)]
-    uhat = _hat_from_plain(u, 0, kernel.m)
     y = solve.y if isinstance(solve, NonhomogeneousSolve) else solve
-    return uhat.conj().T @ kernel.sys.j_rho(k) @ _hat_from_plain(y, k, kernel.m)
+    return _fluxes(kernel, y, range(k, k + 1), side)[0]
 
 
 def flux_trend(kernel: GreensKernel, solve: NonhomogeneousSolve,
@@ -472,14 +482,20 @@ def flux_trend(kernel: GreensKernel, solve: NonhomogeneousSolve,
 
     Returns the sampled sites, norms, the last/first ratio, and the fraction
     of successive decreases; a decaying trend is the finite-window surrogate
-    of the boundary condition at the singular endpoint.
+    of the boundary condition at the singular endpoint. The sample is the
+    max(2, (hi - lo) // 3) sites that end at hi - 1 (side "+") or start at
+    lo (side "-"), clamped to the sites lo..hi whose hats the window holds.
+    A one-step window samples one site on the "+" side, and a window of
+    one site one on either side: a single sampled site reports ratio 1 (0
+    when its flux vanishes) and monotone fraction 0, that is, no trend.
     """
     lo, hi = kernel.window
+    n = max(2, (hi - lo) // 3)
     if side == "+":
-        sites = range(hi - max(2, (hi - lo) // 3), hi)
+        sites = range(max(lo, hi - n), max(lo, hi - 1) + 1)
     else:
-        sites = range(lo, lo + max(2, (hi - lo) // 3))
-    norms = [la.opnorm(boundary_flux(kernel, solve, k, side)) for k in sites]
+        sites = range(lo, min(hi, lo + n - 1) + 1)
+    norms = la.opnorm(_fluxes(kernel, solve.y, sites, side)).tolist()
     drops = sum(1 for a, b in zip(norms, norms[1:])
                 if (b < a if side == "+" else b > a))
     ratio = (norms[-1] / norms[0]) if norms[0] > 0 else 0.0

@@ -222,30 +222,14 @@ def constant_riccati_fixed_point(sys: HamiltonianSystem, z: complex,
 # constrained random systems
 # ---------------------------------------------------------------------------
 
-def _random_hermitian(rng: np.random.Generator, m: int, scale: float = 1.0) -> np.ndarray:
-    g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-    return scale * la.herm(g) / np.sqrt(m)
+def _usv(u: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """U diag(s) V* of each member of a stack."""
+    return (u * s[..., None, :]) @ la.adjoint(v)
 
 
-def _random_spd(rng: np.random.Generator, m: int, lo: float, hi: float) -> np.ndarray:
-    u = la.haar_unitary(m, rng)
-    w = rng.uniform(lo, hi, size=m)
-    return la.herm((u * w) @ u.conj().T)
-
-
-def _random_psd_rank(rng: np.random.Generator, m: int, rank: int) -> np.ndarray:
-    u = la.haar_unitary(m, rng)
-    w = np.zeros(m)
-    w[:rank] = rng.uniform(0.3, 1.0, size=rank)
-    return la.herm((u * w) @ u.conj().T)
-
-
-def _random_invertible(rng: np.random.Generator, m: int) -> np.ndarray:
-    # singular values in [0.3, 3]: condition bounded by 10, well under 1e3
-    u = la.haar_unitary(m, rng)
-    v = la.haar_unitary(m, rng)
-    s = rng.uniform(0.3, 3.0, size=m)
-    return (u * s) @ v.conj().T
+def _weighted(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Hermitian U diag(w) U* with spectrum w, of each member of a stack."""
+    return la.herm(_usv(u, w, u))
 
 
 def _probe_intervals(window) -> list[tuple[int, int]]:
@@ -269,7 +253,24 @@ def random_system(m: int, window, seed: int,
 
     Pointwise validity holds by construction; interval definiteness is
     verified post hoc on the default z sample and the draw is repeated on
-    failure (bounded retries). Fixed seeds give bitwise-identical systems.
+    failure (bounded retries), each attempt drawing on from the same
+    generator. Fixed seeds give bitwise-identical systems, because the
+    stream is read in one fixed order. A Ginibre matrix G takes 2 m^2
+    normals, its real part's first. In site order, from k_min:
+
+    - ``"jacobi"``: per site G, ``uniform(0.5, 2, m)`` for p; then per site
+      G for q.
+    - ``"dirac"``: per site G, G, ``uniform(0.3, 3, m)``.
+    - ``"general_A12zero"``: per site G, ``uniform(0.3, 2, m)`` for A11;
+      ``integers(0, m + 1)`` for the rank r of A22, G, ``uniform(0.3, 1, r)``;
+      G, G, ``uniform(0.3, 3, m)`` for B12; G for B11; G for B22;
+      G, ``uniform(0.5, 2, m)`` for rho.
+
+    Normals that follow each other in this order are drawn in one call,
+    which reads the same stream. The loop over sites only draws; the Haar
+    unitaries (QR of G with the phases of diag R divided out), U diag(w) U*,
+    U diag(s) V* and (G + G*) / (2 sqrt m) are then formed once per
+    coefficient stack.
     """
     if cls not in ("jacobi", "dirac", "general_A12zero"):
         raise InputError(f"unknown class {cls!r}")
@@ -278,30 +279,48 @@ def random_system(m: int, window, seed: int,
     n = k_max - k_min + 1
     if n < 1:
         raise InputError("window is empty")
+    normal, uniform = rng.normal, rng.uniform
 
     for _ in range(retries):
         if cls == "jacobi":
-            p = np.stack([_random_spd(rng, m, 0.5, 2.0) for _ in range(n)])
-            q = np.stack([_random_hermitian(rng, m) for _ in range(n)])
+            x, w = np.empty((n, 2, m, m)), np.empty((n, m))
+            for i in range(n):
+                x[i] = normal(size=(2, m, m))
+                w[i] = uniform(0.5, 2.0, size=m)
+            p = _weighted(la.haar_from_ginibre(la.ginibre(x)), w)
+            q = la.herm(la.ginibre(normal(size=(n, 2, m, m)))) / np.sqrt(m)
             sys = jacobi_system(p, q, window, m=m)
         elif cls == "dirac":
-            b = np.stack([_random_invertible(rng, m) for _ in range(n)])
-            sys = dirac_system(b, window, m=m)
-        else:
-            two_m = 2 * m
-            A = np.zeros((n, two_m, two_m), dtype=complex)
-            B = np.zeros((n, two_m, two_m), dtype=complex)
-            rho = np.zeros((n, m, m), dtype=complex)
+            x, s = np.empty((n, 2, 2, m, m)), np.empty((n, m))
             for i in range(n):
-                A[i, :m, :m] = _random_spd(rng, m, 0.3, 2.0)
-                A[i, m:, m:] = _random_psd_rank(rng, m, int(rng.integers(0, m + 1)))
-                b12 = _random_invertible(rng, m)
-                B[i, :m, :m] = _random_hermitian(rng, m)
-                B[i, m:, m:] = _random_hermitian(rng, m)
-                B[i, :m, m:] = b12
-                B[i, m:, :m] = b12.conj().T
-                rho[i] = _random_spd(rng, m, 0.5, 2.0)
-            sys = HamiltonianSystem(m, window, A, B, rho)
+                x[i] = normal(size=(2, 2, m, m))
+                s[i] = uniform(0.3, 3.0, size=m)
+            u = la.haar_from_ginibre(la.ginibre(x))
+            sys = dirac_system(_usv(u[:, 0], s, u[:, 1]), window, m=m)
+        else:
+            # the Ginibre draws of A11, A22, U and V of B12 = U S V*, B11,
+            # B22 and rho; the weights of A11, A22 (zero past the rank), S
+            # and rho
+            x, w = np.empty((n, 7, 2, m, m)), np.zeros((n, 4, m))
+            for i in range(n):
+                x[i, 0] = normal(size=(2, m, m))
+                w[i, 0] = uniform(0.3, 2.0, size=m)
+                rank = int(rng.integers(0, m + 1))
+                x[i, 1] = normal(size=(2, m, m))
+                w[i, 1, :rank] = uniform(0.3, 1.0, size=rank)
+                x[i, 2:4] = normal(size=(2, 2, m, m))
+                w[i, 2] = uniform(0.3, 3.0, size=m)
+                x[i, 4:] = normal(size=(3, 2, m, m))
+                w[i, 3] = uniform(0.5, 2.0, size=m)
+            g = la.ginibre(x)
+            u = la.haar_from_ginibre(g[:, [0, 1, 2, 3, 6]])
+            b = la.herm(g[:, 4:6]) / np.sqrt(m)
+            b12 = _usv(u[:, 2], w[:, 2], u[:, 3])
+            zero = np.zeros((n, m, m))
+            A = np.block([[_weighted(u[:, 0], w[:, 0]), zero],
+                          [zero, _weighted(u[:, 1], w[:, 1])]])
+            B = np.block([[b[:, 0], b12], [la.adjoint(b12), b[:, 1]]])
+            sys = HamiltonianSystem(m, window, A, B, _weighted(u[:, 4], w[:, 3]))
 
         if not validate_pointwise(sys).passed:
             continue

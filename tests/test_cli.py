@@ -222,6 +222,20 @@ def test_green_and_solve_commands(free_fixture, tmp_path):
     assert meta["l2a_ok"] is True
 
 
+@pytest.mark.parametrize("window", [["--window=0,1"],
+                                    ["--variant", "half-plus", "--window=-1,1"]])
+def test_solve_on_a_one_step_window(free_fixture, tmp_path, window):
+    # the kernel and the solve certify on one step; the flux sample must
+    # stay inside the window instead of failing the command
+    out = tmp_path / "s.json"
+    rc = main(["solve", "--input", free_fixture, "--z=1,0.5", *window,
+               "--format", "json", "--output", str(out), "--no-timestamp"])
+    assert rc == 0
+    meta = json.loads(out.read_text())["meta"]
+    assert meta["flux_ratio_plus"] == 1.0   # one sampled site: no trend
+    assert float(meta["residual_max"]) < 1e-9
+
+
 def test_general_system_through_cli(tmp_path):
     from hamweyl import testkit as htk
 

@@ -370,6 +370,79 @@ def test_flux_trend_minus_side(free_kernels):
     assert trend["monotone_fraction"] >= 0.6
 
 
+def _flux_one_matrix_at_a_time(kernel, y, k, side):
+    # Uhat_side(conj z, k)* J_rho(k) yhat(k) from 2-D products of one site
+    m = kernel.m
+    u = (kernel._up if side == "+" else kernel._um)[1, kernel._rows(k, 2)]
+    uhat = np.vstack([u[0][:m], u[1][m:]])
+    yhat = np.vstack([np.asarray(y[k])[:m].reshape(m, -1),
+                      np.asarray(y[k + 1])[m:].reshape(m, -1)])
+    return uhat.conj().T @ kernel.sys.j_rho(k) @ yhat
+
+
+@pytest.fixture(scope="module")
+def const_m2_kernels():
+    """Whole and half kernels of a constant m = 2 Jacobi chain."""
+    p = np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 1.5]])
+    q = np.diag([0.1, -0.3]).astype(complex)
+    sysj = hsys.jacobi_system(lambda k: p, lambda k: q, (-40, 40), m=2)
+    al, z = hsys.dirichlet(2), 0.7 + 0.8j
+    mp = -htk.constant_riccati_fixed_point(sysj, z, +1)
+    mm = -htk.constant_riccati_fixed_point(sysj, z, -1)
+    return (hg.build_whole_kernel(sysj, z, 0, al, mp, mm, (-9, 9)),
+            hg.build_half_kernel_plus(sysj, z, 0, al, mp, (0, 10)),
+            hg.build_half_kernel_minus(sysj, z, 0, al, mm, (-10, 0)))
+
+
+def test_flux_trend_norms_equal_per_site_fluxes_bitwise(free_kernels, const_m2_kernels):
+    kernels = list(free_kernels[5:]) + list(const_m2_kernels)
+    for i, kernel in enumerate(kernels):
+        rng = np.random.default_rng(40 + i)
+        n = 2 * kernel.m
+        sol = hg.solve_nonhomogeneous(
+            kernel, {k: rng.normal(size=n) + 1j * rng.normal(size=n)
+                     for k in kernel.source_sites()})
+        sides = {"whole": "+-", "half_plus": "+", "half_minus": "-"}[kernel.variant]
+        for side in sides:
+            trend = hg.flux_trend(kernel, sol, side)
+            assert len(trend["sites"]) >= 2
+            per_site = [la.opnorm(hg.boundary_flux(kernel, sol, k, side))
+                        for k in trend["sites"]]
+            by_hand = [la.opnorm(_flux_one_matrix_at_a_time(kernel, sol.y, k, side))
+                       for k in trend["sites"]]
+            assert all(type(v) is float for v in trend["norms"])
+            assert trend["norms"] == per_site == by_hand
+
+
+@pytest.mark.parametrize("variant,window,sides", [
+    ("whole", (0, 1), "+-"), ("whole", (0, 0), "+-"),
+    ("half_plus", (0, 1), "+"), ("half_plus", (0, 0), "+"),
+    ("half_minus", (-1, 0), "-"), ("half_minus", (0, 0), "-")],
+    ids=["whole-one_step", "whole-one_site", "half_plus-one_step",
+         "half_plus-one_site", "half_minus-one_step", "half_minus-one_site"])
+def test_flux_trend_on_the_shortest_windows_stays_inside_them(variant, window, sides):
+    sysj = make_free_jacobi((-10, 10))
+    al, z = hsys.dirichlet(1), 1 + 0.5j
+    mp = -htk.constant_riccati_fixed_point(sysj, z, +1)
+    mm = -htk.constant_riccati_fixed_point(sysj, z, -1)
+    kernel = {"whole": lambda: hg.build_whole_kernel(sysj, z, 0, al, mp, mm, window),
+              "half_plus": lambda: hg.build_half_kernel_plus(sysj, z, 0, al, mp, window),
+              "half_minus": lambda: hg.build_half_kernel_minus(sysj, z, 0, al, mm, window),
+              }[variant]()
+    rng = np.random.default_rng(3)
+    sol = hg.solve_nonhomogeneous(
+        kernel, {k: rng.normal(size=2) + 1j * rng.normal(size=2)
+                 for k in kernel.source_sites()})
+    lo, hi = window
+    for side in sides:
+        trend = hg.flux_trend(kernel, sol, side)
+        assert all(lo <= k <= hi for k in trend["sites"])
+        if len(trend["sites"]) == 1:
+            # one sampled site reports no trend
+            assert trend["ratio"] == (1.0 if trend["norms"][0] > 0 else 0.0)
+            assert trend["monotone_fraction"] == 0.0
+
+
 def test_source_site_validation(free_kernels):
     sysj, al, z, mp, mm, whole, plus, minus = free_kernels
     with pytest.raises(InputError):

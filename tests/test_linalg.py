@@ -120,3 +120,27 @@ def test_spd_roots_of_a_stack_equal_each_matrix_bitwise(m):
             assert np.array_equal(one, f(ai))
     with pytest.raises(ValueError, match="not positive definite"):
         la.sqrtm_spd(np.stack([a[0], -a[1]]))
+
+
+# ---------------------------------------------------------------------------
+# Haar unitaries: one matrix is the one-member case of a stack
+# ---------------------------------------------------------------------------
+
+def _haar_one_at_a_time(rng, m):
+    # QR of one Ginibre matrix with the phases of diag R divided out
+    q, r = np.linalg.qr(_ginibre(rng, m))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_haar_unitary_is_bitwise_the_one_member_case_of_the_stack(m):
+    n = 40
+    ref_rng, one_rng, stack_rng = (np.random.default_rng(23) for _ in range(3))
+    ref = np.stack([_haar_one_at_a_time(ref_rng, m) for _ in range(n)])
+    one = np.stack([la.haar_unitary(m, one_rng) for _ in range(n)])
+    stack = la.haar_from_ginibre(la.ginibre(stack_rng.normal(size=(n, 2, m, m))))
+    assert one.tobytes() == ref.tobytes()
+    assert stack.tobytes() == ref.tobytes()
+    assert ref_rng.random() == one_rng.random() == stack_rng.random()
+    assert np.max(np.abs(la.adjoint(stack) @ stack - np.eye(m))) < 1e-14

@@ -1,3 +1,9 @@
+import hashlib
+import json
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -134,3 +140,80 @@ def test_random_system_a12_vanishes():
     for k in sysr.sites:
         assert np.allclose(sysr.A(k)[:m, m:], 0)
         assert la.rcond(sysr.B(k)[:m, m:]) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# generator: golden bytes
+# ---------------------------------------------------------------------------
+# tests/data/random_systems.json holds, per draw, the SHA-256 of the bytes of
+# the coefficient stacks _A, _B and _rho as the per-site generator drew and
+# factored them one matrix at a time. Every seeded system the suite and the
+# self-check battery use depends on those bytes. Running this module as a
+# script prints the current values in the golden file's format.
+
+GOLDEN = Path(__file__).parent / "data" / "random_systems.json"
+CLASSES = ("jacobi", "dirac", "general_A12zero")
+
+
+def random_system_cases():
+    """(case id, m, window, seed, class) of every golden draw."""
+    out = [(f"grid/{cls}_m{m}/seed{s}/0,201", m, (0, 201), s, cls)
+           for cls in CLASSES for m in (1, 2, 3) for s in (1, 2, 3)]
+    # the self-check battery of perfbench/workloads.py at seeds 1-3
+    for seed in (1, 2, 3):
+        for i in range(6):
+            m, s, cls = 1 + (i + i // 3) % 3, (seed * 7919 + i) % 2**31, CLASSES[i % 3]
+            out.append((f"battery/{seed}/{cls}_m{m}/0,201", m, (0, 201), s, cls))
+    out += [(f"short/{cls}_m{m}/seed5/{lo},{hi}", m, (lo, hi), 5, cls)
+            for cls in CLASSES for m in (1, 2, 3)
+            for lo, hi in ((0, 0), (-2, 1), (3, 8))]
+    return out
+
+
+def coefficient_digests(sys_):
+    return {name: hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+            for name, arr in (("A", sys_._A), ("B", sys_._B), ("rho", sys_._rho))}
+
+
+def _retried_draw(m, window, seed, cls):
+    """The draw that follows one rejected attempt from the same generator."""
+    orig, calls = htk.validate_pointwise, []
+
+    def reject_first(sys_):
+        calls.append(1)
+        return orig(sys_) if len(calls) > 1 else SimpleNamespace(passed=False)
+
+    htk.validate_pointwise = reject_first
+    try:
+        return htk.random_system(m, window, seed, cls)
+    finally:
+        htk.validate_pointwise = orig
+
+
+RETRY_CASES = [(f"retry/{cls}_m2/seed7/0,6", 2, (0, 6), 7, cls) for cls in CLASSES]
+
+
+@pytest.fixture(scope="module")
+def random_golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("case", random_system_cases(), ids=lambda c: c[0])
+def test_random_system_matches_golden_bytes(case, random_golden):
+    key, m, window, seed, cls = case
+    assert coefficient_digests(htk.random_system(m, window, seed, cls)) == random_golden[key]
+
+
+@pytest.mark.parametrize("case", RETRY_CASES, ids=lambda c: c[0])
+def test_random_system_retry_keeps_drawing_from_the_same_generator(case, random_golden):
+    key, m, window, seed, cls = case
+    assert coefficient_digests(_retried_draw(m, window, seed, cls)) == random_golden[key]
+
+
+if __name__ == "__main__":
+    golden = {key: coefficient_digests(htk.random_system(m, w, s, c))
+              for key, m, w, s, c in random_system_cases()}
+    golden.update({key: coefficient_digests(_retried_draw(m, w, s, c))
+                   for key, m, w, s, c in RETRY_CASES})
+    json.dump(golden, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
