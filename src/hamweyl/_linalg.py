@@ -131,37 +131,49 @@ def inverse(a: np.ndarray) -> np.ndarray:
         return np.full_like(a, np.nan)
 
 
-def fails_check(a: np.ndarray, rule: str, limit: float, inv=None) -> np.ndarray:
+def fails_check(a: np.ndarray, rule: str, limit: float, inv=None,
+                scale=None) -> np.ndarray:
     """Verdict of a 2-norm input check on each matrix of an (..., m, m)
     stack, as a boolean array over the leading axes.
 
     Rule ``"hermitian"`` fails where ||A - A*||_2 > limit max(1, ||A||_2),
     the negation of :func:`is_hermitian`; rule ``"rcond"`` fails where
-    :func:`rcond` is below ``limit``, and ``inv`` is the stack's inverse
+    :func:`rcond` is below ``limit``; rule ``"smin"`` fails where the
+    smallest singular value of A is below limit max(1, ||S||_2), with S the
+    matching matrix of the stack ``scale``. ``inv`` is the stack's inverse
     when the caller has it. The verdicts are the SVD rules' own. Frobenius
     norms bracket the 2-norms (||X||_F / sqrt(m) <= ||X||_2 <= ||X||_F, so
-    1/(||A||_F ||A^-1||_F) <= rcond(A) <= m/(||A||_F ||A^-1||_F)) and
-    decide every matrix whose bracket clears the threshold by
-    ``_BOUND_MARGIN``; the SVD decides the rest, and every matrix whose
-    norms leave the float range.
+    1/(||A||_F ||A^-1||_F) <= rcond(A) <= m/(||A||_F ||A^-1||_F), and
+    smin(A) = 1/||A^-1||_2) and decide every matrix whose bracket clears the
+    threshold by ``_BOUND_MARGIN``; the SVD decides the rest, and every
+    matrix whose norms leave the float range.
     """
     m = a.shape[-1]
     with np.errstate(all="ignore"):
-        f_a = _frobenius(a)
         if rule == "hermitian":
-            f_x = _frobenius(a - adjoint(a))
+            f_a, f_x = _frobenius(a), _frobenius(a - adjoint(a))
             # bounds on ||A - A*||_2 / max(1, ||A||_2)
             lo = f_x / np.sqrt(m) / np.maximum(1.0, f_a)
             hi = f_x / np.maximum(1.0, f_a / np.sqrt(m))
             bound_limit = limit
             exact = lambda s: ~is_hermitian(a[s], limit)  # noqa: E731
-        elif rule == "rcond":
+        elif rule in ("rcond", "smin"):
             f_x = _frobenius((1.0 / a if m == 1 else inverse(a)) if inv is None else inv)
-            # bounds on the 2-norm condition number 1 / rcond(A)
-            hi = f_a * f_x
-            lo = hi / m
+            if rule == "rcond":
+                # bounds on the 2-norm condition number 1 / rcond(A)
+                f_a = _frobenius(a)
+                hi = f_a * f_x
+                lo = hi / m
+                exact = lambda s: rcond(a[s]) < limit  # noqa: E731
+            else:
+                # bounds on max(1, ||S||_2) / smin(A); f_a is the scale's norm
+                f_a = _frobenius(scale)
+                hi = np.maximum(1.0, f_a) * f_x
+                lo = np.maximum(1.0, f_a / np.sqrt(scale.shape[-1])) * f_x / np.sqrt(m)
+                exact = lambda s: (  # noqa: E731
+                    np.linalg.svd(a[s], compute_uv=False)[..., -1]
+                    < limit * np.maximum(1.0, opnorm(scale[s])))
             bound_limit = 1.0 / limit
-            exact = lambda s: rcond(a[s]) < limit  # noqa: E731
         else:
             raise ValueError(f"unknown check rule {rule!r}")
         bad = lo > _BOUND_MARGIN * bound_limit

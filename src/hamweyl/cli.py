@@ -220,7 +220,7 @@ def cmd_validate(args, sys_):
     interval = _parse_numbers(args.interval, "--interval c,d", int, 2) \
         if args.interval else (sys_.k_min, min(sys_.k_max, sys_.k_min + 11))
     rows = []
-    failed = False
+    failed = unresolved = False
     rep = hsystem.validate_pointwise(sys_)
     for v in rep.violations:
         rows.append({"check": "pointwise", "site": v.site, "kind": v.kind,
@@ -237,10 +237,14 @@ def cmd_validate(args, sys_):
         rows.append({"check": f"definiteness z={z}", "site": interval[0],
                      "kind": dr.verdict, "magnitude": dr.min_eig,
                      "message": f"min eig {dr.min_eig:.3e} on {dr.interval}"})
-        failed |= not dr.definite
-    print(f"validate: {'FAIL' if failed else 'ok'} ({len(rows)} records)",
-          file=sys.stderr)
-    return rows, {"input": args.input, "passed": not failed}, 2 if failed else 0
+        failed |= dr.verdict == "indefinite"
+        unresolved |= dr.verdict == "unresolved"
+    # a definiteness verdict within the Gram rounding is a numerical
+    # outcome (exit 3) unless some check failed outright (exit 2)
+    status, code = (("FAIL", 2) if failed else ("unresolved", 3) if unresolved
+                    else ("ok", 0))
+    print(f"validate: {status} ({len(rows)} records)", file=sys.stderr)
+    return rows, {"input": args.input, "passed": code == 0}, code
 
 
 def _regular_problem(args, sys_, command: str):

@@ -153,10 +153,10 @@ def _operator_residual(sys: HamiltonianSystem, z: complex, y: np.ndarray,
     """((S_rho - zA - B) y)(k) at the inner sites of an (n, 2m, r) stack
     ``y`` of site values from k_lo, with the pencils of those sites."""
     m = sys.m
-    idx = sys._indices(range(k_lo, k_lo + len(y) - 1))
-    p = z * sys._A[idx[1:]] + sys._B[idx[1:]]
+    sites = range(k_lo, k_lo + len(y) - 1)
+    p = sys.pencil(z, sites[1:])
     py = p @ y[1:-1]
-    rho = sys._rho[idx]
+    rho = sys.rho(sites)
     return np.concatenate((rho[1:] @ y[2:, m:] - py[:, :m],
                            rho[:-1] @ y[:-2, :m] - py[:, m:]), axis=1), p
 
@@ -409,7 +409,7 @@ def solve_nonhomogeneous(kernel: GreensKernel, f) -> NonhomogeneousSolve:
     fd = _coerce_source(kernel, f)
     r = next(iter(fd.values())).shape[1] if fd else 1
     # one extra site so hats exist at the top edge
-    a = sys._A[sys._indices(range(lo, hi + 2))]
+    a = sys.A(range(lo, hi + 2))
     f_all = np.zeros((hi + 2 - lo, 2 * kernel.m, r), dtype=complex)
     for k, v in fd.items():
         f_all[k - lo] = v

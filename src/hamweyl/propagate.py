@@ -45,7 +45,6 @@ from .system import (
     RCOND_MIN,
     BoundaryData,
     HamiltonianSystem,
-    J_rho,
     symplectic_unit,
     weighted_boundary,
 )
@@ -377,9 +376,7 @@ def lagrange_bilinear(sys: HamiltonianSystem, k, hat1: np.ndarray,
     (z2 - conj(z1)) times the plain quadratic pairing through A; see
     :func:`lagrange_step_defect`.
     """
-    if isinstance(k, range):
-        return la.adjoint(hat1) @ J_rho(sys._rho[sys._indices(k)]) @ hat2
-    return hat1.conj().T @ sys.j_rho(k) @ hat2
+    return la.adjoint(hat1) @ sys.j_rho(k) @ hat2
 
 
 def _step_defects(sys: HamiltonianSystem, z1: complex, z2: complex, k: int,
@@ -397,8 +394,7 @@ def _step_defects(sys: HamiltonianSystem, z1: complex, z2: complex, k: int,
     g_prev = lagrange_bilinear(sys, range(k - 1, sites.stop - 1), prev1, prev2)
     plain1 = np.concatenate((cur1[:, :m], prev1[:, m:]), axis=1)
     plain2 = np.concatenate((cur2[:, :m], prev2[:, m:]), axis=1)
-    a = sys._A[sys._indices(sites)]
-    rhs = (z2 - np.conj(z1)) * (la.adjoint(plain1) @ a @ plain2)
+    rhs = (z2 - np.conj(z1)) * (la.adjoint(plain1) @ sys.A(sites) @ plain2)
     defect, n_cur, n_prev, n_rhs = np.linalg.norm(
         np.stack([(g_cur - g_prev) - rhs, g_cur, g_prev, rhs]), 2, axis=(2, 3))
     return defect / (1.0 + n_cur + n_prev + n_rhs)
@@ -462,8 +458,7 @@ def _pairing_defects(sys: HamiltonianSystem, hl: np.ndarray, hr: np.ndarray,
     product of the paired norms, the meaningful scale when solutions grow
     along the window."""
     g = lagrange_bilinear(sys, sites, hl, hr)
-    rho = sys._rho[sys._indices(sites)]
-    scale = 1.0 + la.opnorm(hl) * la.opnorm(hr) * la.opnorm(rho)
+    scale = 1.0 + la.opnorm(hl) * la.opnorm(hr) * la.opnorm(sys.rho(sites))
     return (la.opnorm(g - target) / scale).tolist()
 
 
@@ -483,7 +478,7 @@ def _a_form_sum(sys: HamiltonianSystem, traj: HatTrajectory,
     """Hermitized sum_k Psi(k)* A(k) Psi(k) of plain values over a run of
     consecutive ``sites``, as one stacked product."""
     psi = traj.plains(sites)
-    return la.herm(np.sum(la.adjoint(psi) @ sys._A[sys._indices(sites)] @ psi, axis=0))
+    return la.herm(np.sum(la.adjoint(psi) @ sys.A(sites) @ psi, axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ import json
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -105,10 +106,7 @@ EXTENSIONS = ("constant-edge", "periodic", "error")
 
 def symplectic_unit(m: int) -> np.ndarray:
     """The 2m x 2m matrix J = ((0, I), (-I, 0)); J^2 = -I."""
-    j = np.zeros((2 * m, 2 * m), dtype=complex)
-    j[:m, m:] = np.eye(m)
-    j[m:, :m] = -np.eye(m)
-    return j
+    return J_rho(np.eye(m))
 
 
 def J_rho(rho_k: np.ndarray) -> np.ndarray:
@@ -121,13 +119,19 @@ def J_rho(rho_k: np.ndarray) -> np.ndarray:
     return out
 
 
-def I_rho(rho_k: np.ndarray) -> np.ndarray:
-    """Block weight diag(rho, rho) for one site."""
-    m = rho_k.shape[0]
-    out = np.zeros((2 * m, 2 * m), dtype=complex)
-    out[:m, :m] = rho_k
-    out[m:, m:] = rho_k
+def _block_diag(top: np.ndarray, bot: np.ndarray) -> np.ndarray:
+    """diag(top, bot) of two m x m matrices, or of each pair of two stacks."""
+    m = top.shape[-1]
+    out = np.zeros(top.shape[:-2] + (2 * m, 2 * m), dtype=complex)
+    out[..., :m, :m] = top
+    out[..., m:, m:] = bot
     return out
+
+
+def I_rho(rho_k: np.ndarray) -> np.ndarray:
+    """Block weight diag(rho, rho) for one site, or for each weight of a
+    stack."""
+    return _block_diag(rho_k, rho_k)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +165,7 @@ def _coerce_site_values(values, window, m, name):
         return np.stack([one(values[k]) for k in sites])
     arr = np.asarray(values, dtype=complex)
     if arr.ndim <= 2:
-        return np.stack([one(arr)] * n)
+        return np.broadcast_to(one(arr), (n, m, m)).copy()
     if arr.shape == (n, m, m):
         return arr.astype(complex)
     raise InputError(f"{name}: expected shape ({n},{m},{m}), got {arr.shape}")
@@ -172,48 +176,26 @@ def _check_finite(*stacks) -> None:
         raise InputError("coefficients contain non-finite entries")
 
 
-def _policy_index(k: int, k_min: int, n: int, extension: str) -> int:
-    """Stored position of site k in an n-site window starting at k_min.
-
-    "constant-edge" clamps to the nearest stored site, "periodic" wraps,
-    "error" raises :class:`DomainError` outside the window.
-    """
-    i = k - k_min
-    if 0 <= i < n:
-        return i
-    if extension == "constant-edge":
-        return min(max(i, 0), n - 1)
-    if extension == "periodic":
-        return i % n
-    raise DomainError(f"site {k} outside window [{k_min},{k_min + n - 1}] "
-                      "under 'error' extension")
-
-
 class JacobiCoefficients:
     """Derived three-term coefficients of a Sturm-Liouville difference system.
 
-    Stores p and q over the window; the off-diagonal and diagonal terms are
-    a(k) = -p(k+1) and b(k) = p(k+1) + p(k) + q(k), with p resolved beyond
-    the window by the owning system's extension policy.
+    Stores p and q over the owning system's window; the off-diagonal and
+    diagonal terms are a(k) = -p(k+1) and b(k) = p(k+1) + p(k) + q(k), with
+    sites resolved by ``indices``, the owning system's
+    :meth:`HamiltonianSystem._indices`, so beyond the window by its
+    extension policy.
     """
 
-    def __init__(self, p: np.ndarray, q: np.ndarray, k_min: int, extension: str):
+    def __init__(self, p: np.ndarray, q: np.ndarray, indices):
         self.p = p
         self.q = q
-        self.k_min = k_min
-        self.extension = extension
-        self.p.setflags(write=False)
-        self.q.setflags(write=False)
+        self._indices = indices
 
-    @property
-    def k_max(self) -> int:
-        return self.k_min + len(self.p) - 1
+    def p_at(self, k) -> np.ndarray:
+        return self.p[self._indices(k)]
 
-    def p_at(self, k: int) -> np.ndarray:
-        return self.p[_policy_index(k, self.k_min, len(self.p), self.extension)]
-
-    def q_at(self, k: int) -> np.ndarray:
-        return self.q[_policy_index(k, self.k_min, len(self.q), self.extension)]
+    def q_at(self, k) -> np.ndarray:
+        return self.q[self._indices(k)]
 
     def a(self, k: int) -> np.ndarray:
         """Off-diagonal coefficient a(k) = -p(k+1)."""
@@ -243,10 +225,11 @@ class HamiltonianSystem:
     extension : behaviour outside the window:
         "constant-edge" clamps to the nearest stored site, "periodic" wraps,
         "error" raises :class:`DomainError`.
+    jacobi : the (n, m, m) stacks (p, q) of a Jacobi-class system over the
+        window, or None.
     """
 
-    def __init__(self, m, window, A, B, rho, extension="constant-edge",
-                 jacobi: JacobiCoefficients | None = None):
+    def __init__(self, m, window, A, B, rho, extension="constant-edge", jacobi=None):
         m = int(m)
         if m < 1:
             raise InputError("block dimension m must be >= 1")
@@ -263,9 +246,15 @@ class HamiltonianSystem:
         self._B = _coerce_site_values(B, (k_min, k_max), 2 * m, "B")
         self._rho = _coerce_site_values(rho, (k_min, k_max), m, "rho")
         _check_finite(self._A, self._B, self._rho)
-        for arr in (self._A, self._B, self._rho):
+        for arr in (self._A, self._B, self._rho, *(jacobi or ())):
             arr.setflags(write=False)
-        self.jacobi = jacobi
+        self._jacobi = jacobi
+
+    @property
+    def jacobi(self) -> JacobiCoefficients | None:
+        # made on each read, so that the coefficients, which resolve sites
+        # through this system, form no reference cycle with it
+        return None if self._jacobi is None else JacobiCoefficients(*self._jacobi, self._indices)
 
     # -- indexing ----------------------------------------------------------
 
@@ -281,25 +270,34 @@ class HamiltonianSystem:
     def sites(self) -> range:
         return range(self.k_min, self.k_max + 1)
 
-    def _index(self, k: int) -> int:
-        return _policy_index(k, self.k_min, self.n_sites, self.extension)
-
-    def _indices(self, sites: range) -> np.ndarray:
-        """Stored positions of a run of sites in the given order: one
-        vectorized :meth:`_index`, which raises for the first unreachable
-        site of the run."""
+    def _indices(self, sites):
+        """Stored position of a site, or array of the stored positions of a
+        run (or any sequence) of sites in the given order, under the
+        extension policy: "constant-edge" clamps to the nearest stored site,
+        "periodic" wraps, and "error" raises :class:`DomainError` for the
+        first site outside the window."""
         n = self.n_sites
-        i = np.arange(sites.start - self.k_min, sites.stop - self.k_min, sites.step)
-        if not sites or (0 <= i[0] < n and 0 <= i[-1] < n):
-            return i
-        if self.extension == "constant-edge":
-            return np.clip(i, 0, n - 1)
+        scalar = False
+        if type(sites) is range:  # the stepping hot path first
+            i = np.arange(sites.start - self.k_min, sites.stop - self.k_min, sites.step)
+            if not sites or (0 <= i[0] < n and 0 <= i[-1] < n):
+                return i
+        elif isinstance(sites, (int, np.integer)):
+            scalar = True
+            i = sites - self.k_min
+            if 0 <= i < n:
+                return i
+        else:
+            i = np.asarray(sites, dtype=int) - self.k_min
+        if self.extension == "constant-edge":  # np.clip is slower on short arrays
+            return min(max(i, 0), n - 1) if scalar else np.minimum(np.maximum(i, 0), n - 1)
         if self.extension == "periodic":
             return i % n
-        # 'error': the run leaves the window, and the scalar index raises
-        # at its first site outside
-        for k in sites:
-            self._index(k)
+        outside = [sites] if scalar else np.asarray(sites)[(i < 0) | (i >= n)]
+        if len(outside):
+            raise DomainError(f"site {outside[0]} outside window "
+                              f"[{self.k_min},{self.k_max}] under 'error' extension")
+        return i
 
     def in_reach(self, k: int) -> bool:
         """True when site k is resolvable under the extension policy."""
@@ -307,27 +305,27 @@ class HamiltonianSystem:
 
     # -- coefficient access --------------------------------------------------
 
-    def A(self, k: int) -> np.ndarray:
-        return self._A[self._index(k)]
+    # each accessor takes a site, or a run (or sequence) of sites for the
+    # stack of values at each of them
 
-    def B(self, k: int) -> np.ndarray:
-        return self._B[self._index(k)]
+    def A(self, k) -> np.ndarray:
+        return self._A[self._indices(k)]
+
+    def B(self, k) -> np.ndarray:
+        return self._B[self._indices(k)]
 
     def rho(self, k) -> np.ndarray:
-        """rho at site k, or the stack of rho at each of a sequence of sites."""
-        if isinstance(k, (int, np.integer)):
-            return self._rho[self._index(k)]
-        return self._rho[[self._index(j) for j in k]]
+        return self._rho[self._indices(k)]
 
-    def pencil(self, z: complex, k: int) -> np.ndarray:
+    def pencil(self, z: complex, k) -> np.ndarray:
         """z A(k) + B(k)."""
         return z * self.A(k) + self.B(k)
 
-    def pencil_blocks(self, z: complex, k: int):
+    def pencil_blocks(self, z: complex, k):
         """The four m x m blocks (P11, P12, P21, P22) of z A(k) + B(k)."""
         p = self.pencil(z, k)
         m = self.m
-        return p[:m, :m], p[:m, m:], p[m:, :m], p[m:, m:]
+        return p[..., :m, :m], p[..., :m, m:], p[..., m:, :m], p[..., m:, m:]
 
     @cached_property
     def _offdiag_static(self) -> dict:
@@ -344,10 +342,9 @@ class HamiltonianSystem:
         return out
 
     def j_rho(self, k) -> np.ndarray:
-        """J_rho at site k, or at each of a sequence of sites as a stack."""
         return J_rho(self.rho(k))
 
-    def i_rho(self, k: int) -> np.ndarray:
+    def i_rho(self, k) -> np.ndarray:
         return I_rho(self.rho(k))
 
     def __repr__(self) -> str:
@@ -371,7 +368,7 @@ class Violation:
 class ValidationReport:
     check: str
     violations: list[Violation] = field(default_factory=list)
-    records: list[dict] = field(default_factory=list)
+    n_sites: int = 0
 
     @property
     def passed(self) -> bool:
@@ -379,7 +376,7 @@ class ValidationReport:
 
     def summary(self) -> str:
         if self.passed:
-            return f"{self.check}: pass ({len(self.records)} sites)"
+            return f"{self.check}: pass ({self.n_sites} sites)"
         lines = [f"{self.check}: {len(self.violations)} violation(s)"]
         lines += [f"  site {v.site}: {v.message}" for v in self.violations]
         return "\n".join(lines)
@@ -400,48 +397,33 @@ def validate_pointwise(sys: HamiltonianSystem, interval=None) -> ValidationRepor
     """Check Hermiticity of A and B, A >= 0, and rho > 0 site by site.
 
     An empty violation list means every stored hypothesis holds to tolerance
-    (tol_sym relative for Hermiticity, tol_psd on eigenvalues).
+    (tol_sym relative for Hermiticity, tol_psd on eigenvalues). The verdicts
+    come from one stacked check per coefficient; defects and eigenvalues are
+    reported at the failing sites.
     """
-    report = ValidationReport(check="pointwise")
     sites = _interval_sites(sys, interval)
-    idx = sys._indices(sites)
-    stacks = {"A": sys._A[idx], "B": sys._B[idx], "rho": sys._rho[idx]}
-    # one batched 2-norm and eigenvalue call per coefficient stack
-    defects = {}
-    for name, x in stacks.items():
-        dev = np.linalg.norm(x - la.adjoint(x), 2, axis=(1, 2))
-        bad = dev > TOL_SYM * np.maximum(1.0, np.linalg.norm(x, 2, axis=(1, 2)))
-        defects[name] = dev.tolist(), bad
-    min_eig = {name: np.linalg.eigvalsh(la.herm(stacks[name]))[:, 0].tolist()
-               for name in ("A", "rho")}
-    for i, k in enumerate(sites):
-        rec = {"site": k}
-        for name, (dev, bad) in defects.items():
-            rec[f"herm_defect_{name}"] = dev[i]
-            if bad[i]:
-                report.violations.append(Violation(
-                    k, f"{name}_not_hermitian", dev[i],
-                    f"{name} not Hermitian (defect {dev[i]:.2e})"))
-        min_a, min_r = min_eig["A"][i], min_eig["rho"][i]
-        rec["min_eig_A"] = min_a
-        rec["min_eig_rho"] = min_r
-        if min_a < -TOL_PSD:
-            report.violations.append(Violation(k, "A_not_psd", -min_a,
-                                               f"A has eigenvalue {min_a:.2e} < 0"))
-        if min_r <= 0.0:
-            report.violations.append(Violation(k, "rho_not_pd", -min_r,
-                                               f"rho has eigenvalue {min_r:.2e} <= 0"))
-        report.records.append(rec)
-    return report
+    names = ("A", "B", "rho")
+    stacks = [sys.A(sites), sys.B(sites), sys.rho(sites)]
+    min_a, min_r = (np.linalg.eigvalsh(la.herm(x))[:, 0] for x in stacks[::2])
+    bad = np.column_stack([la.fails_check(x, "hermitian", TOL_SYM) for x in stacks]
+                          + [min_a < -TOL_PSD, min_r <= 0.0])
 
+    def violation(i, check):
+        k = sites[i]
+        if check < 3:
+            x = stacks[check][i]
+            dev = la.opnorm(x - la.adjoint(x))
+            return Violation(k, f"{names[check]}_not_hermitian", dev,
+                             f"{names[check]} not Hermitian (defect {dev:.2e})")
+        if check == 3:
+            a = float(min_a[i])
+            return Violation(k, "A_not_psd", -a, f"A has eigenvalue {a:.2e} < 0")
+        r = float(min_r[i])
+        return Violation(k, "rho_not_pd", -r, f"rho has eigenvalue {r:.2e} <= 0")
 
-def _rcond_smin(a: np.ndarray) -> tuple[list, list]:
-    """Reciprocal 2-norm condition and smallest singular value of each
-    matrix of a stack, one SVD each."""
-    s = np.linalg.svd(a, compute_uv=False)
-    smax, smin = s[:, 0], s[:, -1]
-    rc = np.divide(smin, smax, out=np.zeros_like(smax), where=smax != 0.0)
-    return rc.tolist(), smin.tolist()
+    # the failing sites in order, and at each its failing checks in order
+    return ValidationReport("pointwise", [violation(i, c) for i, c in np.argwhere(bad)],
+                            len(sites))
 
 
 def check_wellposed(sys: HamiltonianSystem, z: complex,
@@ -449,37 +431,34 @@ def check_wellposed(sys: HamiltonianSystem, z: complex,
     """Condition report for the off-diagonal pencils at one z.
 
     Invertibility of z A12 + B12 for all z is equivalent to that of
-    z A21 + B21, so both are computed and cross-checked; a site fails when
-    either reciprocal condition drops below ``RCOND_MIN``.
+    z A21 + B21, so both are checked; a block fails when its smallest
+    singular value is below ``RCOND_MIN`` max(1, ||z A + B||_2). That
+    catches both ill conditioning (it implies rcond below ``RCOND_MIN``, as
+    the block's norm is at most the pencil's) and uniformly tiny blocks,
+    whose rcond stays near 1.
     """
-    report = ValidationReport(check="wellposed")
     sites = _interval_sites(sys, interval)
-    idx = sys._indices(sites)
     m = sys.m
-    p = z * sys._A[idx] + sys._B[idx]
-    scales = np.maximum(1.0, np.linalg.norm(p, 2, axis=(1, 2))).tolist()
-    rc12, sm12 = _rcond_smin(p[:, :m, m:])
-    rc21, sm21 = _rcond_smin(p[:, m:, :m])
-    for k, scale, r12, s12, r21, s21 in zip(sites, scales, rc12, sm12, rc21, sm21):
-        report.records.append({"site": k, "rcond_12": r12, "rcond_21": r21,
-                               "smin_12": s12, "smin_21": s21})
-        # rcond catches ill conditioning; the absolute test (relative to the
-        # pencil scale) catches uniformly tiny blocks where rcond stays 1
-        if r12 < RCOND_MIN or s12 < RCOND_MIN * scale:
-            report.violations.append(Violation(k, "pencil_12_singular", r12,
-                                               f"(1,2) pencil rcond {r12:.2e}, "
-                                               f"smin {s12:.2e}"))
-        if r21 < RCOND_MIN or s21 < RCOND_MIN * scale:
-            report.violations.append(Violation(k, "pencil_21_singular", r21,
-                                               f"(2,1) pencil rcond {r21:.2e}, "
-                                               f"smin {s21:.2e}"))
-    return report
+    p = sys.pencil(z, sites)
+    blocks = (p[:, :m, m:], p[:, m:, :m])
+    bad = np.column_stack([la.fails_check(x, "smin", RCOND_MIN, scale=p)
+                           for x in blocks])
+
+    def violation(i, check):
+        x, which = blocks[check][i], ("12", "21")[check]
+        rc = la.rcond(x)
+        return Violation(sites[i], f"pencil_{which}_singular", rc,
+                         f"({which[0]},{which[1]}) pencil rcond {rc:.2e}, "
+                         f"smin {la.smallest_singular_value(x):.2e}")
+
+    return ValidationReport("wellposed", [violation(i, c) for i, c in np.argwhere(bad)],
+                            len(sites))
 
 
 @dataclass
 class DefinitenessReport:
     gram: np.ndarray
-    verdict: str           # "definite" | "indefinite"
+    verdict: str           # "definite" | "indefinite" | "unresolved"
     min_eig: float
     interval: tuple[int, int]
     z: complex
@@ -489,19 +468,19 @@ class DefinitenessReport:
         return self.verdict == "definite"
 
 
-def check_definiteness(sys: HamiltonianSystem, z: complex, interval,
-                       tol_def: float = TOL_DEF) -> DefinitenessReport:
+def check_definiteness(sys: HamiltonianSystem, z: complex, interval) -> DefinitenessReport:
     """Gram-matrix test of the summed quadratic form over [c, d].
 
     Builds the full 2m x 2m solution basis started at c and returns
     G = sum_{k in [c,d]} Psi(k)* A(k) Psi(k). Positivity of G as a quadratic
     form on initial data is equivalent to positivity of the sum for every
     nontrivial solution; the verdict is "definite" iff the smallest
-    eigenvalue exceeds both ``tol_def`` and its own rounding,
+    eigenvalue exceeds both ``TOL_DEF`` and its own rounding,
     ``_DEF_ROUNDING`` 2m eps times the largest. On long windows G is
     extremely ill conditioned (solutions grow), yet the smallest eigenvalue
-    stays of the order of the one-site energy; one below the rounding of
-    G's entries is noise, whatever its sign. A G that leaves the float range
+    stays of the order of the one-site energy; one within the rounding of
+    G's entries, whatever its sign, is noise, and the verdict is
+    "unresolved". Any other is "indefinite". A G that leaves the float range
     raises :class:`HamweylError`.
     """
     from . import propagate  # local import; propagate depends on this module
@@ -518,7 +497,8 @@ def check_definiteness(sys: HamiltonianSystem, z: complex, interval,
     eigs = np.linalg.eigvalsh(la.herm(g))
     min_eig = float(eigs[0])
     floor = _DEF_ROUNDING * 2 * sys.m * np.finfo(float).eps * eigs[-1]
-    verdict = "definite" if min_eig > max(tol_def, floor) else "indefinite"
+    verdict = ("definite" if min_eig > max(TOL_DEF, floor)
+               else "unresolved" if abs(min_eig) <= floor else "indefinite")
     return DefinitenessReport(gram=g, verdict=verdict, min_eig=min_eig,
                               interval=(lo, hi), z=z)
 
@@ -559,18 +539,11 @@ def jacobi_system(p, q, window, m=None, extension="constant-edge") -> Hamiltonia
         name, fault = (("p", "not Hermitian"), ("p", "singular"),
                        ("q", "not Hermitian"))[check]
         raise InputError(f"{name} at site {window[0] + i} is {fault}")
-    n = p_vals.shape[0]
     eye = np.eye(m, dtype=complex)
-    A = np.zeros((n, 2 * m, 2 * m), dtype=complex)
-    B = np.zeros((n, 2 * m, 2 * m), dtype=complex)
-    A[:, :m, :m] = eye
-    B[:, :m, :m] = -q_vals
-    B[:, :m, m:] = eye
-    B[:, m:, :m] = eye
-    B[:, m:, m:] = p_inv
-    rho = np.stack([eye] * n)
-    jac = JacobiCoefficients(p_vals.copy(), q_vals.copy(), window[0], extension)
-    return HamiltonianSystem(m, window, A, B, rho, extension, jacobi=jac)
+    B = _block_diag(-q_vals, p_inv)
+    B[:, :m, m:] = B[:, m:, :m] = eye
+    return HamiltonianSystem(m, window, _block_diag(eye, 0 * eye), B, eye, extension,
+                             jacobi=(p_vals.copy(), q_vals.copy()))
 
 
 def dirac_system(b, window, m=None, extension="constant-edge") -> HamiltonianSystem:
@@ -583,13 +556,10 @@ def dirac_system(b, window, m=None, extension="constant-edge") -> HamiltonianSys
     singular = np.flatnonzero(la.fails_check(b_vals, "rcond", RCOND_MIN))
     if singular.size:
         raise InputError(f"b at site {window[0] + singular[0]} is singular")
-    n = b_vals.shape[0]
-    A = np.stack([np.eye(2 * m, dtype=complex)] * n)
-    B = np.zeros((n, 2 * m, 2 * m), dtype=complex)
+    B = np.zeros((len(b_vals), 2 * m, 2 * m), dtype=complex)
     B[:, :m, m:] = b_vals
     B[:, m:, :m] = la.adjoint(b_vals)
-    rho = np.stack([np.eye(m, dtype=complex)] * n)
-    return HamiltonianSystem(m, window, A, B, rho, extension)
+    return HamiltonianSystem(m, window, np.eye(2 * m), B, np.eye(m), extension)
 
 
 # ---------------------------------------------------------------------------
@@ -714,13 +684,7 @@ class NormalFormRecord:
     def _factor(self, k: int) -> np.ndarray:
         """diag(eps(k) Q(k), eps(k) Q(k-1)) acting on plain solution values."""
         e = self.eps_at(k)
-        top = e @ self.Q_at(k)
-        bot = e @ self.Q_at(k - 1)
-        m = top.shape[0]
-        out = np.zeros((2 * m, 2 * m), dtype=complex)
-        out[:m, :m] = top
-        out[m:, m:] = bot
-        return out
+        return _block_diag(e @ self.Q_at(k), e @ self.Q_at(k - 1))
 
     def transform_state(self, k: int, psi: np.ndarray) -> np.ndarray:
         """Map a plain solution value of the original system to the normal form."""
@@ -742,49 +706,31 @@ def normal_form(sys: HamiltonianSystem):
     Returns the transformed system and a :class:`NormalFormRecord`.
     """
     m, n = sys.m, sys.n_sites
-    q_list = []
-    d_list = []
-    for k in range(sys.k_min - 1, sys.k_max + 2):
-        r = sys.rho(k)
-        if not la.is_hermitian(r, 1e-10):
-            raise InputError(f"rho at site {k} is not Hermitian")
-        offdiag = r - np.diag(np.diagonal(r))
-        if la.opnorm(offdiag) <= 1e-13 * max(1.0, la.opnorm(r)):
-            q = np.eye(m, dtype=complex)
-            d = np.real(np.diagonal(r)).copy()
-        else:
-            w, v = np.linalg.eigh(la.herm(r))
-            order = np.argsort(w)[::-1]
-            w, v = w[order], v[:, order]
-            q = v.conj().T
-            d = w.copy()
-        if np.any(np.abs(d) <= 1e-14 * max(1.0, np.max(np.abs(d)))):
-            raise InputError(f"rho at site {k} is singular")
-        q_list.append(q)
-        d_list.append(d)
-    q_arr = np.stack(q_list)              # index 0 is site k_min - 1
-    d_tilde = np.stack(d_list[1:n + 1])   # diagonal of Q rho Q^{-1} over the window
+    sites = range(sys.k_min - 1, sys.k_max + 2)
+    r = sys.rho(sites)
+    w, v = np.linalg.eigh(la.herm(r))
+    diagonal = la.opnorm(r - r * np.eye(m)) <= 1e-13 * np.maximum(1.0, la.opnorm(r))
+    # Q = V* with the eigenvalues descending, or I where rho is diagonal
+    q = np.where(diagonal[:, None, None], np.eye(m), la.adjoint(v[..., ::-1]))
+    d = np.where(diagonal[:, None], np.real(np.diagonal(r, axis1=1, axis2=2)),
+                 w[..., ::-1])
+    # the first failing site raises, Hermiticity before singularity
+    scale = np.maximum(1.0, np.max(np.abs(d), axis=1, keepdims=True))
+    bad = np.column_stack([la.fails_check(r, "hermitian", 1e-10),
+                           np.any(np.abs(d) <= 1e-14 * scale, axis=1)])
+    if bad.any():
+        i, check = np.argwhere(bad)[0]
+        raise InputError(f"rho at site {sites[i]} is {('not Hermitian', 'singular')[check]}")
+    d_tilde = d[1:n + 1]                  # diagonal of Q rho Q^{-1} over the window
 
     # greedy sign fix: eps(k_min) = I, then eps(k+1) = eps(k) * sign(d_tilde(k))
-    eps = np.ones((n + 1, m))
-    for i in range(n):
-        eps[i + 1] = eps[i] * np.sign(d_tilde[i])
-    d_pos = eps[:-1] * d_tilde * eps[1:]
-
-    A_new = np.empty((n, 2 * m, 2 * m), dtype=complex)
-    B_new = np.empty((n, 2 * m, 2 * m), dtype=complex)
-    rho_new = np.empty((n, m, m), dtype=complex)
-    for i in range(n):
-        u = np.zeros((2 * m, 2 * m), dtype=complex)
-        u[:m, :m] = np.diag(eps[i]) @ q_arr[i + 1]       # eps(k) Q(k)
-        u[m:, m:] = np.diag(eps[i]) @ q_arr[i]           # eps(k) Q(k-1)
-        ui = u.conj().T
-        A_new[i] = u @ sys._A[i] @ ui
-        B_new[i] = u @ sys._B[i] @ ui
-        rho_new[i] = np.diag(d_pos[i]).astype(complex)
-    out = HamiltonianSystem(m, sys.window, A_new, B_new, rho_new, sys.extension)
-    record = NormalFormRecord(k_min=sys.k_min, Q=q_arr, eps_tilde=eps)
-    return out, record
+    eps = np.cumprod(np.vstack([np.ones(m), np.sign(d_tilde)]), axis=0)
+    # diag(eps(k) Q(k), eps(k) Q(k-1))
+    u = _block_diag(eps[:-1, :, None] * q[1:n + 1], eps[:-1, :, None] * q[:n])
+    rho_new = (eps[:-1] * d_tilde * eps[1:])[:, :, None] * np.eye(m)
+    out = HamiltonianSystem(m, sys.window, u @ sys._A @ la.adjoint(u),
+                            u @ sys._B @ la.adjoint(u), rho_new, sys.extension)
+    return out, NormalFormRecord(k_min=sys.k_min, Q=q, eps_tilde=eps)
 
 
 def to_unit_rho(sys: HamiltonianSystem, alpha: BoundaryData, beta: BoundaryData):
@@ -793,38 +739,30 @@ def to_unit_rho(sys: HamiltonianSystem, alpha: BoundaryData, beta: BoundaryData)
 
     The boundary pair acts without weights on the transformed system and the
     M-function is invariant, so (alpha, beta) is returned unchanged for use
-    with the new system.
+    with the new system. The Jacobi coefficients carry over when rho is
+    already the identity.
     """
-    m, n = sys.m, sys.n_sites
-    A_new = np.empty_like(sys._A)
-    B_new = np.empty_like(sys._B)
-    for i, k in enumerate(sys.sites):
-        d = np.zeros((2 * m, 2 * m), dtype=complex)
-        d[:m, :m] = la.invsqrtm_spd(sys.rho(k))
-        d[m:, m:] = la.invsqrtm_spd(sys.rho(k - 1))
-        A_new[i] = d @ sys._A[i] @ d
-        B_new[i] = d @ sys._B[i] @ d
-    rho_new = np.stack([np.eye(m, dtype=complex)] * n)
-    out = HamiltonianSystem(m, sys.window, A_new, B_new, rho_new, sys.extension,
-                            jacobi=sys.jacobi if _rho_is_identity(sys) else None)
+    m = sys.m
+    r = sys.rho(range(sys.k_min - 1, sys.k_max + 1))
+    s = la.invsqrtm_spd(r)
+    d = _block_diag(s[1:], s[:-1])
+    unit = np.all(la.opnorm(r[1:] - np.eye(m)) <= 1e-13)
+    out = HamiltonianSystem(m, sys.window, d @ sys._A @ d, d @ sys._B @ d,
+                            np.eye(m, dtype=complex), sys.extension,
+                            jacobi=sys._jacobi if unit else None)
     return out, (alpha, beta)
-
-
-def _rho_is_identity(sys: HamiltonianSystem) -> bool:
-    eye = np.eye(sys.m)
-    return all(la.opnorm(sys.rho(k) - eye) <= 1e-13 for k in sys.sites)
 
 
 # ---------------------------------------------------------------------------
 # coefficient files
 # ---------------------------------------------------------------------------
 
-def _matrix_to_pairs(a: np.ndarray) -> list:
-    flat = np.asarray(a, dtype=complex).reshape(-1)
-    return [[float(x.real), float(x.imag)] for x in flat]
-
-
 _SEQUENCE = (list, tuple, np.ndarray)
+
+
+def _is_number(x) -> bool:
+    """A real number; JSON true and false are not."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _pairs_to_matrix(pairs, m: int, name: str) -> np.ndarray:
@@ -832,11 +770,11 @@ def _pairs_to_matrix(pairs, m: int, name: str) -> np.ndarray:
         raise InputError(f"{name}: each site must be a list of entries")
     vals = []
     for entry in pairs:
-        if isinstance(entry, numbers.Real):
+        if _is_number(entry):
             vals.append(complex(entry))
         else:
             if not (isinstance(entry, _SEQUENCE) and len(entry) == 2
-                    and all(isinstance(x, numbers.Real) for x in entry)):
+                    and all(_is_number(x) for x in entry)):
                 raise InputError(f"{name}: entries must be [re, im] pairs")
             vals.append(complex(entry[0], entry[1]))
     if len(vals) != m * m:
@@ -844,21 +782,24 @@ def _pairs_to_matrix(pairs, m: int, name: str) -> np.ndarray:
     return np.array(vals, dtype=complex).reshape(m, m)
 
 
-def _pairs_to_stack(sites, m: int, name: str) -> np.ndarray:
+def _pairs_to_stack(sites, m: int, name: str, bools: bool) -> np.ndarray:
     """One coefficient block, a list of per-site entry lists, as an
     (n, m, m) array. A block of numeric [re, im] pairs parses as one array;
-    any other block (plain-number entries, malformed entries) is parsed site
-    by site, which raises the per-entry error messages."""
+    any other block (plain-number entries, malformed entries, true or false
+    anywhere) is parsed site by site, which raises the per-entry error
+    messages. ``bools`` is False only for a block known to hold no true or
+    false."""
     if not isinstance(sites, _SEQUENCE):
         raise InputError(f"{name}: expected a list of per-site entries")
     try:
         arr = np.asarray(sites)
     except ValueError:  # ragged nesting, a malformed block
         arr = None
-    if arr is not None and arr.dtype.kind in "biuf" \
-            and arr.shape[1:] == (m * m, 2):
-        arr = np.ascontiguousarray(arr, dtype=float)
-        return arr.view(complex).reshape(-1, m, m)
+    if arr is not None and arr.dtype.kind in "iuf" and arr.shape[1:] == (m * m, 2):
+        # numpy reads true and false as numbers; the per-site parse rejects them
+        if not bools or bool not in set(
+                map(type, chain.from_iterable(chain.from_iterable(sites)))):
+            return np.ascontiguousarray(arr, dtype=float).view(complex).reshape(-1, m, m)
     try:
         return np.array([_pairs_to_matrix(site, m, name) for site in sites],
                         dtype=complex).reshape(-1, m, m)
@@ -874,17 +815,16 @@ def system_to_dict(sys: HamiltonianSystem) -> dict:
     uses the full schema.
     """
     head = {"m": sys.m, "k_min": sys.k_min, "extension": sys.extension}
-    if sys.jacobi is not None and len(sys.jacobi.p) == sys.n_sites:
-        head["jacobi"] = {
-            "p": [_matrix_to_pairs(sys.jacobi.p[i]) for i in range(sys.n_sites)],
-            "q": [_matrix_to_pairs(sys.jacobi.q[i]) for i in range(sys.n_sites)],
-        }
-        return head
-    head.update({
-        "A": [_matrix_to_pairs(sys._A[i]) for i in range(sys.n_sites)],
-        "B": [_matrix_to_pairs(sys._B[i]) for i in range(sys.n_sites)],
-        "rho": [_matrix_to_pairs(sys._rho[i]) for i in range(sys.n_sites)],
-    })
+    jacobi = sys._jacobi is not None and len(sys._jacobi[0]) == sys.n_sites
+    stacks = (dict(zip("pq", sys._jacobi)) if jacobi
+              else {"A": sys._A, "B": sys._B, "rho": sys._rho})
+    # per site, the entries in row-major order as [re, im] pairs
+    pairs = {name: np.ascontiguousarray(x).view(float).reshape(len(x), -1, 2).tolist()
+             for name, x in stacks.items()}
+    if jacobi:
+        head["jacobi"] = pairs
+    else:
+        head.update(pairs)
     return head
 
 
@@ -902,35 +842,40 @@ def system_from_dict(doc: dict) -> HamiltonianSystem:
     """Build a system from a coefficient document (full or shorthand form).
 
     Every malformed document raises :class:`InputError`."""
+    return _system_from_doc(doc, bools=True)
+
+
+def _system_from_doc(doc, bools: bool) -> HamiltonianSystem:
+    """:func:`system_from_dict`; ``bools`` is False for a document known to
+    hold no true or false, whose blocks then need no scan for them."""
     what = "coefficient document"
-    try:
-        m = int(_field(doc, "m", what))
-        k_min = int(_field(doc, "k_min", what))
-    except (TypeError, ValueError) as e:
-        raise InputError(f"{what}: m and k_min must be integers ({e})") from e
+    m, k_min = _field(doc, "m", what), _field(doc, "k_min", what)
+    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+               for v in (m, k_min)):
+        raise InputError(f"{what}: m and k_min must be integers, got {m!r} and {k_min!r}")
     if m < 1:
         raise InputError("block dimension m must be >= 1")
     extension = doc.get("extension", "constant-edge")
 
     if "jacobi" in doc:
         block = doc["jacobi"]
-        p = _pairs_to_stack(_field(block, "p", "jacobi block"), m, "p")
-        q = _pairs_to_stack(_field(block, "q", "jacobi block"), m, "q")
+        p = _pairs_to_stack(_field(block, "p", "jacobi block"), m, "p", bools)
+        q = _pairs_to_stack(_field(block, "q", "jacobi block"), m, "q", bools)
         if len(p) != len(q) or not len(p):
             raise InputError("jacobi block: p and q must cover the same "
                              "nonempty site range")
         window = (k_min, k_min + len(p) - 1)
         return jacobi_system(p, q, window, m=m, extension=extension)
     if "dirac" in doc:
-        b = _pairs_to_stack(_field(doc["dirac"], "b", "dirac block"), m, "b")
+        b = _pairs_to_stack(_field(doc["dirac"], "b", "dirac block"), m, "b", bools)
         if not len(b):
             raise InputError("dirac block: b must cover a nonempty site range")
         window = (k_min, k_min + len(b) - 1)
         return dirac_system(b, window, m=m, extension=extension)
 
-    A = _pairs_to_stack(_field(doc, "A", what), 2 * m, "A")
-    B = _pairs_to_stack(_field(doc, "B", what), 2 * m, "B")
-    rho = _pairs_to_stack(_field(doc, "rho", what), m, "rho")
+    A = _pairs_to_stack(_field(doc, "A", what), 2 * m, "A", bools)
+    B = _pairs_to_stack(_field(doc, "B", what), 2 * m, "B", bools)
+    rho = _pairs_to_stack(_field(doc, "rho", what), m, "rho", bools)
     if not (len(A) == len(B) == len(rho)) or not len(A):
         raise InputError("A, B, rho must cover the same nonempty site range")
     window = (k_min, k_min + len(A) - 1)
@@ -945,7 +890,10 @@ def save_coefficients(sys: HamiltonianSystem, path) -> None:
 def load_coefficients(path) -> HamiltonianSystem:
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            text = fh.read()
+            doc = json.loads(text)
         except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise InputError(f"malformed coefficient file: {e}") from e
-    return system_from_dict(doc)
+    # true and false decode only from these words, so a text without them
+    # holds no booleans to scan for
+    return _system_from_doc(doc, bools="true" in text or "false" in text)

@@ -812,9 +812,9 @@ def _pencil_data(sys: HamiltonianSystem, k0: int, ell: int, alpha, beta):
     m = sys.m
     q_alpha = initial_hat(sys, k0, alpha)[:, m:]
     q_beta = _ker_basis(_weighted(beta, sys, ell))
-    idx = sys._indices(range(min(k0, ell), max(k0, ell) + 1))
+    sites = range(min(k0, ell), max(k0, ell) + 1)
     q_lo, q_hi = (q_alpha, q_beta) if k0 < ell else (q_beta, q_alpha)
-    return sys._A[idx[1:]], sys._B[idx[1:]], sys._rho[idx], q_lo, q_hi
+    return sys.A(sites[1:]), sys.B(sites[1:]), sys.rho(sites), q_lo, q_hi
 
 
 def _inv(d: np.ndarray) -> np.ndarray:

@@ -84,6 +84,24 @@ def test_validate_gram_overflow_exits_3(free_fixture, capsys):
     assert "not finite" in capsys.readouterr().err
 
 
+def test_validate_unresolved_definiteness_exits_3(tmp_path, capsys):
+    # the benchmark's constant m = 2 Jacobi input: at z = -2 + 0.5i on the
+    # default interval (-120, -109) lambda_min is 0.6, inside its rounding
+    # floor of 3.4, so its verdict is unresolved, not a failure
+    p = np.array([[1.0, 0.25j], [-0.25j, 0.8]])
+    q = np.array([[0.3, 0.1], [0.1, -0.2]])
+    path = tmp_path / "const_m2.json"
+    hsys.save_coefficients(hsys.jacobi_system(p, q, (-120, 120)), path)
+    out = tmp_path / "v.json"
+    rc = main(["validate", "--input", str(path), "--format", "json",
+               "--output", str(out), "--no-timestamp"])
+    assert rc == 3
+    assert "validate: unresolved (3 records)" in capsys.readouterr().err
+    doc = json.loads(out.read_text())
+    assert [r["kind"] for r in doc["rows"]] == ["definite", "definite", "unresolved"]
+    assert doc["meta"]["passed"] is False
+
+
 def test_main_never_rebuilds_the_parser(free_fixture, monkeypatch):
     def rebuild():
         raise AssertionError("main built a parser")

@@ -78,6 +78,33 @@ def test_rcond_verdict_equals_the_svd_rule(seed, m, n):
     assert np.array_equal(got, expect)
 
 
+def _pencils(seed, a):
+    """(n, 2m, 2m) pencils with ``a`` as their (1,2) block; every other one
+    is zero elsewhere, so its norm is the block's and the smin rule sits at
+    the rcond rule's threshold."""
+    n, m = a.shape[0], a.shape[-1]
+    p = _stack(seed + 1, 2 * m, n)
+    p[::2] = 0.0
+    p[:, :m, m:] = a
+    return p
+
+
+def _smin_rule(a, p):
+    return (np.linalg.svd(a, compute_uv=False)[..., -1]
+            < RCOND_MIN * np.maximum(1.0, la.opnorm(p)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(1, 8))
+def test_smin_verdict_equals_the_svd_rule(seed, m, n):
+    a = _stack(seed, m, n)
+    p = _pencils(seed, a)
+    expect = _smin_rule(a, p)
+    assert np.array_equal(la.fails_check(a, "smin", RCOND_MIN, scale=p), expect)
+    got = la.fails_check(a, "smin", RCOND_MIN, inv=la.inverse(a), scale=p)
+    assert np.array_equal(got, expect)
+
+
 def test_rcond_verdict_on_a_z_batch_of_sites():
     # (n, N, m, m) stacks, as the pencil check passes them
     rng = np.random.default_rng(4)
@@ -86,6 +113,8 @@ def test_rcond_verdict_on_a_z_batch_of_sites():
     expect = la.rcond(a) < RCOND_MIN
     assert np.array_equal(la.fails_check(a, "rcond", RCOND_MIN), expect)
     assert la.fails_check(a[:, :0], "rcond", RCOND_MIN).shape == (5, 0)
+    p = np.stack([_pencils(s, a[:, j]) for j, s in enumerate((5, 6, 7))], axis=1)
+    assert np.array_equal(la.fails_check(a, "smin", RCOND_MIN, scale=p), _smin_rule(a, p))
 
 
 def test_clear_sites_are_decided_without_an_svd(monkeypatch):
@@ -101,6 +130,10 @@ def test_clear_sites_are_decided_without_an_svd(monkeypatch):
     assert not la.fails_check(h, "hermitian", TOL_SYM).any()
     assert not la.fails_check(h, "rcond", RCOND_MIN).any()
     assert la.fails_check(g, "hermitian", TOL_SYM).all()
+    p = np.zeros((50, 6, 6), dtype=complex)
+    p[:, :3, 3:] = h
+    assert not la.fails_check(h, "smin", RCOND_MIN, scale=p).any()
+    assert la.fails_check(1e-20 * h, "smin", RCOND_MIN, scale=p).all()
 
 
 def test_fails_check_rejects_an_unknown_rule():

@@ -227,9 +227,9 @@ def _with_singular_blocks(sysj, sites, which):
     B = sysj._B.copy()
     for k in sites:
         if "forward" in which:
-            B[sysj._index(k), 1, 0] = 0.0
+            B[sysj._indices(k), 1, 0] = 0.0
         if "backward" in which:
-            B[sysj._index(k), 0, 1] = 0.0
+            B[sysj._indices(k), 0, 1] = 0.0
     return hsys.HamiltonianSystem(1, sysj.window, sysj._A, B, sysj._rho,
                                   extension=sysj.extension)
 

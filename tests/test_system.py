@@ -135,11 +135,11 @@ def test_wellposed_trivial_cases():
     sysd = hsys.dirac_system(lambda k: 1.0, (0, 4))
     rep = hsys.check_wellposed(sysd, 2.3 - 0.7j)
     assert rep.passed
-    assert all(abs(r["rcond_12"] - 1.0) < 1e-12 for r in rep.records)
+    assert np.all(abs(la.rcond(sysd.pencil(2.3 - 0.7j, sysd.sites)[:, :1, 1:]) - 1.0) < 1e-12)
     sysj = make_free_jacobi((0, 4))
     rep2 = hsys.check_wellposed(sysj, 5.0 + 0.0j)
     assert rep2.passed
-    assert all(abs(r["rcond_21"] - 1.0) < 1e-12 for r in rep2.records)
+    assert np.all(abs(la.rcond(sysj.pencil(5.0 + 0.0j, sysj.sites)[:, 1:, :1]) - 1.0) < 1e-12)
 
 
 def test_wellposed_flags_singular_dirac():
@@ -203,6 +203,21 @@ def test_definiteness_below_the_gram_rounding_is_not_definite():
             rep = hsys.check_definiteness(sys_, z, (0, 2))
             assert not rep.definite, (seed, z, rep.min_eig)
             assert rep.min_eig == np.linalg.eigvalsh(rep.gram)[0]
+
+
+def test_definiteness_within_the_gram_rounding_is_unresolved():
+    # at z = -2 + 0.5i over 15 sites of the free chain G is definite
+    # (lambda_min 1.1) but its rounding floor is about 8.6: neither verdict
+    # can be read from it
+    sysj = make_free_jacobi((0, 20))
+    rep = hsys.check_definiteness(sysj, -2 + 0.5j, (0, 14))
+    assert rep.verdict == "unresolved" and not rep.definite
+    assert 1.0 < rep.min_eig < 1.2
+    # an eigenvalue below -floor stays indefinite
+    A = np.zeros((2, 2))
+    A[0, 0] = -1.0
+    neg = hsys.HamiltonianSystem(1, (0, 4), A, make_free_jacobi((0, 4))._B, 1.0)
+    assert hsys.check_definiteness(neg, 1j, (0, 2)).verdict == "indefinite"
 
 
 def test_definiteness_of_a_gram_past_the_float_range_raises():
@@ -424,21 +439,42 @@ def test_extension_policies():
 def test_vectorized_site_index_matches_the_scalar_one():
     runs = (range(-4, 9), range(8, -5, -1), range(2, 5), range(6, 2, -1),
             range(11, 14), range(0, 0))
+    policy = {"constant-edge": lambda k: min(max(k, 0), 6),
+              "periodic": lambda k: k % 7, "error": lambda k: k}
     for extension in hsys.EXTENSIONS:
         sysj = hsys.jacobi_system(lambda k: 1.0, lambda k: 0.0, (0, 6),
                                   extension=extension)
         for sites in runs:
             if all(sysj.in_reach(k) for k in sites):
-                assert sysj._indices(sites).tolist() == [sysj._index(k) for k in sites]
+                scalar = [sysj._indices(k) for k in sites]
+                assert scalar == [policy[extension](k) for k in sites]
+                assert all(type(i) is int for i in scalar)
+                assert sysj._indices(sites).tolist() == scalar
+                assert sysj._indices(list(sites)[::-1]).tolist() == scalar[::-1]
                 continue
             # the first unreachable site in the given order raises, with
             # the scalar index's message
             first = next(k for k in sites if not sysj.in_reach(k))
             with pytest.raises(DomainError) as want:
-                sysj._index(first)
-            with pytest.raises(DomainError) as got:
-                sysj._indices(sites)
-            assert str(got.value) == str(want.value)
+                sysj._indices(first)
+            for seq in (sites, list(sites)):
+                with pytest.raises(DomainError) as got:
+                    sysj._indices(seq)
+                assert str(got.value) == str(want.value)
+
+
+def test_accessors_take_a_site_or_a_run():
+    sysj = hsys.jacobi_system(lambda k: 1.0 + 0.1 * k, lambda k: 0.1 * k, (0, 6),
+                              extension="periodic")
+    run = range(-3, 10)
+    for name in ("A", "B", "rho", "j_rho", "i_rho"):
+        get = getattr(sysj, name)
+        assert np.array_equal(get(run), np.stack([get(k) for k in run])), name
+    assert np.array_equal(sysj.pencil(0.5j, run),
+                          np.stack([sysj.pencil(0.5j, k) for k in run]))
+    jc = sysj.jacobi
+    assert np.array_equal(jc.p_at(run), np.stack([jc.p_at(k) for k in run]))
+    assert np.array_equal(jc.p_at(9), jc.p_at(2)) and np.array_equal(jc.q_at(-1), jc.q_at(6))
 
 
 def test_coefficient_file_roundtrip(tmp_path):
@@ -493,6 +529,32 @@ def test_coefficient_blocks_parse_like_per_entry_complex():
     expect = hsys.dirac_system(ref.reshape(5, 2, 2), (0, 4), m=2)
     for k in sysd.sites:
         assert sysd.B(k).tobytes() == expect.B(k).tobytes()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("m", 1.7), ("m", "1"), ("m", True), ("m", 1.0), ("k_min", 2.5),
+    ("k_min", False), ("k_min", None)])
+def test_coefficient_document_heads_must_be_json_integers(field, value):
+    doc = {"m": 1, "k_min": 0, "jacobi": {"p": [[[1.0, 0.0]]] * 2, "q": [[[0.0, 0.0]]] * 2}}
+    hsys.system_from_dict(doc)
+    with pytest.raises(InputError, match="m and k_min must be integers"):
+        hsys.system_from_dict(dict(doc, **{field: value}))
+
+
+@pytest.mark.parametrize("entries", [
+    [[[True, 0.0]], [[1.0, 0.0]]],         # a bool among float pairs
+    [[[1, 0]], [[1, False]]],              # a bool among integer pairs
+    [[[True, False]], [[True, False]]],    # a block of bools only
+    [[True], [1.0]],                       # a bool as a plain-number entry
+])
+def test_coefficient_entries_reject_true_and_false(tmp_path, entries):
+    doc = {"m": 1, "k_min": 0, "jacobi": {"p": entries, "q": [[[0.0, 0.0]]] * 2}}
+    with pytest.raises(InputError, match=r"^p: entries must be \[re, im\] pairs$"):
+        hsys.system_from_dict(doc)
+    path = tmp_path / "bools.json"
+    path.write_text(json.dumps(dict(doc, jacobi={"p": [[[1.0, 0.0]]] * 2, "q": entries})))
+    with pytest.raises(InputError, match=r"^q: entries must be \[re, im\] pairs$"):
+        hsys.load_coefficients(path)
 
 
 def test_coefficient_blocks_accept_plain_numbers_and_word_errors():
