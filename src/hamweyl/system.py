@@ -176,6 +176,14 @@ def _check_finite(*stacks) -> None:
         raise InputError("coefficients contain non-finite entries")
 
 
+def _check_rho(rho: np.ndarray, sites) -> None:
+    """Raise at the first site whose rho is not positive definite (the least
+    eigenvalue of its Hermitian part is not positive), one stacked test."""
+    bad = np.flatnonzero(np.linalg.eigvalsh(la.herm(rho))[:, 0] <= 0.0)
+    if bad.size:
+        raise InputError(f"rho at site {sites[bad[0]]} is not positive definite")
+
+
 class JacobiCoefficients:
     """Derived three-term coefficients of a Sturm-Liouville difference system.
 
@@ -743,7 +751,9 @@ def to_unit_rho(sys: HamiltonianSystem, alpha: BoundaryData, beta: BoundaryData)
     already the identity.
     """
     m = sys.m
-    r = sys.rho(range(sys.k_min - 1, sys.k_max + 1))
+    sites = range(sys.k_min - 1, sys.k_max + 1)
+    r = sys.rho(sites)
+    _check_rho(r, sites)
     s = la.invsqrtm_spd(r)
     d = _block_diag(s[1:], s[:-1])
     unit = np.all(la.opnorm(r[1:] - np.eye(m)) <= 1e-13)
@@ -878,8 +888,9 @@ def _system_from_doc(doc, bools: bool) -> HamiltonianSystem:
     rho = _pairs_to_stack(_field(doc, "rho", what), m, "rho", bools)
     if not (len(A) == len(B) == len(rho)) or not len(A):
         raise InputError("A, B, rho must cover the same nonempty site range")
-    window = (k_min, k_min + len(A) - 1)
-    return HamiltonianSystem(m, window, A, B, rho, extension)
+    out = HamiltonianSystem(m, (k_min, k_min + len(A) - 1), A, B, rho, extension)
+    _check_rho(out._rho, out.sites)
+    return out
 
 
 def save_coefficients(sys: HamiltonianSystem, path) -> None:

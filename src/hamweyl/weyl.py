@@ -799,7 +799,7 @@ def regular_m_evaluator(sys: HamiltonianSystem, k0: int, ell: int, alpha, beta):
 # eigenvalues of the regular problem
 # ---------------------------------------------------------------------------
 
-# bisection width relative to max(1, |a| + |b|), and the most pencil entries
+# bracket width relative to max(1, |a| + |b|), and the most pencil entries
 # (sites x 4m^2 x lam) stacked per count, which bounds long windows
 _EIG_WIDTH = 1e-12
 _EIG_STACK = 1 << 20
@@ -817,13 +817,23 @@ def _pencil_data(sys: HamiltonianSystem, k0: int, ell: int, alpha, beta):
     return sys.A(sites[1:]), sys.B(sites[1:]), sys.rho(sites), q_lo, q_hi
 
 
-def _inv(d: np.ndarray) -> np.ndarray:
-    # 1 x 1 pivots invert elementwise, several times faster than LAPACK
-    return np.linalg.inv(d) if d.shape[-1] > 1 else 1.0 / d
+def _inv(d: np.ndarray, shift: np.ndarray, exact: bool) -> np.ndarray:
+    """Inverse of a stack of shifted pivots. 1 x 1 pivots invert elementwise,
+    several times faster than LAPACK, unless ``exact``; otherwise a pivot
+    that the shift made exactly singular is shifted by -pivmin I once more,
+    in place."""
+    if d.shape[-1] == 1 and not exact:
+        return 1.0 / d
+    try:
+        return np.linalg.inv(d)
+    except np.linalg.LinAlgError:
+        d -= (np.linalg.det(d) == 0)[:, None, None] * shift
+        return np.linalg.inv(d)
 
 
-def _pivots(data, lam: np.ndarray) -> np.ndarray:
-    """Shifted block LDL* pivots, (2(R - L), N, m, m), of T(lam) = H - lam W.
+def _pivots(data, lam: np.ndarray, exact: bool = False):
+    """Shifted block LDL* pivots, (2(R - L), N, m, m), of T(lam) = H - lam W,
+    and pivmin at each lam; ``exact`` as in :func:`_inv`.
 
     T is (S_rho - B - lam A) on the hat at L in span Q_L, the hats
     (psi1(k); psi2(k+1)) for L < k < R and the hat at R in span Q_R, tested
@@ -837,7 +847,7 @@ def _pivots(data, lam: np.ndarray) -> np.ndarray:
 
     each shifted by -pivmin I (unit roundoff times the coefficient scale, as in
     LAPACK xSTEBZ) before it is inverted or counted, so that a lam on an
-    eigenvalue of a leading block inverts a tiny negative pivot.
+    eigenvalue of a leading block inverts a tiny negative pivot (:func:`_inv`).
     """
     A, B, rho, q_lo, q_hi = data
     m = rho.shape[-1]
@@ -850,30 +860,48 @@ def _pivots(data, lam: np.ndarray) -> np.ndarray:
     p21 = la.adjoint(p12)
     piv = np.empty((2 * len(rho) - 2,) + shift.shape, dtype=complex)
     top, bot = q_lo[:m], q_lo[m:]
-    piv[0] = la.adjoint(bot) @ (rho[0] @ top + p[0, :, m:, m:] @ bot) - shift
-    zinv = bot @ _inv(piv[0]) @ la.adjoint(bot)
+    # each pivot is stored after it is inverted, which may shift it
+    z = la.adjoint(bot) @ (rho[0] @ top + p[0, :, m:, m:] @ bot) - shift
+    zinv = bot @ _inv(z, shift, exact) @ la.adjoint(bot)
+    piv[0] = z
     for j in range(1, len(rho) - 1):
-        piv[2 * j - 1] = x = d11[j - 1] - p12[j - 1] @ zinv @ p21[j - 1]
-        piv[2 * j] = z = d22[j] - rho[j] @ _inv(x) @ rho[j]
-        zinv = _inv(z)
+        x = d11[j - 1] - p12[j - 1] @ zinv @ p21[j - 1]
+        z = d22[j] - rho[j] @ _inv(x, shift, exact) @ rho[j]
+        zinv = _inv(z, shift, exact)
+        piv[2 * j - 1], piv[2 * j] = x, z
     top, bot = q_hi[:m], q_hi[m:]
     xp = la.adjoint(top) @ p12[-1]
     piv[-1] = (la.adjoint(top) @ (rho[-1] @ bot + p[-1, :, :m, :m] @ top)
                - xp @ zinv @ la.adjoint(xp) - shift)
-    return piv
+    return piv, pivmin
 
 
-def _negative_index(data, lam: np.ndarray) -> np.ndarray:
-    """N(lam), the negative eigenvalues of T(lam) at each lam: by Sylvester's
-    law of inertia those of the pivots, one stacked ``eigvalsh`` per chunk.
-    W >= 0 makes N nondecreasing, rising at each eigenvalue by its
-    multiplicity; hat directions at the ends that no row reaches
-    (U_L c = 0, X_R c = 0) give zero pivots, a constant in N once shifted."""
+def _negative_index(data, lam: np.ndarray):
+    """N(lam), the negative eigenvalues of T(lam) at each lam, and
+    log|det T(lam)|: by Sylvester's law of inertia the negative eigenvalues
+    mu of the pivots, and det T the product of the pivot determinants, so
+    both come from one stacked ``eigvalsh`` per chunk, and the sign of
+    det T is (-1)^N. W >= 0 makes N nondecreasing, rising at each eigenvalue
+    by its multiplicity; hat directions at the ends that no row reaches
+    (U_L c = 0, X_R c = 0) give zero pivots, a constant in N once shifted
+    and a smooth factor pivmin(lam) of det T. A 1 x 1 pivot that the shift
+    made exactly zero leaves non-finite pivots after it, and its lam is
+    eliminated again with ``exact``; a mu that is still exactly zero counts
+    as -pivmin."""
     step = max(1, _EIG_STACK // data[0].size)
-    return np.concatenate([
-        np.count_nonzero(np.linalg.eigvalsh(_pivots(data, lam[i:i + step])) < 0,
-                         axis=(0, 2))
-        for i in range(0, len(lam), step)])
+    count, logdet = [], []
+    for i in range(0, len(lam), step):
+        chunk = lam[i:i + step]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            piv, pivmin = _pivots(data, chunk)
+        if not np.isfinite(piv).all():
+            bad = ~np.isfinite(piv).all(axis=(0, 2, 3))
+            piv[:, bad] = _pivots(data, chunk[bad], exact=True)[0]
+        mu = np.linalg.eigvalsh(piv)
+        mu = np.where(mu == 0.0, -pivmin[:, None], mu)
+        count.append(np.count_nonzero(mu < 0, axis=(0, 2)))
+        logdet.append(np.sum(np.log(np.abs(mu)), axis=(0, 2)))
+    return np.concatenate(count), np.concatenate(logdet)
 
 
 def eigenvalues(sys: HamiltonianSystem, k0: int, ell: int, alpha: BoundaryData,
@@ -884,8 +912,16 @@ def eigenvalues(sys: HamiltonianSystem, k0: int, ell: int, alpha: BoundaryData,
 
     The count N(b) - N(a) is exact (:func:`_negative_index`; the discrete
     oscillation theorem of Bohner, Dosly and Kratz, Trans. AMS 361, 2009).
-    Each eigenvalue gets one bracket, and all brackets are bisected in
-    lockstep, one vectorized count per level, to width 1e-12 max(1, |a| + |b|).
+    The eigenvalue of rank r keeps a bracket (lo, hi] with N(lo) < r <= N(hi),
+    and every live bracket takes one step per vectorized count. A bracket
+    that holds its eigenvalue alone (N(lo) = r - 1, N(hi) = r) steps to the
+    regula falsi point of det T, a polynomial that changes sign once inside
+    it and comes with the count, kept half the final width inside the
+    bracket. It follows the Illinois rule: when the same end moves twice in
+    a row, the other end's |det T| is halved (Dowell and Jarratt, BIT 11,
+    1971). Every other bracket, and one that its last three steps did not
+    halve, steps to its midpoint. A bracket stops at width
+    1e-12 max(1, |a| + |b|) and returns its midpoint.
     """
     if ell == k0:
         raise InputError("ell must differ from k0")
@@ -895,15 +931,34 @@ def eigenvalues(sys: HamiltonianSystem, k0: int, ell: int, alpha: BoundaryData,
     if not (np.isfinite(a) and np.isfinite(b) and b > a):
         raise InputError("interval must be finite and nondegenerate")
     data = _pencil_data(sys, k0, ell, alpha, beta)
-    n_a, n_b = _negative_index(data, np.array([a, b]))
+    (n_a, n_b), (g_a, g_b) = _negative_index(data, np.array([a, b]))
     rank = np.arange(n_a + 1, n_b + 1)
-    lo, hi = np.full(rank.shape, a), np.full(rank.shape, b)
+    # the ends with their counts and log|det T|. Brackets are equal or
+    # disjoint, so each counted point narrows every bracket it certifies:
+    # its own and those equal to it
+    lo, n_lo, g_lo = (np.full(rank.shape, v) for v in (a, n_a, g_a))
+    hi, n_hi, g_hi = (np.full(rank.shape, v) for v in (b, n_b, g_b))
     width = _EIG_WIDTH * max(1.0, abs(a) + abs(b))
-    while rank.size and np.max(hi - lo) > width:
-        mid = 0.5 * (lo + hi)
-        points, back = np.unique(mid, return_inverse=True)
-        left = _negative_index(data, points)[back] >= rank
-        lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
+    last = np.zeros(rank.shape, dtype=int)       # end the last step moved: -1 lo, +1 hi
+    before = np.full((3,) + rank.shape, np.inf)  # widths 3, 2 and 1 steps back
+    while (i := np.flatnonzero(hi - lo > width)).size:
+        top = np.maximum(g_lo[i], g_hi[i])
+        u, v = np.exp(g_lo[i] - top), np.exp(g_hi[i] - top)
+        x = np.clip(lo[i] + (hi[i] - lo[i]) * u / (u + v),
+                    lo[i] + 0.5 * width, hi[i] - 0.5 * width)
+        secant = ((n_lo[i] == rank[i] - 1) & (n_hi[i] == rank[i]) & np.isfinite(x)
+                  & (hi[i] - lo[i] <= 0.5 * before[0, i]))
+        x = np.where(secant, x, 0.5 * (lo[i] + hi[i]))
+        before = np.concatenate([before[1:], (hi - lo)[None]])
+        points, back = np.unique(x, return_inverse=True)
+        n_x, g_x = (y[back] for y in _negative_index(data, points))
+        step = np.where(n_x >= rank[i], 1, -1)
+        for end, n_end, g_end, side in ((hi, n_hi, g_hi, 1), (lo, n_lo, g_lo, -1)):
+            moved = step == side
+            end[i[moved]], n_end[i[moved]], g_end[i[moved]] = x[moved], n_x[moved], g_x[moved]
+            # Illinois: the other end moved a second time in a row
+            g_end[i[~moved & (last[i] == step)]] -= np.log(2.0)
+        last[i] = step
     return 0.5 * (lo + hi)
 
 

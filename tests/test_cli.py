@@ -42,6 +42,19 @@ def test_validate_ok_and_broken(free_fixture, broken_fixture, tmp_path):
     assert rc2 == 2
 
 
+@pytest.mark.parametrize("argv", [["mfun", "--ell", "4", "--z", "0.5,0.5"],
+                                  ["eig", "--ell", "4"]])
+def test_nonpositive_rho_exits_2(tmp_path, capsys, argv):
+    sysj = make_free_jacobi((0, 5))
+    doc = hsys.system_to_dict(hsys.HamiltonianSystem(
+        1, sysj.window, sysj._A, sysj._B, -1.0))
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps(doc))
+    assert main(argv[:1] + ["--input", str(path), "--output", "-"] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: rho at site 0") and "Traceback" not in err
+
+
 def test_validate_malformed_input(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

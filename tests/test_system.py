@@ -517,6 +517,20 @@ def test_coefficient_file_malformed(tmp_path):
         hsys.load_coefficients(path2)
 
 
+def test_nonpositive_rho_is_an_input_error():
+    sysj = hsys.jacobi_system(1.0, 0.0, (0, 5))
+    bad = hsys.HamiltonianSystem(1, sysj.window, sysj._A, sysj._B, -1.0)
+    with pytest.raises(InputError, match="rho at site 0 is not positive definite"):
+        hsys.system_from_dict(hsys.system_to_dict(bad))
+    with pytest.raises(InputError, match="not positive definite"):
+        hsys.to_unit_rho(bad, hsys.dirichlet(1), hsys.dirichlet(1))
+    rho = np.ones((6, 1, 1))
+    rho[4] = 0.0
+    doc = hsys.system_to_dict(hsys.HamiltonianSystem(1, (0, 5), sysj._A, sysj._B, rho))
+    with pytest.raises(InputError, match="rho at site 4 "):
+        hsys.system_from_dict(doc)
+
+
 def test_coefficient_blocks_parse_like_per_entry_complex():
     rng = np.random.default_rng(8)
     vals = rng.normal(size=(5, 4, 2))

@@ -418,7 +418,7 @@ def test_eigenvalues_are_m_poles_for_any_end_and_data():
                 assert np.all(np.isfinite(m_near[~pole]))
 
 
-def test_eigenvalues_one_count_per_bisection_level(monkeypatch):
+def test_eigenvalues_within_a_count_budget(monkeypatch):
     calls = []
     real = hwl._negative_index
 
@@ -431,10 +431,30 @@ def test_eigenvalues_one_count_per_bisection_level(monkeypatch):
     d = hsys.dirichlet(1)
     found = hwl.eigenvalues(sysj, 0, 11, d, d, (-0.5, 4.5))
     assert len(found) == 10
-    # the counts at a and b, then one per halving from width 5 to 5e-12
-    levels = int(np.ceil(np.log2(5.0 / 5e-12)))
-    assert len(calls) <= 1 + levels
+    # the counts at a and b, then at most 27 steps, where bisection from
+    # width 5 to 5e-12 takes 40; one point per live bracket per count
+    assert len(calls) <= 28
     assert calls[0] == 2 and max(calls[1:]) <= 10
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eigenvalues_count_through_singular_pivots():
+    # lam = 2 - 2 cos(pi / 5) to the last bit is an eigenvalue of leading
+    # blocks of the free chain, where a shifted pivot is exactly zero (m = 1)
+    # or exactly singular (m = 2, two decoupled chains)
+    lam = 0.3819660112501047
+    for m in (1, 2):
+        sysj = hsys.jacobi_system(np.eye(m), np.zeros((m, m)), (-20, 20), m=m)
+        d = hsys.dirichlet(m)
+        below = hwl.eigenvalues(sysj, 0, 10, d, d, (-0.5, lam))
+        above = hwl.eigenvalues(sysj, 0, 10, d, d, (lam, 4.5))
+        scalar = 2 - 2 * np.cos(np.arange(1, 10) * np.pi / 10)
+        assert (len(below), len(above)) == (2 * m, 7 * m)
+        found = np.concatenate([below, above])
+        assert np.max(np.abs(found - np.repeat(scalar, m))) < 1e-10
+        _, logdet = hwl._negative_index(hwl._pencil_data(sysj, 0, 10, d, d),
+                                        np.array([lam]))
+        assert np.isfinite(logdet).all()
 
 
 def test_eigenvalues_count_in_bounded_chunks(monkeypatch):
