@@ -214,8 +214,9 @@ def invsqrtm_spd(a: np.ndarray) -> np.ndarray:
 
 
 def rsolve(b: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """B A^{-1} through factorization: solves X A = B."""
-    return np.linalg.solve(a.T, b.T).T
+    """B A^{-1} through factorization: solves X A = B, for one matrix or
+    for each in a stack."""
+    return np.linalg.solve(a.swapaxes(-1, -2), b.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def ginibre(x: np.ndarray) -> np.ndarray:

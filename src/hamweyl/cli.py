@@ -267,9 +267,10 @@ def cmd_eig(args, sys_):
                 htestkit.RegularBVP(sys_, args.k0, ell, alpha, beta))
         except HamweylError:
             oracle = np.empty(0)
-        for row, lam in zip(rows, oracle[(oracle > a) & (oracle <= b)]):
-            row["oracle"] = float(lam)
-            row["deviation"] = abs(row["eigenvalue"] - float(lam))
+        if oracle.size:  # nearest, so an interval end cannot shift the pairs
+            near = oracle[np.argmin(np.abs(oracle[None] - eigs[:, None]), axis=1)]
+            for row, lam in zip(rows, near.tolist()):
+                row.update(oracle=lam, deviation=abs(row["eigenvalue"] - lam))
     return rows, {"k0": args.k0, "ell": ell, "count": len(eigs)}
 
 

@@ -26,10 +26,14 @@ import numpy as np
 from . import _linalg as la
 from .errors import InputError, KernelConstructionError
 from .propagate import (
+    _hats,
     _lower_edge_transfers,
     _pairing_defects,
+    _plains,
+    _riccati,
+    _trajectory,
     _weyl_columns,
-    fundamental,
+    initial_hat,
     lagrange_bilinear,
 )
 from .system import HamiltonianSystem
@@ -49,6 +53,7 @@ __all__ = [
 ]
 
 _CERTIFICATE_TOL = 1e-6  # the bar of the kernel delta defect and the solve residual
+_DIAGONAL_SINGULAR = 1e-13  # rcond of u1 or of V+ - V- below which a site is an error
 
 
 @dataclass
@@ -206,33 +211,28 @@ def _build(sys, z, k0, alpha, window, variant, M_plus, M_minus, certify=True):
     else:
         raise InputError(f"unknown variant {variant!r}")
 
-    # hats at [z, conj z] over the window and one site above it, so plain
+    # fundamental hats at [z, conj z] as one batch over lo..hi+1, so plain
     # values reach the top edge; psi2 at lo comes from a backward transfer
     zs = np.array([z, np.conj(z)])
-    hats = np.stack([fundamental(sys, w, k0, alpha, (lo, hi + 1)).data for w in zs])
+    hats = _trajectory(sys, zs, k0, initial_hat(sys, k0, alpha), lo, hi + 1).swapaxes(0, 1)
     t_lo = _lower_edge_transfers(sys, zs, lo)
-
-    def plains(u):
-        psi2 = np.concatenate(((t_lo @ u[:, 0])[:, None, m:], u[:, :-1, m:]), axis=1)
-        return np.concatenate((u[:, :, :m], psi2), axis=2)
-
-    psi = plains(hats)
+    psi = _plains(hats, t_lo)
 
     def role(M):
-        """Hats and plains of Psi (I; M) at z and Psi (I; M*) at conj z, or
-        of the fundamental's Phi block where a half kernel has no M."""
+        """Plains of Psi (I; M) at z and Psi (I; M*) at conj z, or of the
+        fundamental's Phi block where a half kernel has no M."""
         if M is None:
-            return hats[..., m:], psi[..., m:]
-        u = np.stack([h @ _weyl_columns(m, w) for h, w in zip(hats, (M, M.conj().T))])
-        return u, plains(u)
+            return psi[..., m:]
+        return _plains(np.stack([h @ _weyl_columns(m, w)
+                                 for h, w in zip(hats, (M, M.conj().T))]), t_lo)
 
-    (up_hats, up), (um_hats, um) = role(mp), role(mm)
+    up, um = role(mp), role(mm)
     kernel = GreensKernel(variant=variant, z=z, k0=k0, alpha=alpha,
                           window=(lo, hi), sys=sys, omega=omega,
                           M_plus=mp, M_minus=mm, _up=up, _um=um, _psi=psi)
     # the pairing is exactly constant in k; far-site drift measures float
     # cancellation in the decaying family, not a formula error
-    defects = _pairing_defects(sys, um_hats[1, :-2], up_hats[0, :-2],
+    defects = _pairing_defects(sys, _hats(um[1])[:-1], _hats(up[0])[:-1],
                                range(lo, hi), target)
     kernel.diagnostics["coupling_defect"] = max(
         [0.0] + defects[max(k0 - 8 - lo, 0):k0 + 9 - lo])
@@ -290,9 +290,8 @@ def alternative_representation(kernel: GreensKernel, k: int, ell: int) -> np.nda
     a, b = (kernel.M_plus, kernel.M_minus) if k > ell \
         else (kernel.M_minus, kernel.M_plus)
     t = np.block([[om, om @ b], [a @ om, a @ om @ b]])
-    psi_z = kernel._psi[0, kernel._rows(k)][0]
-    psi_zb = kernel._psi[1, kernel._rows(ell)][0]
-    return psi_z @ t @ psi_zb.conj().T
+    return (kernel._psi[0, kernel._rows(k)][0] @ t
+            @ kernel._psi[1, kernel._rows(ell)][0].conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -315,19 +314,11 @@ class NonhomogeneousSolve:
     kernel_square_trace: dict[int, float]
 
     def y_hat(self, k: int) -> np.ndarray:
-        return _hats([self.y[k], self.y[k + 1]], self.kernel.m)[0]
+        return _hats([self.y[k], self.y[k + 1]])[0]
 
     @property
     def l2a_ok(self) -> bool:
         return self.l2a_lhs <= self.l2a_bound + 1e-6 * (1.0 + self.l2a_rhs)
-
-
-def _hats(plains, m: int) -> np.ndarray:
-    """Hats (y1(k); y2(k+1)) of n + 1 consecutive plain (2m, r) or (2m,)
-    values y(k), as an (n, 2m, r) stack."""
-    p = np.asarray(plains, dtype=complex)
-    p = p.reshape(p.shape[:2] + (-1,))
-    return np.concatenate([p[:-1, :m], p[1:, m:]], axis=1)
 
 
 def _coerce_source(kernel: GreensKernel, f) -> dict:
@@ -453,13 +444,12 @@ def _fluxes(kernel: GreensKernel, y, sites: range, side: str) -> np.ndarray:
     range of sites of the window."""
     if side not in ("+", "-"):
         raise InputError("side must be '+' or '-'")
-    if kernel.variant == "half_plus" and side == "-":
-        raise InputError("half_plus kernels have no minus-side flux")
-    if kernel.variant == "half_minus" and side == "+":
-        raise InputError("half_minus kernels have no plus-side flux")
+    if kernel.variant == ("half_minus" if side == "+" else "half_plus"):
+        raise InputError(f"{kernel.variant} kernels have no "
+                         f"{'plus' if side == '+' else 'minus'}-side flux")
     u = (kernel._up if side == "+" else kernel._um)[1]
-    uhat = _hats(u[kernel._rows(sites.start, len(sites) + 1)], kernel.m)
-    yhat = _hats([y[k] for k in range(sites.start, sites.stop + 1)], kernel.m)
+    uhat = _hats(u[kernel._rows(sites.start, len(sites) + 1)])
+    yhat = _hats([y[k] for k in range(sites.start, sites.stop + 1)])
     return lagrange_bilinear(kernel.sys, sites, uhat, yhat)
 
 
@@ -496,11 +486,9 @@ def flux_trend(kernel: GreensKernel, solve: NonhomogeneousSolve,
     else:
         sites = range(lo, min(hi, lo + n - 1) + 1)
     norms = la.opnorm(_fluxes(kernel, solve.y, sites, side)).tolist()
-    drops = sum(1 for a, b in zip(norms, norms[1:])
-                if (b < a if side == "+" else b > a))
-    ratio = (norms[-1] / norms[0]) if norms[0] > 0 else 0.0
-    if side == "-":
-        ratio = (norms[0] / norms[-1]) if norms[-1] > 0 else 0.0
+    outward = norms if side == "+" else norms[::-1]  # toward the side's end
+    drops = sum(1 for a, b in zip(outward, outward[1:]) if b < a)
+    ratio = (outward[-1] / outward[0]) if outward[0] > 0 else 0.0
     return {"sites": list(sites), "norms": norms, "ratio": ratio,
             "monotone_fraction": drops / max(1, len(norms) - 1)}
 
@@ -511,36 +499,31 @@ def diagonal_riccati_blocks(kernel: GreensKernel, sites=None) -> dict:
     For each requested site computes V_side = rho u_{side,2}+ u_{side,1}^{-1},
     assembles the four diagonal entries from (V_plus - V_minus)^{-1}, and
     cross-checks against the directly evaluated diagonal block. Sites with a
-    singular leading block are reported as errors.
+    singular leading block are reported as errors. All sites are computed
+    as one stack.
     """
-    sys = kernel.sys
     m = kernel.m
     lo, hi = kernel.window
-    sites = range(lo, hi) if sites is None else sites
-    out = {"blocks": {}, "defect": {}, "errors": {}, "V_plus": {}, "V_minus": {}}
-    for k in sites:
-        s = kernel._rows(k, 2)  # the plain values at k and k+1
-        (up, up_c), (um, um_c) = kernel._up[:, s], kernel._um[:, s]
-        phi_p, th_p = up[0, :m], up[0, m:]
-        phi_m, th_m = um[0, :m], um[0, m:]
-        if min(la.rcond(phi_p), la.rcond(phi_m)) < 1e-13:
-            out["errors"][k] = "leading block singular"
-            continue
-        v_p = sys.rho(k) @ la.rsolve(up[1, m:], phi_p)
-        v_m = sys.rho(k) @ la.rsolve(um[1, m:], phi_m)
-        diff = v_p - v_m
-        if la.rcond(diff) < 1e-13:
-            out["errors"][k] = "V_plus - V_minus singular"
-            continue
-        core = np.linalg.inv(diff)
-        phi_p_c, th_p_c = up_c[0, :m], up_c[0, m:]
-        phi_m_c, th_m_c = um_c[0, :m], um_c[0, m:]
-        left = la.rsolve(th_m, phi_m) @ core
-        blk = np.block([
-            [core, core @ np.linalg.solve(phi_m_c.conj().T, th_m_c.conj().T)],
-            [left, left @ np.linalg.solve(phi_p_c.conj().T, th_p_c.conj().T)]])
-        out["blocks"][k] = blk
-        out["defect"][k] = la.opnorm(blk - kernel.at(k, k))
-        out["V_plus"][k] = v_p
-        out["V_minus"][k] = v_m
-    return out
+    sites = list(range(lo, hi) if sites is None else sites)
+    # rows of the plains at k and k+1; V from the z-family hats (u1(k);
+    # u2(k+1)), the diagonal entries from the plains at k of both families
+    rows = np.array([kernel._rows(k, 2).start for k in sites], dtype=int)
+    (vp, ok_p), (vm, ok_m) = (
+        _riccati(kernel.sys, sites, _hats(f[0])[rows], _DIAGONAL_SINGULAR)
+        for f in (kernel._up, kernel._um))
+    lead = ok_p & ok_m
+    ok = lead.copy()
+    ok[lead] = ~(la.rcond(vp[lead] - vm[lead]) < _DIAGONAL_SINGULAR)
+    errors = {k: "V_plus - V_minus singular" if a else "leading block singular"
+              for k, a, b in zip(sites, lead, ok) if not b}
+    rows, vp, vm = rows[ok], vp[ok], vm[ok]
+    (up, up_c), (um, um_c) = kernel._up[:, rows], kernel._um[:, rows]
+    core = np.linalg.inv(vp - vm)
+    left = la.rsolve(um[:, m:], um[:, :m]) @ core
+    blk = np.block([
+        [core, core @ np.linalg.solve(la.adjoint(um_c[:, :m]), la.adjoint(um_c[:, m:]))],
+        [left, left @ np.linalg.solve(la.adjoint(up_c[:, :m]), la.adjoint(up_c[:, m:]))]])
+    defect = la.opnorm(blk - kernel._diag(range(lo, hi + 1))[rows]).tolist()
+    good = [k for k, b in zip(sites, ok) if b]
+    return {"blocks": dict(zip(good, blk)), "defect": dict(zip(good, defect)),
+            "errors": errors, "V_plus": dict(zip(good, vp)), "V_minus": dict(zip(good, vm))}

@@ -30,7 +30,10 @@ subspace of a constant tail from the window edge).
 One trajectory type, :class:`HatTrajectory`, serves the fundamental system
 (Theta and Phi are its left and right column blocks) and Weyl solutions; it
 computes its plain values once, on first read. Green's kernels hold their
-role families as arrays of plain values instead (:mod:`hamweyl.green`).
+role families as arrays of plain values at [z, conj z] instead, stepped as
+one batch (:mod:`hamweyl.green`). Both convert between hats and plain values
+only by :func:`_plains` and :func:`_hats`, and form the Riccati variable
+V(k) = rho(k) u2(k+1) u1(k)^{-1} only by :func:`_riccati`.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ __all__ = [
     "lagrange_step_defect",
     "lagrange_telescoping_check",
     "fundamental_pair_defect",
+    "a_form_sum",
     "weyl_solution",
     "jacobi_apply",
 ]
@@ -288,17 +292,48 @@ class HatTrajectory:
 
     @cached_property
     def _plain_above(self) -> np.ndarray:
-        m = self.m
-        out = np.concatenate((self.data[1:, :m], self.data[:-1, m:]), axis=1)
+        out = _plains(self.data)
         out.setflags(write=False)
         return out
 
     @cached_property
     def _plain_lo(self) -> np.ndarray:
-        t = _lower_edge_transfers(self.sys, self.z, self.k_lo)
-        out = np.vstack([self.data[0, :self.m], (t @ self.data[:1])[0, self.m:]])
+        t = _lower_edge_transfers(self.sys, self.z, self.k_lo)[0]
+        out = _plains(self.data[:1], t)[0]
         out.setflags(write=False)
         return out
+
+
+def _plains(hats: np.ndarray, t_lo: np.ndarray | None = None) -> np.ndarray:
+    """Plain values (psi1(k); psi2(k)) of hats (psi1(k); psi2(k+1)) at
+    consecutive sites on axis -3: at all sites but the first, or at all
+    given the transfers ``t_lo`` of :func:`_lower_edge_transfers` there."""
+    m = hats.shape[-2] // 2
+    if t_lo is None:
+        return np.concatenate((hats[..., 1:, :m, :], hats[..., :-1, m:, :]), axis=-2)
+    psi2 = np.concatenate(((t_lo @ hats[..., 0, :, :])[..., None, m:, :],
+                           hats[..., :-1, m:, :]), axis=-3)
+    return np.concatenate((hats[..., :m, :], psi2), axis=-2)
+
+
+def _hats(plains) -> np.ndarray:
+    """Hats (psi1(k); psi2(k+1)) of n + 1 consecutive plain values on axis
+    -3, (2m, r) or (2m,) each, at the first n sites."""
+    p = np.asarray(plains, dtype=complex)
+    p = p[..., None] if p.ndim == 2 else p
+    m = p.shape[-2] // 2
+    return np.concatenate((p[..., :-1, :m, :], p[..., 1:, m:, :]), axis=-2)
+
+
+def _riccati(sys: HamiltonianSystem, sites, hats: np.ndarray, singular_tol: float):
+    """V(k) = rho(k) u2(k+1) u1(k)^{-1} of (n, 2m, m) hats (u1(k); u2(k+1))
+    at ``sites`` as an (n, m, m) stack, NaN where rcond(u1(k)) is below
+    ``singular_tol``, and the mask of the other sites."""
+    u1 = hats[:, :sys.m]
+    ok = ~(la.rcond(u1) < singular_tol)
+    v = np.full(u1.shape, np.nan, dtype=complex)
+    v[ok] = sys.rho(np.asarray(sites)[ok]) @ la.rsolve(hats[ok, sys.m:], u1[ok])
+    return v, ok
 
 
 def _lower_edge_transfers(sys: HamiltonianSystem, z, k: int) -> np.ndarray:
@@ -308,6 +343,15 @@ def _lower_edge_transfers(sys: HamiltonianSystem, z, k: int) -> np.ndarray:
     be dropped."""
     return _assemble(sys, np.atleast_1d(np.asarray(z, dtype=complex)),
                      range(k, k - 2, -1), sys._indices(range(k, k + 1)).repeat(2), -1)[0]
+
+
+def _trajectory(sys: HamiltonianSystem, z, k_start: int, init, lo: int,
+                hi: int) -> np.ndarray:
+    """Hats at the sites lo..hi and every z of a batch, (hi - lo + 1, N, 2m,
+    r): steps from ``k_start`` forward to hi, then backward to lo."""
+    fwd = propagate_hats(sys, z, k_start, init, hi, trajectory=True)
+    bwd = propagate_hats(sys, z, k_start, init, lo, trajectory=True)
+    return np.concatenate([bwd[:0:-1], fwd])
 
 
 def hat_trajectory(sys: HamiltonianSystem, z: complex, k_start: int, init,
@@ -321,9 +365,7 @@ def hat_trajectory(sys: HamiltonianSystem, z: complex, k_start: int, init,
     lo, hi = int(krange[0]), int(krange[1])
     if not lo <= k_start <= hi:
         raise InputError(f"k_start={k_start} outside requested range [{lo},{hi}]")
-    fwd = propagate_hats(sys, z, k_start, init, hi, trajectory=True)
-    bwd = propagate_hats(sys, z, k_start, init, lo, trajectory=True)
-    return HatTrajectory(sys, z, lo, np.concatenate([bwd[:0:-1, 0], fwd[:, 0]]),
+    return HatTrajectory(sys, z, lo, _trajectory(sys, z, k_start, init, lo, hi)[:, 0],
                          k_start)
 
 
@@ -473,8 +515,8 @@ def fundamental_pair_defect(fund_z: HatTrajectory,
                                         fund_z.hats(sites), sites, target))
 
 
-def _a_form_sum(sys: HamiltonianSystem, traj: HatTrajectory,
-                sites: range) -> np.ndarray:
+def a_form_sum(sys: HamiltonianSystem, traj: HatTrajectory,
+               sites: range) -> np.ndarray:
     """Hermitized sum_k Psi(k)* A(k) Psi(k) of plain values over a run of
     consecutive ``sites``, as one stacked product."""
     psi = traj.plains(sites)

@@ -498,7 +498,7 @@ def check_definiteness(sys: HamiltonianSystem, z: complex, interval) -> Definite
     with np.errstate(over="ignore", invalid="ignore"):  # G is checked below
         basis = propagate.hat_trajectory(
             sys, z, lo, np.eye(2 * sys.m, dtype=complex), (lo, hi))
-        g = propagate._a_form_sum(sys, basis, range(lo, hi + 1))
+        g = propagate.a_form_sum(sys, basis, range(lo, hi + 1))
     if not np.isfinite(g).all():
         raise HamweylError(f"Gram matrix over [{lo}, {hi}] at z={z} is not finite: "
                            "the solutions leave the float range")

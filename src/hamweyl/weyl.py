@@ -28,10 +28,11 @@ from . import _linalg as la
 from .errors import EigenvalueHitError, InputError, TransformPoleError
 from .propagate import (
     HatTrajectory,
-    _a_form_sum,
+    _riccati,
     _steps,
     _transfers,
     _weighted,
+    a_form_sum,
     initial_hat,
     propagate_hats,
 )
@@ -41,6 +42,13 @@ from .system import (
     HamiltonianSystem,
     dirichlet,
 )
+
+_QUAD_TOL = 1e-9            # absolute Stieltjes quadrature tolerance per bin
+_MEASURE_TOL = 1e-6         # Richardson gap of a converged schedule, relative to the mass
+_FIT_Y_MAX = 1e6            # largest y of the large-argument Herglotz fit
+_XI_SINGULAR = 1e-12        # smin(M) / max(1, |M|) below which xi skips a point
+_RICCATI_SINGULAR = 1e-12   # rcond(u1) below which V is an error
+_RESIDUAL_SINGULAR = 1e-13  # rcond of V(k - 1) or of the inner matrix of an error
 
 __all__ = [
     "DiskContext",
@@ -136,12 +144,6 @@ def disk_context(sys: HamiltonianSystem, z: complex, k0: int, ell: int,
 def plus_interval(k0: int, ell: int) -> range:
     """The half-open summation interval [min+1, max] used by the disk theory."""
     return range(min(k0, ell) + 1, max(k0, ell) + 1)
-
-
-def a_form_sum(sys: HamiltonianSystem, traj, sites: range) -> np.ndarray:
-    """sum_k Psi(k)* A(k) Psi(k) over a run of consecutive ``sites`` using
-    plain solution values."""
-    return _a_form_sum(sys, traj, sites)
 
 
 # ---------------------------------------------------------------------------
@@ -1049,9 +1051,7 @@ def _adaptive_bin_integrals(f, edges: np.ndarray, quad_tol: float,
 
 
 def spectral_measure(m_eval, interval, grid_n: int, eps_schedule, *,
-                     sigma: int = +1, quad_tol: float = 1e-9,
-                     quad_rel: float = 1e-6, measure_tol: float = 1e-6,
-                     tol_psd: float = TOL_PSD,
+                     sigma: int = +1, quad_rel: float = 1e-6,
                      fit_tail_parts: bool = False) -> SpectralMeasure:
     """Stieltjes inversion of a Herglotz evaluator onto a real grid.
 
@@ -1065,9 +1065,9 @@ def spectral_measure(m_eval, interval, grid_n: int, eps_schedule, *,
     value (see :func:`_adaptive_bin_integrals`). The reported increments are
     those of the smallest epsilon; a linear Richardson extrapolation across
     the last two epsilons is stored alongside, and disagreement beyond
-    ``measure_tol`` flags the schedule as non-convergent (not fatal).
+    ``_MEASURE_TOL`` flags the schedule as non-convergent (not fatal).
     Increments are Hermitized by one stacked eigendecomposition; eigenvalues
-    in [-tol_psd, 0) are clipped to zero and bins with larger negatives
+    in [-TOL_PSD, 0) are clipped to zero and bins with larger negatives
     flagged. A non-finite interval or ``grid_n`` < 1 is an
     :class:`InputError`, raised before any quadrature.
     """
@@ -1091,7 +1091,7 @@ def spectral_measure(m_eval, interval, grid_n: int, eps_schedule, *,
             s = sigma * m_eval(np.asarray(nu, dtype=float) + 1j * eps)
             return la.imag_part(s)
 
-        raw = _adaptive_bin_integrals(integrand, base_edges + delta, quad_tol,
+        raw = _adaptive_bin_integrals(integrand, base_edges + delta, _QUAD_TOL,
                                       width_floor=eps / 256.0, quad_rel=quad_rel)
         per_eps.append(raw / np.pi)
 
@@ -1102,7 +1102,7 @@ def spectral_measure(m_eval, interval, grid_n: int, eps_schedule, *,
         rich = inc + (inc - prev) * (e2 / (e1 - e2))
         gap = float(np.max(np.abs(inc - prev)))
         total = max(1.0, float(np.max(np.abs(np.sum(inc, axis=0)))))
-        converged = gap <= measure_tol * total
+        converged = gap <= _MEASURE_TOL * total
     else:
         rich = inc.copy()
         gap = np.inf
@@ -1112,20 +1112,17 @@ def spectral_measure(m_eval, interval, grid_n: int, eps_schedule, *,
 
     def clean(stack):
         w, v = np.linalg.eigh(la.herm(stack))
-        neg = np.flatnonzero(np.any(w < -tol_psd, axis=1)).tolist()
+        neg = np.flatnonzero(np.any(w < -TOL_PSD, axis=1)).tolist()
         clip_flags.extend(i for i in neg if i not in clip_flags)
-        w = np.where((w < 0) & (w >= -tol_psd), 0.0, w)
+        w = np.where((w < 0) & (w >= -TOL_PSD), 0.0, w)
         return la.herm((v * w[:, None, :]) @ la.adjoint(v))
 
-    inc = clean(inc)
-    rich = clean(rich)
+    inc, rich = clean(inc), clean(rich)
     if not converged and len(per_eps) >= 2:
         warnings.warn(
             f"spectral measure schedule not converged (gap {gap:.2e}); "
             "refine the epsilon schedule", RuntimeWarning, stacklevel=2)
-    c1 = c2 = None
-    if fit_tail_parts:
-        c1, c2 = fit_herglotz_parts(m_eval, sigma=sigma)
+    c1, c2 = fit_herglotz_parts(m_eval, sigma=sigma) if fit_tail_parts else (None, None)
     return SpectralMeasure(grid=base_edges, increments=inc,
                            epsilon_schedule=tuple(eps_list),
                            increments_richardson=rich, converged=converged,
@@ -1133,20 +1130,19 @@ def spectral_measure(m_eval, interval, grid_n: int, eps_schedule, *,
                            linear_part=c2, clip_flags=clip_flags)
 
 
-def fit_herglotz_parts(m_eval, y_max: float = 1e6, sigma: int = +1):
+def fit_herglotz_parts(m_eval, *, sigma: int = +1):
     """Large-argument fit of the affine and linear representation parts.
 
-    Evaluates sigma M(iy) at y = y_max and y_max/4 in one call of the array
-    evaluator ``m_eval`` (see :func:`spectral_measure`): the linear part is the
-    Hermitized limit of M(iy)/(iy) (clipped to the positive cone; zero for
-    Schroedinger- and Dirac-type cases), the affine part the Hermitian
-    remainder at the largest argument. A large-y fit for diagnostics, off by
-    default in :func:`spectral_measure`.
+    Evaluates sigma M(iy) at y = ``_FIT_Y_MAX`` and a quarter of it in one
+    call of the array evaluator ``m_eval`` (see :func:`spectral_measure`):
+    the linear part is the Hermitized limit of M(iy)/(iy) (clipped to the
+    positive cone; zero for Schroedinger- and Dirac-type cases), the affine
+    part the Hermitian remainder at the largest argument. A large-y fit for
+    diagnostics, off by default in :func:`spectral_measure`.
     """
-    ys = np.array([y_max / 4.0, y_max])
+    ys = np.array([_FIT_Y_MAX / 4.0, _FIT_Y_MAX])
     vals = m_eval(1j * ys)
-    c2_raw = la.herm(sigma * vals[-1] / (1j * ys[-1]))
-    c2 = _clip_psd(c2_raw)
+    c2 = _clip_psd(sigma * vals[-1] / (1j * ys[-1]))  # _clip_psd Hermitizes
     c1 = la.real_part(sigma * vals[-1] - 1j * ys[-1] * c2)
     return c1, c2
 
@@ -1162,21 +1158,12 @@ def locate_jumps(measure: SpectralMeasure, threshold: float = 1e-3,
     """
     tr = measure.trace_increments(richardson=richardson)
     centers = 0.5 * (measure.grid[:-1] + measure.grid[1:])
-    hot = tr > threshold
-    positions, masses = [], []
-    i = 0
-    n = len(tr)
-    while i < n:
-        if not hot[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and hot[j + 1]:
-            j += 1
-        mass = float(np.sum(tr[i:j + 1]))
-        positions.append(float(np.sum(centers[i:j + 1] * tr[i:j + 1]) / mass))
-        masses.append(mass)
-        i = j + 1
+    # the runs [i, j) of hot bins start where hot rises and end where it falls
+    edges = np.diff(np.concatenate(([0], tr > threshold, [0])).astype(int))
+    runs = list(zip(np.flatnonzero(edges > 0), np.flatnonzero(edges < 0)))
+    masses = [float(np.sum(tr[i:j])) for i, j in runs]
+    positions = [float(np.sum(centers[i:j] * tr[i:j]) / w)
+                 for (i, j), w in zip(runs, masses)]
     return np.array(positions), np.array(masses)
 
 
@@ -1192,8 +1179,7 @@ class XiReport:
         return self.range_defect <= 1e-8
 
 
-def xi_function(m_eval, lambda_grid, eps: float, *, sign: int = +1,
-                singular_tol: float = 1e-12) -> XiReport:
+def xi_function(m_eval, lambda_grid, eps: float, *, sign: int = +1) -> XiReport:
     """Phase matrix (1/pi) Im log(sign * M(lambda + i eps)) on a real grid.
 
     ``m_eval`` evaluates the whole grid in one call (see
@@ -1202,22 +1188,16 @@ def xi_function(m_eval, lambda_grid, eps: float, *, sign: int = +1,
     checked against [0, 1] and the worst violation is reported.
     """
     lam = np.asarray(lambda_grid, dtype=float).reshape(-1)
-    vals = m_eval(lam + 1j * float(eps))
-    m = vals.shape[-1]
-    xi = np.full((len(lam), m, m), np.nan, dtype=complex)
-    skipped = []
-    worst = 0.0
-    for i, v in enumerate(vals):
-        w = sign * v
-        if la.smallest_singular_value(w) < singular_tol * max(1.0, la.opnorm(w)):
-            skipped.append(i)
-            continue
-        logw = scipy.linalg.logm(w)
-        x = la.herm(la.imag_part(logw)) / np.pi
-        xi[i] = x
-        eigs = np.linalg.eigvalsh(x)
-        worst = max(worst, float(max(0.0 - eigs[0], eigs[-1] - 1.0, 0.0)))
-    return XiReport(lambdas=lam, xi=xi, skipped=skipped, range_defect=worst)
+    w = sign * m_eval(lam + 1j * float(eps))
+    s = np.linalg.svd(w, compute_uv=False)
+    keep = ~(s[:, -1] < _XI_SINGULAR * np.maximum(1.0, s[:, 0]))
+    xi = np.full(w.shape, np.nan, dtype=complex)
+    for i in np.flatnonzero(keep):
+        xi[i] = la.herm(la.imag_part(scipy.linalg.logm(w[i]))) / np.pi
+    eigs = np.linalg.eigvalsh(xi[keep])
+    worst = float(np.max(np.maximum(0.0 - eigs[:, 0], eigs[:, -1] - 1.0), initial=0.0))
+    return XiReport(lambdas=lam, xi=xi, skipped=np.flatnonzero(~keep).tolist(),
+                    range_defect=worst)
 
 
 # ---------------------------------------------------------------------------
@@ -1242,27 +1222,21 @@ class RiccatiSolutionReport:
 
 
 def riccati_from_solution(sys: HamiltonianSystem, U: HatTrajectory,
-                          k0: int | None = None,
-                          singular_tol: float = 1e-12) -> RiccatiSolutionReport:
+                          k0: int | None = None) -> RiccatiSolutionReport:
     """Riccati variable along a Weyl-solution trajectory.
 
-    V(k) = rho(k) u2(k+1) u1(k)^{-1}; sites with singular u1 are recorded as
-    per-site errors rather than raised. ``k0`` defaults to the site of U's
-    initial data.
+    V(k) = rho(k) u2(k+1) u1(k)^{-1}, for all sites as one stack; sites with
+    singular u1 are recorded as per-site errors rather than raised. ``k0``
+    defaults to the site of U's initial data.
     """
     k0 = U.k0 if k0 is None else k0
-    z = U.z
-    v_out, sign_out, errors = {}, {}, {}
-    for k in U.sites:
-        u1 = U.psi1(k)
-        if la.rcond(u1) < singular_tol:
-            errors[k] = f"u1 singular at site {k}"
-            continue
-        v = sys.rho(k) @ la.rsolve(U.psi2_next(k), u1)
-        v_out[k] = v
-        sigma = sigma_of(k, k0, z) if k != k0 else sigma_of(k0 + 1, k0, z)
-        sign_out[k] = la.max_eig_herm(sigma * la.imag_part(v))
-    return RiccatiSolutionReport(V=v_out, sign_max=sign_out, errors=errors)
+    v, ok = _riccati(sys, U.sites, U.data, _RICCATI_SINGULAR)
+    good = [k for k, b in zip(U.sites, ok) if b]
+    sigma = np.array([sigma_of(k if k != k0 else k0 + 1, k0, U.z) for k in good])
+    sign = np.linalg.eigvalsh(la.herm(sigma[:, None, None] * la.imag_part(v[ok])))[:, -1]
+    return RiccatiSolutionReport(
+        V=dict(zip(good, v[ok])), sign_max=dict(zip(good, sign.tolist())),
+        errors={k: f"u1 singular at site {k}" for k, b in zip(U.sites, ok) if not b})
 
 
 @dataclass
@@ -1275,8 +1249,8 @@ class RiccatiResidualReport:
         return max(self.norms.values()) if self.norms else np.nan
 
 
-def riccati_residual(sys: HamiltonianSystem, z: complex, V: dict[int, np.ndarray],
-                     singular_tol: float = 1e-13) -> RiccatiResidualReport:
+def riccati_residual(sys: HamiltonianSystem, z: complex,
+                     V: dict[int, np.ndarray]) -> RiccatiResidualReport:
     """Defect of the one-step Riccati recursion at every site with a predecessor.
 
     residual(k) = V(k) - P11(k)
@@ -1287,17 +1261,15 @@ def riccati_residual(sys: HamiltonianSystem, z: complex, V: dict[int, np.ndarray
         if k - 1 not in V:
             continue
         p11, p12, p21, p22 = sys.pencil_blocks(z, k)
-        rho_prev = sys.rho(k - 1)
-        v_prev = V[k - 1]
-        if la.rcond(v_prev) < singular_tol:
+        rho_prev, v_prev = sys.rho(k - 1), V[k - 1]
+        if la.rcond(v_prev) < _RESIDUAL_SINGULAR:
             errors[k] = f"V({k - 1}) singular"
             continue
         inner = rho_prev @ np.linalg.inv(v_prev) @ rho_prev - p22
-        if la.rcond(inner) < singular_tol:
+        if la.rcond(inner) < _RESIDUAL_SINGULAR:
             errors[k] = f"inner matrix singular at site {k}"
             continue
         correction = p12 @ np.linalg.solve(inner, p21)
-        res = V[k] - p11 - correction
         scale = 1.0 + la.opnorm(V[k]) + la.opnorm(p11) + la.opnorm(correction)
-        norms[k] = la.opnorm(res) / scale
+        norms[k] = la.opnorm(V[k] - p11 - correction) / scale
     return RiccatiResidualReport(norms=norms, errors=errors)

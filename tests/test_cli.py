@@ -162,6 +162,21 @@ def test_eig_pairs_oracle_inside_the_interval(free_fixture, tmp_path):
     assert max(r["deviation"] for r in rows) < 1e-8
 
 
+def test_eig_pairs_each_eigenvalue_with_its_nearest_oracle_value(free_fixture, tmp_path):
+    # the interval starts within rounding below the eigenvalue
+    # (3 - sqrt 5)/2 = 2 - 2 cos(pi/5) of the ell=10 problem: the dense
+    # oracle puts it inside (a, b], the count does not, and no row may pair
+    # with it
+    out = tmp_path / "e.json"
+    rc = main(["eig", "--input", free_fixture, "--ell", "10",
+               "--interval=0.3819660112501047,4.5", "--format", "json",
+               "--output", str(out), "--no-timestamp"])
+    assert rc == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 7 and rows[0]["eigenvalue"] > 0.8
+    assert max(r["deviation"] for r in rows) < 1e-8
+
+
 def test_mfun_grid_herglotz_column(free_fixture, tmp_path):
     out = tmp_path / "m.csv"
     rc = main(["mfun", "--input", free_fixture, "--ell", "11",

@@ -377,6 +377,16 @@ def test_normal_form_preserves_operator_action():
         assert np.linalg.norm(trans - expect) <= 1e-12 * (1 + np.linalg.norm(expect))
 
 
+def test_normal_form_untransform_inverts_transform():
+    rng = np.random.default_rng(13)
+    sysr = htk.random_system(2, (0, 12), seed=4, cls="general_A12zero")
+    _, rec = hsys.normal_form(sysr)
+    for k in range(sysr.k_min, sysr.k_max + 2):
+        psi = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        back = rec.untransform_state(k, rec.transform_state(k, psi))
+        assert np.max(np.abs(back - psi)) <= 1e-14
+
+
 def test_normal_form_rejects_singular_rho():
     sysn = hsys.HamiltonianSystem(1, (0, 2), np.stack([np.eye(2)] * 3),
                                   np.stack([np.eye(2)] * 3),

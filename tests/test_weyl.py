@@ -1088,7 +1088,6 @@ def test_measure_points_for_one_pole():
         points.append(np.size(z))
         return (w / (lam - np.asarray(z, dtype=complex)))[..., None, None]
 
-    ev.m = 1
     sm = hwl.spectral_measure(ev, (0.0, 1.0), 4, [eps])
     assert sum(points) <= 2000
     exact = smoothed_bin_masses(np.array([lam]), np.array([[[w]]]),
