@@ -24,7 +24,6 @@ import numpy as np
 from . import _linalg as la
 from . import green as hgreen
 from . import system as hsystem
-from . import testkit as htestkit
 from . import weyl as hweyl
 from .errors import EigenvalueHitError, HamweylError, InputError
 
@@ -261,16 +260,6 @@ def cmd_eig(args, sys_):
         if args.interval else (-1.0, 5.0)
     eigs = hweyl.eigenvalues(sys_, args.k0, ell, alpha, beta, (a, b))
     rows = [{"index": i, "eigenvalue": float(lam)} for i, lam in enumerate(eigs)]
-    if rows and sys_.jacobi is not None:
-        try:
-            oracle = htestkit.jacobi_bvp_oracle(
-                htestkit.RegularBVP(sys_, args.k0, ell, alpha, beta))
-        except HamweylError:
-            oracle = np.empty(0)
-        if oracle.size:  # nearest, so an interval end cannot shift the pairs
-            near = oracle[np.argmin(np.abs(oracle[None] - eigs[:, None]), axis=1)]
-            for row, lam in zip(rows, near.tolist()):
-                row.update(oracle=lam, deviation=abs(row["eigenvalue"] - lam))
     return rows, {"k0": args.k0, "ell": ell, "count": len(eigs)}
 
 

@@ -54,6 +54,7 @@ __all__ = [
 
 _CERTIFICATE_TOL = 1e-6  # the bar of the kernel delta defect and the solve residual
 _DIAGONAL_SINGULAR = 1e-13  # rcond of u1 or of V+ - V- below which a site is an error
+_N_PROBES = 4  # source sites next to k0 at which a kernel is certified
 
 
 @dataclass
@@ -135,11 +136,11 @@ def _herglotz_sign_check(M: np.ndarray, want_positive: bool, label: str,
             f"(offending eigenvalue {lo:.3e})")
 
 
-def _certify(kernel: GreensKernel, n_probe: int = 4) -> None:
+def _certify(kernel: GreensKernel) -> None:
     lo, hi = kernel.window
     candidates = [kernel.k0 + d for d in (-2, -1, 1, 2, 3)]
     probes = [p for p in candidates
-              if p in kernel.source_sites() and lo < p < hi][:n_probe]
+              if p in kernel.source_sites() and lo < p < hi][:_N_PROBES]
     if not probes:
         probes = [p for p in kernel.source_sites() if lo < p < hi][:1]
     if not probes:
@@ -227,6 +228,10 @@ def _build(sys, z, k0, alpha, window, variant, M_plus, M_minus, certify=True):
                                  for h, w in zip(hats, (M, M.conj().T))]), t_lo)
 
     up, um = role(mp), role(mm)
+    bad = ~(np.isfinite(up) & np.isfinite(um)).all(axis=(0, 2, 3))
+    if bad.any():  # else the pairing's SVD norms raise LinAlgError
+        raise KernelConstructionError("the solution families leave the float range "
+                                      f"at site {lo + bad.argmax()} of [{lo}, {hi}]")
     kernel = GreensKernel(variant=variant, z=z, k0=k0, alpha=alpha,
                           window=(lo, hi), sys=sys, omega=omega,
                           M_plus=mp, M_minus=mm, _up=up, _um=um, _psi=psi)

@@ -88,6 +88,7 @@ TOL_SYM = 1e-12
 TOL_PSD = 1e-10
 RCOND_MIN = 1e-12
 TOL_DEF = 1e-10
+_SIGN_TOL = 1e-12  # sign-class bound on the eigenvalues of Im(gamma1 gamma2*)
 
 #: Multiple of 2m eps ||G|| below which the smallest eigenvalue of a Gram
 #: matrix G is rounding, not evidence of definiteness.
@@ -601,7 +602,7 @@ class BoundaryData:
         self.gamma2.setflags(write=False)
 
 
-def make_boundary_data(gamma_raw, tol: float = 1e-12) -> BoundaryData:
+def make_boundary_data(gamma_raw) -> BoundaryData:
     """Normalize an m x 2m matrix to gamma gamma* = I and classify it.
 
     The normalization (gamma gamma*)^{-1/2} gamma preserves the nullspace
@@ -622,11 +623,11 @@ def make_boundary_data(gamma_raw, tol: float = 1e-12) -> BoundaryData:
     im = la.imag_part(d1 @ d2.conj().T)
     eigs = np.linalg.eigvalsh(im)
     scale = max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 0.0)
-    if np.max(np.abs(eigs)) <= tol:
+    if np.max(np.abs(eigs)) <= _SIGN_TOL:
         sign_class = "zero"
-    elif eigs[0] >= -tol * scale:
+    elif eigs[0] >= -_SIGN_TOL * scale:
         sign_class = "nonnegative"
-    elif eigs[-1] <= tol * scale:
+    elif eigs[-1] <= _SIGN_TOL * scale:
         sign_class = "nonpositive"
     else:
         raise InputError(

@@ -1227,8 +1227,12 @@ def riccati_from_solution(sys: HamiltonianSystem, U: HatTrajectory,
 
     V(k) = rho(k) u2(k+1) u1(k)^{-1}, for all sites as one stack; sites with
     singular u1 are recorded as per-site errors rather than raised. ``k0``
-    defaults to the site of U's initial data.
+    defaults to the site of U's initial data. U needs m columns: a
+    fundamental system (2m) raises :class:`InputError`.
     """
+    if U.data.shape[1:] != (2 * sys.m, sys.m):
+        raise InputError(f"a Weyl solution has ({2 * sys.m}, {sys.m}) hats, "
+                         f"not {U.data.shape[1:]}: m columns of height 2m")
     k0 = U.k0 if k0 is None else k0
     v, ok = _riccati(sys, U.sites, U.data, _RICCATI_SINGULAR)
     good = [k for k, b in zip(U.sites, ok) if b]

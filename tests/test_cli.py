@@ -1,4 +1,6 @@
 import json
+import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +135,20 @@ def test_command_flag_alias(free_fixture, tmp_path):
     assert rc2 == 1  # disagreement
 
 
+def _free_dirichlet(ell, j0, j1):
+    """Dirichlet eigenvalues 2 - 2 cos(j pi / ell), j = j0..j1, of the free
+    chain on [0, ell]."""
+    return 2 - 2 * np.cos(np.arange(j0, j1 + 1) * np.pi / ell)
+
+
+def _json_eigenvalues(argv, out):
+    assert main(argv + ["--format", "json", "--output", str(out),
+                        "--no-timestamp"]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert all(list(r) == ["index", "eigenvalue"] for r in rows)
+    return np.array([r["eigenvalue"] for r in rows])
+
+
 def test_eig_matches_dirichlet_spectrum(free_fixture, tmp_path):
     out = tmp_path / "e.csv"
     rc = main(["eig", "--input", free_fixture, "--k0", "0", "--ell", "11",
@@ -145,36 +161,52 @@ def test_eig_matches_dirichlet_spectrum(free_fixture, tmp_path):
     eigs = np.array([float(r.split(",")[1]) for r in rows])
     expect = 2 - 2 * np.cos(np.arange(1, 11) * np.pi / 11)
     assert np.max(np.abs(np.sort(eigs) - np.sort(expect))) < 1e-8
-    devs = [float(r.split(",")[3]) for r in rows]
-    assert max(devs) < 1e-8  # oracle comparison column
+    assert lines[0] == "index,eigenvalue"
 
 
-def test_eig_pairs_oracle_inside_the_interval(free_fixture, tmp_path):
-    # (0.5, 4.5] excludes the two lowest eigenvalues 0.081 and 0.317; every
-    # row pairs with the oracle eigenvalue of its own rank inside it
-    out = tmp_path / "e.json"
-    rc = main(["eig", "--input", free_fixture, "--ell", "11",
-               "--interval=0.5,4.5", "--format", "json",
-               "--output", str(out), "--no-timestamp"])
-    assert rc == 0
-    rows = json.loads(out.read_text())["rows"]
-    assert len(rows) == 8
-    assert max(r["deviation"] for r in rows) < 1e-8
+def test_eig_inside_the_interval(free_fixture, tmp_path):
+    # (0.5, 4.5] excludes the two lowest eigenvalues 0.081 and 0.317
+    eigs = _json_eigenvalues(["eig", "--input", free_fixture, "--ell", "11",
+                              "--interval=0.5,4.5"], tmp_path / "e.json")
+    assert len(eigs) == 8
+    assert np.max(np.abs(eigs - _free_dirichlet(11, 3, 10))) < 1e-8
 
 
-def test_eig_pairs_each_eigenvalue_with_its_nearest_oracle_value(free_fixture, tmp_path):
+def test_eig_interval_end_within_rounding_of_an_eigenvalue(free_fixture, tmp_path):
     # the interval starts within rounding below the eigenvalue
-    # (3 - sqrt 5)/2 = 2 - 2 cos(pi/5) of the ell=10 problem: the dense
-    # oracle puts it inside (a, b], the count does not, and no row may pair
-    # with it
+    # (3 - sqrt 5)/2 = 2 - 2 cos(pi/5) of the ell=10 problem, which the
+    # count leaves outside (a, b]
+    eigs = _json_eigenvalues(["eig", "--input", free_fixture, "--ell", "10",
+                              "--interval=0.3819660112501047,4.5"],
+                             tmp_path / "e.json")
+    assert len(eigs) == 7 and eigs[0] > 0.8
+    assert np.max(np.abs(eigs - _free_dirichlet(10, 3, 9))) < 1e-8
+
+
+def test_eig_on_a_long_chain_runs_in_bounded_memory(tmp_path):
+    # 3001 sites: the count needs about 0.1 GB, a dense (n m)^2 matrix
+    # about 0.5 GB. wait4 reads this child's own peak RSS, which other
+    # tests' children cannot raise.
+    path = tmp_path / "long.json"
+    hsys.save_coefficients(hsys.jacobi_system(lambda k: 1.0, lambda k: 0.0,
+                                              (0, 3000)), path)
     out = tmp_path / "e.json"
-    rc = main(["eig", "--input", free_fixture, "--ell", "10",
-               "--interval=0.3819660112501047,4.5", "--format", "json",
-               "--output", str(out), "--no-timestamp"])
-    assert rc == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]),
+                      os.environ.get("PYTHONPATH")])))
+    pid = os.posix_spawn(sys.executable, [
+        sys.executable, "-c", "import sys; from hamweyl.cli import main; "
+        "sys.exit(main(sys.argv[1:]))", "eig", "--input", str(path),
+        "--ell", "3000", "--interval=0,0.01", "--format", "json",
+        "--output", str(out), "--no-timestamp"], env)
+    _, status, usage = os.wait4(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
     rows = json.loads(out.read_text())["rows"]
-    assert len(rows) == 7 and rows[0]["eigenvalue"] > 0.8
-    assert max(r["deviation"] for r in rows) < 1e-8
+    assert len(rows) == 95 and all(list(r) == ["index", "eigenvalue"] for r in rows)
+    eigs = np.array([r["eigenvalue"] for r in rows])
+    assert np.max(np.abs(eigs - _free_dirichlet(3000, 1, 95))) < 1e-10
+    peak_mb = usage.ru_maxrss / 1024  # kB on Linux
+    assert peak_mb < 250
 
 
 def test_mfun_grid_herglotz_column(free_fixture, tmp_path):

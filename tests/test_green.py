@@ -135,6 +135,25 @@ def test_certificate_failure_raises():
     assert ker.diagnostics["delta_defect"] < 1e-6
 
 
+@pytest.mark.parametrize("certify", [True, False])
+def test_families_past_the_float_range_are_a_kernel_error(certify):
+    # free chain at 0.5+0.5i with exact M+- on +-3000: the role families
+    # overflow, and the build must say so before any SVD sees them
+    sysj = make_free_jacobi((-40, 40))
+    z, al = 0.5 + 0.5j, hsys.dirichlet(1)
+    mp = hwl.limit_m(sysj, z, 0, al, +1).M_pm
+    mm = hwl.limit_m(sysj, z, 0, al, -1).M_pm
+    builds = (
+        lambda: hg.build_whole_kernel(sysj, z, 0, al, mp, mm, (-3000, 3000), certify),
+        lambda: hg.build_half_kernel_plus(sysj, z, 0, al, mp, (0, 3000), certify),
+        lambda: hg.build_half_kernel_minus(sysj, z, 0, al, mm, (-3000, 0), certify),
+    )
+    for build in builds:
+        with np.errstate(all="ignore"), \
+                pytest.raises(KernelConstructionError, match="float range"):
+            build()
+
+
 def test_solve_gate_rejects_a_residual_the_kernel_certificate_misses():
     # free chain at 0.5+0.5i with exact M+- and the CLI's seed-0 source: the
     # kernel certifies on +-60 (defect ~9e-8 next to k0), but the solve's

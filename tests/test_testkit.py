@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import sys
@@ -14,6 +15,35 @@ from hamweyl import weyl as hwl
 from hamweyl.errors import InputError, UnsupportedError
 
 from conftest import make_free_jacobi
+
+
+# ---------------------------------------------------------------------------
+# the oracle stays out of the product path
+# ---------------------------------------------------------------------------
+
+def _imports_testkit(source: str) -> bool:
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        else:
+            continue
+        if any("testkit" in name.split(".") for name in names):
+            return True
+    return False
+
+
+def test_no_product_module_imports_testkit():
+    assert all(map(_imports_testkit, [
+        "from . import testkit as htk", "from .testkit import random_system",
+        "import hamweyl.testkit", "from hamweyl import green, testkit"]))
+    assert not _imports_testkit("from . import weyl  # testkit")
+    package = Path(htk.__file__).parent
+    offenders = [path.name for path in sorted(package.glob("*.py"))
+                 if path.name not in ("testkit.py", "__init__.py")
+                 and _imports_testkit(path.read_text())]
+    assert offenders == []
 
 
 # ---------------------------------------------------------------------------

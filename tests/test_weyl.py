@@ -1166,6 +1166,14 @@ def test_riccati_from_solution_signs_and_value():
         assert la.opnorm(rep.V[k] - v) < 1e-9      # constant along the orbit
 
 
+def test_riccati_from_solution_rejects_a_fundamental_system():
+    # a fundamental system has 2m columns, so u1(k) is not square
+    sysj = make_free_jacobi((-10, 60))
+    fund = hp.fundamental(sysj, 1j, 0, hsys.dirichlet(1), (-5, 9))
+    with pytest.raises(InputError, match="m columns"):
+        hwl.riccati_from_solution(sysj, fund)
+
+
 def test_riccati_residual_detects_perturbation():
     sysj = make_free_jacobi((-10, 60))
     z = 1j
