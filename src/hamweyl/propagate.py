@@ -327,10 +327,11 @@ def _hats(plains) -> np.ndarray:
 
 def _riccati(sys: HamiltonianSystem, sites, hats: np.ndarray, singular_tol: float):
     """V(k) = rho(k) u2(k+1) u1(k)^{-1} of (n, 2m, m) hats (u1(k); u2(k+1))
-    at ``sites`` as an (n, m, m) stack, NaN where rcond(u1(k)) is below
-    ``singular_tol``, and the mask of the other sites."""
+    at ``sites`` as an (n, m, m) stack, NaN where a hat is not finite or
+    rcond(u1(k)) is below ``singular_tol``, and the mask of the other sites."""
     u1 = hats[:, :sys.m]
-    ok = ~(la.rcond(u1) < singular_tol)
+    ok = np.isfinite(hats).all(axis=(1, 2))
+    ok[ok] = ~(la.rcond(u1[ok]) < singular_tol)
     v = np.full(u1.shape, np.nan, dtype=complex)
     v[ok] = sys.rho(np.asarray(sites)[ok]) @ la.rsolve(hats[ok, sys.m:], u1[ok])
     return v, ok

@@ -383,13 +383,6 @@ class ValidationReport:
     def passed(self) -> bool:
         return not self.violations
 
-    def summary(self) -> str:
-        if self.passed:
-            return f"{self.check}: pass ({self.n_sites} sites)"
-        lines = [f"{self.check}: {len(self.violations)} violation(s)"]
-        lines += [f"  site {v.site}: {v.message}" for v in self.violations]
-        return "\n".join(lines)
-
 
 def _interval_sites(sys: HamiltonianSystem, interval) -> range:
     if interval is None:

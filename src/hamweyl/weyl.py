@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from . import _linalg as la
-from .errors import EigenvalueHitError, InputError, TransformPoleError
+from .errors import EigenvalueHitError, HamweylError, InputError, TransformPoleError
 from .propagate import (
     HatTrajectory,
     _riccati,
@@ -155,12 +155,20 @@ def e_functional(sys: HamiltonianSystem, ctx: DiskContext, M,
     """Disk functional E_ell(M), Hermitian m x m.
 
     Negative definite values lie in the open Weyl disk, zero on the circle.
-    Reads the fundamental hat at ell from ``fund`` when given.
+    The fundamental hat at ell is that of the far-site walk
+    (:func:`_outward`) at z; an E past the float range raises
+    :class:`HamweylError`. ``fund`` is accepted and ignored.
     """
-    hat = fund.hat(ctx.ell) if fund is not None else propagate_hats(
-        sys, ctx.z, ctx.k0, initial_hat(sys, ctx.k0, ctx.alpha), ctx.ell)[0]
-    return _disk_functional(sys, ctx.sigma, ctx.ell,
-                            hat, la.as_complex_matrix(M, (sys.m, sys.m), "M"))
+    M = la.as_complex_matrix(M, (sys.m, sys.m), "M")
+    hats, x = _outward(sys, np.array([ctx.z]), ctx.k0,
+                       initial_hat(sys, ctx.k0, ctx.alpha), 0, [ctx.ell])[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_s = _disk_functional(sys, ctx.sigma, ctx.ell, hats[0], M)  # E * 4**-x
+        e = np.ldexp(e_s.view(float), 2 * x[0]).view(complex)
+    if not np.isfinite(e).all():
+        raise HamweylError(f"E at ell={ctx.ell}, z={ctx.z} is not finite: "
+                           "it leaves the float range")
+    return e
 
 
 def _disk_functional(sys, sigma: int, ell, hat: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -313,13 +321,6 @@ def lft_alpha_change(M_gamma, alpha: BoundaryData, gamma: BoundaryData) -> np.nd
 # limiting disks
 # ---------------------------------------------------------------------------
 
-def _rescaled(hats: np.ndarray):
-    """(hats / 2**e, e) with e the binary exponent of each hat's largest
-    entry; exact, since only exponents change."""
-    _, e = np.frexp(np.max(np.abs(hats), axis=(-2, -1)))
-    return hats * np.ldexp(1.0, -e)[..., None, None], e
-
-
 def _disk_diameter(sys, sigma: int, ell, hats: np.ndarray, exps) -> np.ndarray:
     """Per-direction diameters d_i = 2 (lam_i(F22(z)) lam_i(F22(conj z)))^(-1/2)
     of the Weyl disk at (z, ell), descending, from the fundamental hats at
@@ -330,10 +331,10 @@ def _disk_diameter(sys, sigma: int, ell, hats: np.ndarray, exps) -> np.ndarray:
     R_l = F22(z)^(-1/2) and R_r = F22(conj z)^(-1/2), with F22(w) = sigma(w)
     herm(-i Phi^(w)* J_rho(ell) Phi^(w)), which the energy identity makes
     2 |Im z| sum Phi* A Phi over the plus interval; lam_i is the i-th
-    smallest eigenvalue. Rescaled hats and logs keep every product finite;
-    inf where an eigenvalue is not positive (the disk is unbounded there).
+    smallest eigenvalue. The walk's rescaled hats (:func:`_outward`) and
+    logs keep every product finite; inf where an eigenvalue is not positive
+    (the disk is unbounded there).
     """
-    hats, e = _rescaled(hats)
     phi = hats[..., sys.m:]
     sign = sigma * np.array([1, -1])[:, None, None]
     jr = np.expand_dims(sys.j_rho(ell), -3)  # shared by z and conj z
@@ -341,7 +342,7 @@ def _disk_diameter(sys, sigma: int, ell, hats: np.ndarray, exps) -> np.ndarray:
     lam = np.linalg.eigvalsh(f22)
     logs = np.log2(lam, out=np.full_like(lam, -np.inf), where=lam > 0)
     return np.exp2(1.0 - 0.5 * logs.sum(axis=-2)
-                   - np.sum(e + exps, axis=-1)[..., None])
+                   - np.sum(exps, axis=-1)[..., None])
 
 
 def disk_diameter_estimate(sys: HamiltonianSystem, ctx: DiskContext,
@@ -349,20 +350,22 @@ def disk_diameter_estimate(sys: HamiltonianSystem, ctx: DiskContext,
                            fund: HatTrajectory | None = None) -> float:
     """Diameter 2 ||R_l|| ||R_r|| of the Weyl disk at (z, ell).
 
-    Propagates the base hat to ell at z and conj z as one batch.
+    From the hats of the far-site walk (:func:`_outward`) at z and conj z,
+    so bit for bit the diameter that ``hamweyl disk`` reports at ell.
     Nonincreasing in |ell| because the disks nest. ``n_samples`` and
     ``fund`` are accepted and ignored.
     """
-    hats = propagate_hats(sys, [ctx.z, np.conj(ctx.z)], ctx.k0,
-                          initial_hat(sys, ctx.k0, ctx.alpha), ctx.ell)
-    return float(_disk_diameter(sys, ctx.sigma, ctx.ell, hats, (0, 0))[0])
+    hats, exps = _outward(sys, np.array([ctx.z, np.conj(ctx.z)]), ctx.k0,
+                          initial_hat(sys, ctx.k0, ctx.alpha), 0, [ctx.ell])[0]
+    return float(_disk_diameter(sys, ctx.sigma, ctx.ell, hats, exps)[0])
 
 
 def _outward(sys, zz: np.ndarray, k: int, hats, exps, sites) -> list:
     """[(hats, exps)] at each of ``sites`` (one side of k0, in order of
-    offset) of the fundamental hats at zz = [z, conj z], hats * 2**exps,
-    stepped out from site k; rescaled by powers of two (exact) at each site
-    and every 16 steps, or every step once a 16-step chunk overflowed."""
+    offset) of the fundamental hats at each of zz, hats * 2**exps, stepped
+    out from site k. At each site and every 16 steps, or every step once a
+    16-step chunk overflowed, each hat is divided by 2**e, e the binary
+    exponent of its largest entry: exact, since only exponents change."""
     at = []
     with np.errstate(over="ignore", invalid="ignore"):
         for ell in sites:
@@ -375,8 +378,8 @@ def _outward(sys, zz: np.ndarray, k: int, hats, exps, sites) -> list:
                     # time with a rescale after each
                     stride = 1
                     continue
-                hats, e = _rescaled(nxt)
-                exps, k = exps + e, step
+                _, e = np.frexp(np.max(np.abs(nxt), axis=(-2, -1)))
+                hats, exps, k = nxt * np.ldexp(1.0, -e)[..., None, None], exps + e, step
             at.append((hats, exps))
     return at
 
@@ -432,7 +435,7 @@ def _far_walk(sys: HamiltonianSystem, z: complex, k0: int, alpha, beta, blocks):
     """
     init = initial_hat(sys, k0, alpha)
     k_inv, zz = np.linalg.inv(init), np.array([z, np.conj(z)])
-    ends = dict.fromkeys((1, -1), (k0, np.stack([init] * 2), np.zeros(2, dtype=int)))
+    ends = dict.fromkeys((1, -1), (k0, init, 0))
     for block in blocks:
         rows = {}
         for d in ends:
@@ -494,6 +497,14 @@ class HalfLineLimit:
         if self.M_pm is None or self.classification == "inconclusive":
             return None
         return self.M_pm.shape[0] + self.circle_rank
+
+
+def _side(direction) -> int:
+    """+1 or -1 from a half-line name: +-1, "+"/"-" or "plus"/"minus"."""
+    for side, names in ((+1, (+1, "+", "plus")), (-1, (-1, "-", "minus"))):
+        if direction in names:
+            return side
+    raise InputError(f"direction must be +-1, '+'/'-' or 'plus'/'minus', not {direction!r}")
 
 
 def _default_schedule(sys, k0, direction):
@@ -597,7 +608,7 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
     roundoff in valid runs).
     """
     opts = opts or LimitOptions()
-    direction = +1 if direction in (+1, "+", "plus") else -1
+    direction = _side(direction)
     z = complex(z)
     if not (np.isfinite(z) and z.imag != 0):
         raise InputError("half-line limits require a finite z with Im z != 0")
@@ -736,7 +747,7 @@ def herglotz_check(sys: HamiltonianSystem, z_grid, k0: int, alpha, *,
         pairs = zip(M[:zs.size], M[zs.size:])
         sgn = 1 if ell > k0 else -1
     else:
-        sgn = +1 if direction in (+1, "+", "plus") else -1
+        sgn = _side(direction)
         pairs = ((limit_m(sys, z, k0, alpha, sgn, opts).M_pm,
                   limit_m(sys, np.conj(z), k0, alpha, sgn, opts).M_pm)
                  for z in zs)
@@ -980,8 +991,6 @@ class SpectralMeasure:
     increments_richardson: np.ndarray
     converged: bool
     convergence_gap: float
-    affine_part: np.ndarray | None = None
-    linear_part: np.ndarray | None = None
     clip_flags: list[int] = field(default_factory=list)
 
     @property
@@ -1051,15 +1060,15 @@ def _adaptive_bin_integrals(f, edges: np.ndarray, quad_tol: float,
 
 
 def spectral_measure(m_eval, interval, grid_n: int, eps_schedule, *,
-                     sigma: int = +1, quad_rel: float = 1e-6,
-                     fit_tail_parts: bool = False) -> SpectralMeasure:
+                     sigma: int = +1, quad_rel: float = 1e-6) -> SpectralMeasure:
     """Stieltjes inversion of a Herglotz evaluator onto a real grid.
 
     ``m_eval`` maps a 1-d array of N spectral parameters to the (N, m, m)
     stack of M values in one call (as :func:`regular_m_evaluator` does). Per
     bin (l_i + d, l_{i+1} + d] with offset d = eps/2, the increment is
-    (1/pi) times the integral of Im[sigma M(nu + i eps)], computed at each
-    epsilon of the decreasing schedule by a locally refined Simpson rule:
+    (1/pi) times the integral of Im[sigma M(nu + i eps)], computed at the
+    last two epsilons of the decreasing schedule, the only ones read, by a
+    locally refined Simpson rule:
     per segment the one- and two-panel Simpson pair, an error test on their
     difference (Lyness's 1/15 estimate, taken 15-fold) and the extrapolated
     value (see :func:`_adaptive_bin_integrals`). The reported increments are
@@ -1084,19 +1093,16 @@ def spectral_measure(m_eval, interval, grid_n: int, eps_schedule, *,
     base_edges = np.linspace(lo, hi, int(grid_n) + 1)
 
     per_eps = []
-    for eps in eps_list:
-        delta = 0.5 * eps
-
+    for eps in eps_list[-2:]:  # only the last two are read
         def integrand(nu):
-            s = sigma * m_eval(np.asarray(nu, dtype=float) + 1j * eps)
-            return la.imag_part(s)
+            return la.imag_part(sigma * m_eval(np.asarray(nu, dtype=float) + 1j * eps))
 
-        raw = _adaptive_bin_integrals(integrand, base_edges + delta, _QUAD_TOL,
-                                      width_floor=eps / 256.0, quad_rel=quad_rel)
-        per_eps.append(raw / np.pi)
+        per_eps.append(_adaptive_bin_integrals(
+            integrand, base_edges + 0.5 * eps, _QUAD_TOL, width_floor=eps / 256.0,
+            quad_rel=quad_rel) / np.pi)
 
     inc = per_eps[-1]
-    if len(per_eps) >= 2:
+    if len(per_eps) == 2:
         e1, e2 = eps_list[-2], eps_list[-1]
         prev = per_eps[-2]
         rich = inc + (inc - prev) * (e2 / (e1 - e2))
@@ -1104,9 +1110,7 @@ def spectral_measure(m_eval, interval, grid_n: int, eps_schedule, *,
         total = max(1.0, float(np.max(np.abs(np.sum(inc, axis=0)))))
         converged = gap <= _MEASURE_TOL * total
     else:
-        rich = inc.copy()
-        gap = np.inf
-        converged = False
+        rich, gap, converged = inc.copy(), np.inf, False
 
     clip_flags = []
 
@@ -1118,16 +1122,14 @@ def spectral_measure(m_eval, interval, grid_n: int, eps_schedule, *,
         return la.herm((v * w[:, None, :]) @ la.adjoint(v))
 
     inc, rich = clean(inc), clean(rich)
-    if not converged and len(per_eps) >= 2:
+    if not converged and len(per_eps) == 2:
         warnings.warn(
             f"spectral measure schedule not converged (gap {gap:.2e}); "
             "refine the epsilon schedule", RuntimeWarning, stacklevel=2)
-    c1, c2 = fit_herglotz_parts(m_eval, sigma=sigma) if fit_tail_parts else (None, None)
     return SpectralMeasure(grid=base_edges, increments=inc,
                            epsilon_schedule=tuple(eps_list),
                            increments_richardson=rich, converged=converged,
-                           convergence_gap=gap, affine_part=c1,
-                           linear_part=c2, clip_flags=clip_flags)
+                           convergence_gap=gap, clip_flags=clip_flags)
 
 
 def fit_herglotz_parts(m_eval, *, sigma: int = +1):
@@ -1138,7 +1140,7 @@ def fit_herglotz_parts(m_eval, *, sigma: int = +1):
     the linear part is the Hermitized limit of M(iy)/(iy) (clipped to the
     positive cone; zero for Schroedinger- and Dirac-type cases), the affine
     part the Hermitian remainder at the largest argument. A large-y fit for
-    diagnostics, off by default in :func:`spectral_measure`.
+    diagnostics.
     """
     ys = np.array([_FIT_Y_MAX / 4.0, _FIT_Y_MAX])
     vals = m_eval(1j * ys)
@@ -1173,10 +1175,6 @@ class XiReport:
     xi: np.ndarray            # (n, m, m); NaN blocks where skipped
     skipped: list[int]
     range_defect: float       # max violation of 0 <= Xi <= I over the grid
-
-    @property
-    def range_ok(self) -> bool:
-        return self.range_defect <= 1e-8
 
 
 def xi_function(m_eval, lambda_grid, eps: float, *, sign: int = +1) -> XiReport:
@@ -1238,9 +1236,11 @@ def riccati_from_solution(sys: HamiltonianSystem, U: HatTrajectory,
     good = [k for k, b in zip(U.sites, ok) if b]
     sigma = np.array([sigma_of(k if k != k0 else k0 + 1, k0, U.z) for k in good])
     sign = np.linalg.eigvalsh(la.herm(sigma[:, None, None] * la.imag_part(v[ok])))[:, -1]
+    finite = np.isfinite(U.data).all(axis=(1, 2))
     return RiccatiSolutionReport(
         V=dict(zip(good, v[ok])), sign_max=dict(zip(good, sign.tolist())),
-        errors={k: f"u1 singular at site {k}" for k, b in zip(U.sites, ok) if not b})
+        errors={k: f"{'u1 singular' if f else 'the solution is not finite'} at site {k}"
+                for k, b, f in zip(U.sites, ok, finite) if not b})
 
 
 @dataclass

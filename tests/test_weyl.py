@@ -957,6 +957,25 @@ def test_nesting_monotone_disk_functional():
 # Herglotz structure
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("direction,side", [(+1, 1), ("+", 1), ("plus", 1),
+                                            (-1, -1), ("-", -1), ("minus", -1)])
+def test_limit_direction_names(direction, side):
+    sysj = make_free_jacobi((-40, 40))
+    assert hwl.limit_m(sysj, 0.5 + 0.5j, 0, hsys.dirichlet(1), direction).direction == side
+
+
+@pytest.mark.parametrize("direction", [0, 2, "up", None])
+def test_limit_direction_other_values_raise(direction):
+    # any of these used to mean the minus half line
+    sysj = make_free_jacobi((-40, 40))
+    al = hsys.dirichlet(1)
+    with pytest.raises(InputError, match="direction"):
+        hwl.limit_m(sysj, 0.5 + 0.5j, 0, al, direction)
+    if direction is not None:
+        with pytest.raises(InputError, match="direction"):
+            hwl.herglotz_check(sysj, [0.5 + 0.5j], 0, al, direction=direction)
+
+
 def test_herglotz_check_regular_and_limit():
     sysj = make_free_jacobi((-10, 120))
     al = hsys.dirichlet(1)
@@ -1095,6 +1114,35 @@ def test_measure_points_for_one_pole():
     assert np.max(np.abs(sm.increments - exact)) < 1e-8
 
 
+@pytest.mark.filterwarnings("ignore:spectral measure schedule not converged")
+def test_measure_integrates_only_the_last_two_eps():
+    sysj = make_free_jacobi((0, 20))
+    D = hsys.dirichlet(1)
+    ev = hwl.regular_m_evaluator(sysj, 0, 8, D, D)
+
+    def run(schedule):
+        points = []
+
+        def counted(z):
+            points.append(np.size(z))
+            return ev(z)
+
+        return hwl.spectral_measure(counted, (-1.0, 5.0), 40, schedule), sum(points)
+
+    full, n_full = run([1e-4, 1e-5, 1e-6])
+    last, n_last = run([1e-5, 1e-6])
+    assert n_full == n_last
+    assert full.epsilon_schedule == (1e-4, 1e-5, 1e-6)
+    for f in ("increments", "increments_richardson"):
+        assert np.array_equal(getattr(full, f), getattr(last, f))
+    assert full.convergence_gap == last.convergence_gap
+    assert full.converged == last.converged
+    # the entries that are not integrated are still validated
+    for bad in ([1e-6, 1e-5, 1e-6], [-1e-4, 1e-5, 1e-6]):
+        with pytest.raises(InputError):
+            hwl.spectral_measure(ev, (-1.0, 5.0), 40, bad)
+
+
 def test_simpson_bins_integrate_a_cubic_in_the_first_level():
     calls = []
     coef = np.array([[1.0, -2.0 + 1j], [-2.0 - 1j, 0.5]])
@@ -1118,10 +1166,6 @@ def test_fit_herglotz_tail_parts():
     c1, c2 = hwl.fit_herglotz_parts(free_half_line_m_plus())
     assert la.opnorm(c2) < 1e-6
     assert abs(c1[0, 0].real + 1.0) < 1e-3
-    sm = hwl.spectral_measure(free_half_line_m_plus(), (0.5, 1.5), 10, [1e-4],
-                              fit_tail_parts=True)
-    assert sm.linear_part is not None and la.opnorm(sm.linear_part) < 1e-6
-    assert sm.affine_part is not None
 
 
 def test_half_line_limit_dimension_diagnostic():
@@ -1164,6 +1208,28 @@ def test_riccati_from_solution_signs_and_value():
     assert la.opnorm(rep.V[0] + (-v)) < 1e-12      # V(k0) = -M
     for k in range(0, 11):
         assert la.opnorm(rep.V[k] - v) < 1e-9      # constant along the orbit
+
+
+def test_riccati_from_solution_past_the_float_range():
+    # the Weyl solution of [0, 600] at this z leaves the float range at
+    # site 454; the sites before it keep the V of a trajectory that stops
+    # short of it
+    sysj = make_free_jacobi((-10, 3000))
+    al = hsys.dirichlet(1)
+    z = -3.0 + 0.1j
+    M = hwl.m_regular(sysj, hwl.disk_context(sysj, z, 0, 600, al), al).M
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = hp.weyl_solution(hp.fundamental(sysj, z, 0, al, (0, 600)), M)
+    rep = hwl.riccati_from_solution(sysj, u)
+    short = hwl.riccati_from_solution(
+        sysj, hp.weyl_solution(hp.fundamental(sysj, z, 0, al, (0, 440)), M))
+    finite = np.isfinite(u.data).all(axis=(1, 2))
+    bad = [k for k, f in zip(u.sites, finite) if not f]
+    assert bad and set(bad) <= set(rep.errors)
+    assert all("not finite" in rep.errors[k] for k in bad)
+    assert not set(rep.V) & set(bad)
+    for k in short.V:
+        assert np.array_equal(rep.V[k], short.V[k])
 
 
 def test_riccati_from_solution_rejects_a_fundamental_system():
