@@ -25,7 +25,7 @@ from . import _linalg as la
 from . import green as hgreen
 from . import system as hsystem
 from . import weyl as hweyl
-from .errors import EigenvalueHitError, HamweylError, InputError
+from .errors import HamweylError, InputError
 
 __all__ = ["main", "build_parser"]
 
@@ -271,14 +271,8 @@ def cmd_mfun(args, sys_):
         zs = np.array([_parse_complex(args.z)])
     else:
         raise UsageError("give --z or --z-grid")
-    if np.any(zs.imag == 0):
-        raise UsageError("all grid points must satisfy Im z != 0")
-    hweyl.disk_context(sys_, complex(zs[0]), args.k0, ell, alpha)
-    ev = hweyl.regular_m_evaluator(sys_, args.k0, ell, alpha, beta)
-    Ms, smins, hits = ev.extract(zs)
-    if np.any(hits):
-        i = int(np.argmax(hits))
-        raise EigenvalueHitError(complex(zs[i]), float(smins[i]))
+    ctx = hweyl.disk_context(sys_, zs[0], args.k0, ell, alpha)
+    Ms, smins = hweyl._m_at(sys_, ctx, beta, hweyl._admissible_z(zs))
     rows = []
     for z, M, smin in zip(zs, Ms, smins):
         herg = la.min_eig_herm(hweyl.sigma_of(ell, args.k0, z)
@@ -293,7 +287,7 @@ def cmd_mfun(args, sys_):
 
 
 def _z(args) -> complex:
-    return _parse_complex(args.z) if args.z else 1j
+    return hweyl._admissible_z(_parse_complex(args.z) if args.z else 1j)
 
 
 def cmd_disk(args, sys_):
@@ -303,13 +297,7 @@ def cmd_disk(args, sys_):
     if args.ell_schedule:
         schedule = _parse_numbers(args.ell_schedule, "--ell-schedule", int)
     elif args.ell_max is not None:
-        schedule = []
-        s = 4
-        while args.k0 + s <= args.ell_max:
-            schedule.append(args.k0 + s)
-            s *= 2
-        if not schedule or schedule[-1] != args.ell_max:
-            schedule.append(args.ell_max)
+        schedule = hweyl._default_schedule(args.k0, args.ell_max, 4)
     else:
         raise UsageError("give --ell-schedule or --ell-max")
     for ell in schedule:
@@ -322,19 +310,19 @@ def cmd_disk(args, sys_):
 
 
 def cmd_limit(args, sys_):
-    alpha = _parse_boundary(args.alpha, sys_.m)
+    # z and alpha fail the command, a tail with no m/m split only its row
+    alpha = hsystem._self_adjoint(_parse_boundary(args.alpha, sys_.m))
     z = _z(args)
     rows = []
-    for direction in (+1, -1):
-        tag = "+" if direction > 0 else "-"
+    for direction in "+-":
         try:
             lim = hweyl.limit_m(sys_, z, args.k0, alpha, direction)
         except InputError as e:
-            rows.append({"direction": tag, "classification": "inconclusive",
+            rows.append({"direction": direction, "classification": "inconclusive",
                          "cauchy_gap": float("inf"), "diameter": float("inf"),
                          "ells": "", "note": str(e)})
             continue
-        row = {"direction": tag,
+        row = {"direction": direction,
                "classification": lim.classification,
                "cauchy_gap": lim.cauchy_gap,
                "diameter": lim.diameter_estimate,
@@ -351,18 +339,11 @@ def _kernel_from_args(args, sys_):
     z = _z(args)
     window = _parse_numbers(args.window, "--window lo,hi", int, 2) \
         if args.window else sys_.window
-    variant = args.variant
-    need_plus = variant in ("whole", "half-plus")
-    need_minus = variant in ("whole", "half-minus")
-    mp = hweyl.limit_m(sys_, z, args.k0, alpha, +1).M_pm if need_plus else None
-    mm = hweyl.limit_m(sys_, z, args.k0, alpha, -1).M_pm if need_minus else None
-    if variant == "whole":
-        return hgreen.build_whole_kernel(sys_, z, args.k0, alpha, mp, mm, window)
-    if variant == "half-plus":
-        return hgreen.build_half_kernel_plus(
-            sys_, z, args.k0, alpha, mp, (args.k0, window[1]))
-    return hgreen.build_half_kernel_minus(
-        sys_, z, args.k0, alpha, mm, (window[0], args.k0))
+    variant = args.variant.replace("-", "_")
+    M = {side: hweyl.limit_m(sys_, z, args.k0, alpha, side).M_pm
+         for side in hgreen._SIDES[variant]}
+    return hgreen._build(sys_, z, args.k0, alpha, hgreen._cut(variant, window, args.k0),
+                         variant, M.get("+"), M.get("-"))
 
 
 def cmd_green(args, sys_):
@@ -402,13 +383,11 @@ def cmd_solve(args, sys_):
         if k in sol.residual_by_site:
             row["residual"] = sol.residual_by_site[k]
         rows.append(row)
-    sides = {"whole": ("+", "-"), "half_plus": ("+",),
-             "half_minus": ("-",)}[kernel.variant]
     meta = {"variant": kernel.variant,
             "source": source, "residual_max": sol.residual_max,
             "l2a_lhs": sol.l2a_lhs, "l2a_bound": sol.l2a_bound,
             "l2a_ok": sol.l2a_ok}
-    for side in sides:
+    for side in hgreen._SIDES[kernel.variant]:
         trend = hgreen.flux_trend(kernel, sol, side)
         meta[f"flux_ratio_{'plus' if side == '+' else 'minus'}"] = trend["ratio"]
     return rows, meta

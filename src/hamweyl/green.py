@@ -37,6 +37,7 @@ from .propagate import (
     lagrange_bilinear,
 )
 from .system import HamiltonianSystem
+from .weyl import _admissible_z
 
 __all__ = [
     "GreensKernel",
@@ -55,6 +56,16 @@ __all__ = [
 _CERTIFICATE_TOL = 1e-6  # the bar of the kernel delta defect and the solve residual
 _DIAGONAL_SINGULAR = 1e-13  # rcond of u1 or of V+ - V- below which a site is an error
 _N_PROBES = 4  # source sites next to k0 at which a kernel is certified
+
+# the sides of k0 whose decaying family (from M_plus, M_minus) a variant
+# couples; a half kernel's window ends at k0 on the other side
+_SIDES = {"whole": ("+", "-"), "half_plus": ("+",), "half_minus": ("-",)}
+
+
+def _cut(variant: str, window, k0: int) -> tuple[int, int]:
+    """``window`` cut at k0 to the sides of k0 that ``variant`` couples."""
+    sides = _SIDES[variant]
+    return (window[0] if "-" in sides else k0, window[1] if "+" in sides else k0)
 
 
 @dataclass
@@ -116,24 +127,29 @@ class GreensKernel:
         return out
 
     def source_sites(self) -> range:
-        """Sites where a source term is admitted by the variant."""
+        """Sites of the window on the variant's sides of k0 (k0 itself too on
+        the whole line), where a source term is admitted."""
         lo, hi = self.window
-        if self.variant == "half_plus":
-            return range(self.k0 + 1, hi + 1)
-        if self.variant == "half_minus":
-            return range(lo, self.k0)
-        return range(lo, hi + 1)
+        sides = _SIDES[self.variant]
+        return range(lo if "-" in sides else self.k0 + 1,
+                     hi + 1 if "+" in sides else self.k0)
 
 
-def _herglotz_sign_check(M: np.ndarray, want_positive: bool, label: str,
-                         z: complex) -> None:
+def _herglotz_checked(M, side: str, variant: str, z: complex) -> np.ndarray:
+    """M_plus (side "+") or M_minus of a ``variant`` kernel at z as a complex
+    matrix, once sigma Im M_plus > 0 > sigma Im M_minus, sigma = sign(Im z)."""
+    label = "M_plus" if side == "+" else "M_minus"
+    if M is None:
+        raise InputError(f"the {variant} kernel needs {label}")
+    M = la.as_complex_matrix(M)
+    positive = (side == "+") == (z.imag > 0)
     im = la.imag_part(M)
-    lo = la.min_eig_herm(im) if want_positive else -la.max_eig_herm(im)
+    lo = la.min_eig_herm(im) if positive else -la.max_eig_herm(im)
     if lo <= 0 and abs(lo) > 1e-10 * (1.0 + la.opnorm(M)):
-        sign = "positive" if want_positive else "negative"
         raise KernelConstructionError(
-            f"Im {label} must be {sign} definite at z={z} "
-            f"(offending eigenvalue {lo:.3e})")
+            f"Im {label} must be {'positive' if positive else 'negative'} definite "
+            f"at z={z} (offending eigenvalue {lo:.3e})")
+    return M
 
 
 def _certify(kernel: GreensKernel) -> None:
@@ -178,39 +194,24 @@ def delta_residual(kernel: GreensKernel, ell: int) -> float:
 
 
 def _build(sys, z, k0, alpha, window, variant, M_plus, M_minus, certify=True):
-    z = complex(z)
-    if not (np.isfinite(z) and z.imag != 0):
-        raise InputError("Green's kernels require a finite z with Im z != 0")
-    upper = z.imag > 0  # sign(Im z) sets the Herglotz signs of M+-
-    mp = None if M_plus is None else la.as_complex_matrix(M_plus)
-    mm = None if M_minus is None else la.as_complex_matrix(M_minus)
-
+    """The ``variant`` kernel over ``window``; only the M of its sides is read."""
+    z = _admissible_z(z)
+    sides = _SIDES[variant]
     lo, hi = int(window[0]), int(window[1])
-    if not lo <= k0 <= hi:
-        raise InputError("window must contain k0")
+    if not lo <= k0 <= hi or _cut(variant, (lo, hi), k0) != (lo, hi):
+        raise InputError(f"a {variant} window must contain k0 and end there on a "
+                         f"side it does not couple, not {(lo, hi)}")
     m = sys.m
-
-    if variant == "whole":
-        if mp is None or mm is None:
-            raise InputError("whole-line kernel needs both M_plus and M_minus")
-        _herglotz_sign_check(mp, upper, "M_plus", z)
-        _herglotz_sign_check(mm, not upper, "M_minus", z)
+    mp, mm = (_herglotz_checked(M, side, variant, z) if side in sides else None
+              for side, M in zip("+-", (M_plus, M_minus)))
+    if len(sides) == 2:
         diff = mm - mp
         if la.rcond(diff) < 1e-13:
             raise KernelConstructionError("M_minus - M_plus is singular")
         omega, target = np.linalg.inv(diff), diff
-    elif variant == "half_plus":
-        if mp is None:
-            raise InputError("half_plus kernel needs M_plus")
-        _herglotz_sign_check(mp, upper, "M_plus", z)
-        omega = target = np.eye(m, dtype=complex)
-    elif variant == "half_minus":
-        if mm is None:
-            raise InputError("half_minus kernel needs M_minus")
-        _herglotz_sign_check(mm, not upper, "M_minus", z)
-        omega = target = -np.eye(m, dtype=complex)
     else:
-        raise InputError(f"unknown variant {variant!r}")
+        eye = np.eye(m, dtype=complex)
+        omega = target = eye if mp is not None else -eye
 
     # fundamental hats at [z, conj z] as one batch over lo..hi+1, so plain
     # values reach the top edge; psi2 at lo comes from a backward transfer
@@ -267,8 +268,6 @@ def build_half_kernel_plus(sys: HamiltonianSystem, z: complex, k0: int, alpha,
                            M_plus, window, certify: bool = True) -> GreensKernel:
     """Right half-line kernel on [k0, hi]; the base-boundary role is played
     by the fundamental's right column block and the coupling is +I."""
-    if int(window[0]) != k0:
-        raise InputError("half_plus window must start at k0")
     return _build(sys, z, k0, alpha, window, "half_plus", M_plus, None, certify)
 
 
@@ -276,8 +275,6 @@ def build_half_kernel_minus(sys: HamiltonianSystem, z: complex, k0: int, alpha,
                             M_minus, window, certify: bool = True) -> GreensKernel:
     """Left half-line kernel on [lo, k0]; mirror of the plus variant with an
     overall sign and coupling -I."""
-    if int(window[1]) != k0:
-        raise InputError("half_minus window must end at k0")
     return _build(sys, z, k0, alpha, window, "half_minus", None, M_minus, certify)
 
 
@@ -447,11 +444,9 @@ def solve_nonhomogeneous(kernel: GreensKernel, f) -> NonhomogeneousSolve:
 def _fluxes(kernel: GreensKernel, y, sites: range, side: str) -> np.ndarray:
     """(n, m, r) stack of Uhat_side(conj z, k)* J_rho(k) yhat(k) over a
     range of sites of the window."""
-    if side not in ("+", "-"):
-        raise InputError("side must be '+' or '-'")
-    if kernel.variant == ("half_minus" if side == "+" else "half_plus"):
-        raise InputError(f"{kernel.variant} kernels have no "
-                         f"{'plus' if side == '+' else 'minus'}-side flux")
+    if side not in _SIDES[kernel.variant]:
+        raise InputError(f"a {kernel.variant} kernel has a flux on the sides "
+                         f"{_SIDES[kernel.variant]}, not {side!r}")
     u = (kernel._up if side == "+" else kernel._um)[1]
     uhat = _hats(u[kernel._rows(sites.start, len(sites) + 1)])
     yhat = _hats([y[k] for k in range(sites.start, sites.stop + 1)])

@@ -48,6 +48,7 @@ from .system import (
     RCOND_MIN,
     BoundaryData,
     HamiltonianSystem,
+    _self_adjoint,
     symplectic_unit,
     weighted_boundary,
 )
@@ -385,10 +386,10 @@ def initial_hat(sys: HamiltonianSystem, k0: int, alpha) -> np.ndarray:
     """Initial fundamental hat value at k0: diag(rho, rho)^{-1} (a~*  J a~*)
     with a~ the weighted boundary matrix.
 
-    ``alpha`` may be :class:`BoundaryData` (weighted internally) or an m x 2m
-    array already in weighted form.
+    ``alpha`` may be self-adjoint :class:`BoundaryData` (weighted
+    internally) or an m x 2m array already in weighted form.
     """
-    at = _weighted(alpha, sys, k0)
+    at = _weighted(_self_adjoint(alpha), sys, k0)
     j = symplectic_unit(sys.m)
     cols = np.hstack([at.conj().T, j @ at.conj().T])
     return np.linalg.solve(sys.i_rho(k0), cols)

@@ -643,6 +643,18 @@ def neumann(m: int) -> BoundaryData:
                         "zero")
 
 
+def _self_adjoint(bd):
+    """``bd`` once it is self-adjoint: :class:`BoundaryData` of sign class
+    zero, or an m x 2m weighted array as a finite complex matrix (whose base
+    hat is checked where it is inverted); else :class:`InputError`."""
+    if not isinstance(bd, BoundaryData):
+        return la.as_complex_matrix(bd)
+    if bd.sign_class != "zero":
+        raise InputError("boundary data must be self-adjoint, not of sign class "
+                         f"{bd.sign_class}")
+    return bd
+
+
 def weighted_boundary(gamma: BoundaryData, sys: HamiltonianSystem, k) -> np.ndarray:
     """Weighted form gamma diag(rho(k)^{1/2}, rho(k)^{1/2}) as an m x 2m
     array, or as an (n, m, 2m) stack for a sequence of n sites.

@@ -40,6 +40,7 @@ from .system import (
     TOL_PSD,
     BoundaryData,
     HamiltonianSystem,
+    _self_adjoint,
     dirichlet,
 )
 
@@ -82,6 +83,17 @@ __all__ = [
 ]
 
 
+def _admissible_z(z):
+    """z as a complex, or an array of z as a 1-d array, once each is finite
+    with Im z != 0, as every M-function and Green's matrix needs; else
+    :class:`InputError` naming the first that is not."""
+    zs = np.asarray(z, dtype=complex).reshape(-1)
+    bad = ~(np.isfinite(zs) & (zs.imag != 0))
+    if bad.any():
+        raise InputError(f"need a finite z with Im z != 0, not z={zs[bad.argmax()]}")
+    return complex(zs[0]) if np.ndim(z) == 0 else zs
+
+
 def sigma_of(ell: int, k0: int, z: complex) -> int:
     """sign((ell - k0) Im z); requires ell != k0 and Im z != 0."""
     s = (ell - k0) * z.imag
@@ -99,7 +111,6 @@ class DiskContext:
     k0: int
     ell: int
     alpha: object  # BoundaryData or m x 2m weighted array
-    definiteness_interval_ok: bool = True
 
     @property
     def sigma(self) -> int:
@@ -113,32 +124,24 @@ def disk_context(sys: HamiltonianSystem, z: complex, k0: int, ell: int,
                  alpha) -> DiskContext:
     """Validated disk context.
 
-    Requires Im z != 0, ell != k0, and (for :class:`BoundaryData` input)
-    sign class zero at the base site. When A is not pointwise positive
-    definite the two-point interval must be long enough for the summed
-    quadratic form to be definite; the flag records that condition, and A
-    is examined only on intervals shorter than that.
+    Requires an admissible z (:func:`_admissible_z`), ell != k0, and
+    self-adjoint base data. When A is not pointwise positive definite the
+    two-point interval must be long enough for the summed quadratic form to
+    be definite; A is examined only on intervals shorter than that, and a
+    RuntimeWarning says when it fails.
     """
-    z = complex(z)
-    if not (np.isfinite(z) and z.imag != 0):
-        raise InputError("disk context requires a finite z with Im z != 0")
+    z = _admissible_z(z)
     if ell == k0:
         raise InputError("disk context requires ell != k0")
-    if isinstance(alpha, BoundaryData):
-        if alpha.sign_class != "zero":
-            raise InputError("base boundary data must have sign class zero")
-    else:
-        alpha = la.as_complex_matrix(alpha)
-    ok = abs(ell - k0) >= 2 or all(
-        la.min_eig_herm(sys.A(k)) > 0
-        for k in range(min(k0, ell), max(k0, ell) + 1))
-    if not ok:
+    alpha = _self_adjoint(alpha)
+    if abs(ell - k0) < 2 and not all(
+            la.min_eig_herm(sys.A(k)) > 0
+            for k in range(min(k0, ell), max(k0, ell) + 1)):
         warnings.warn(
             "interval [k0, ell] may be too short for a definite quadratic "
             "form (A is not pointwise positive definite)", RuntimeWarning,
             stacklevel=2)
-    return DiskContext(z=z, k0=k0, ell=ell, alpha=alpha,
-                       definiteness_interval_ok=ok)
+    return DiskContext(z=z, k0=k0, ell=ell, alpha=alpha)
 
 
 def plus_interval(k0: int, ell: int) -> range:
@@ -262,6 +265,18 @@ def _ker_basis(bt: np.ndarray) -> np.ndarray:
     return la.adjoint(np.linalg.svd(bt)[2][..., bt.shape[-2]:, :])
 
 
+def _base_hat(sys: HamiltonianSystem, k0: int, alpha):
+    """The initial hat at k0 and its inverse. :func:`initial_hat` checks
+    that ``alpha`` is self-adjoint; weighted data with a singular hat is not
+    either, and raises :class:`InputError`."""
+    hat = initial_hat(sys, k0, alpha)
+    try:
+        return hat, np.linalg.inv(hat)
+    except np.linalg.LinAlgError:
+        raise InputError(f"base data with a singular initial hat at k0={k0} "
+                         "is not self-adjoint") from None
+
+
 def m_regular(sys: HamiltonianSystem, ctx: DiskContext, beta,
               fund: HatTrajectory | None = None) -> MFunction:
     """Weyl-Titchmarsh matrix of the regular two-point problem.
@@ -271,14 +286,21 @@ def m_regular(sys: HamiltonianSystem, ctx: DiskContext, beta,
     problem seen from k0) it raises :class:`EigenvalueHitError`. ``fund``
     is accepted and ignored.
     """
-    if isinstance(beta, BoundaryData) and beta.sign_class != "zero" \
-            and ctx.z.imag == 0:
-        raise InputError("real z requires self-adjoint boundary data")
-    ev = regular_m_evaluator(sys, ctx.k0, ctx.ell, ctx.alpha, beta)
-    M, smin, hit = ev.extract(np.array([ctx.z]))
-    if hit[0]:
-        raise EigenvalueHitError(ctx.z, float(smin[0]))
-    return MFunction(M=M[0], context=ctx, beta=beta, smin=float(smin[0]))
+    if ctx.z.imag == 0:  # a real z needs self-adjoint far data
+        _self_adjoint(beta)
+    (M,), (smin,) = _m_at(sys, ctx, beta, [ctx.z])
+    return MFunction(M=M, context=ctx, beta=beta, smin=float(smin))
+
+
+def _m_at(sys: HamiltonianSystem, ctx: DiskContext, beta, zs):
+    """(M, smin) of the regular problem of ``ctx`` with far data ``beta`` at
+    each z of ``zs`` as one evaluator batch; the first pole raises
+    :class:`EigenvalueHitError`."""
+    M, smin, hit = regular_m_evaluator(sys, ctx.k0, ctx.ell, ctx.alpha, beta).extract(zs)
+    if hit.any():
+        i = int(np.argmax(hit))
+        raise EigenvalueHitError(complex(zs[i]), float(smin[i]))
+    return M, smin
 
 
 def disk_membership(E: np.ndarray, tol: float = 1e-9) -> str:
@@ -433,8 +455,7 @@ def _far_walk(sys: HamiltonianSystem, z: complex, k0: int, alpha, beta, blocks):
     scale of its rounding; inf, inf and NaN once a single step overflows
     the hats.
     """
-    init = initial_hat(sys, k0, alpha)
-    k_inv, zz = np.linalg.inv(init), np.array([z, np.conj(z)])
+    (init, k_inv), zz = _base_hat(sys, k0, alpha), np.array([z, np.conj(z)])
     ends = dict.fromkeys((1, -1), (k0, init, 0))
     for block in blocks:
         rows = {}
@@ -507,14 +528,15 @@ def _side(direction) -> int:
     raise InputError(f"direction must be +-1, '+'/'-' or 'plus'/'minus', not {direction!r}")
 
 
-def _default_schedule(sys, k0, direction):
-    """Far sites k0 + direction * 8 * 2^j inside the window, then its edge."""
-    edge = sys.k_max if direction > 0 else sys.k_min
-    out, s = [], _SCHEDULE_START
-    while s < direction * (edge - k0):
-        out.append(k0 + direction * s)
+def _default_schedule(k0: int, end: int, first: int = _SCHEDULE_START) -> list[int]:
+    """The doubling far sites k0 + d first 2^j strictly between k0 and
+    ``end``, d = sign(end - k0) (-1 when end = k0), then ``end``."""
+    d = 1 if end > k0 else -1
+    out, s = [], first
+    while s < d * (end - k0):
+        out.append(k0 + d * s)
         s *= 2
-    return out + [edge] if edge != k0 else out
+    return out + [end]
 
 
 def _doubling_blocks(schedule, k0):
@@ -609,16 +631,12 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
     """
     opts = opts or LimitOptions()
     direction = _side(direction)
-    z = complex(z)
-    if not (np.isfinite(z) and z.imag != 0):
-        raise InputError("half-line limits require a finite z with Im z != 0")
-    beta = opts.beta if opts.beta is not None else dirichlet(sys.m)
-    if beta.sign_class != "zero":
-        raise InputError("far boundary data must have sign class zero")
+    z = _admissible_z(z)
+    beta = _self_adjoint(opts.beta if opts.beta is not None else dirichlet(sys.m))
     sigma = sigma_of(k0 + direction, k0, z)
     if opts.ell_schedule is None and sys.extension == "constant-edge":
         edge = max(sys.k_max, k0) if direction > 0 else min(sys.k_min, k0)
-        M, smin, hit = _sweep_m(sys, np.linalg.inv(initial_hat(sys, k0, alpha)),
+        M, smin, hit = _sweep_m(sys, _base_hat(sys, k0, alpha)[1],
                                 [edge], k0, _tail_basis(sys, z, edge, direction)[None],
                                 np.array([z]))
         if hit[0]:
@@ -627,9 +645,8 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
                              ell_sequence=[edge], cauchy_gap=0.0,
                              diameter_estimate=0.0, classification="limit_point",
                              beta=beta)
-    schedule = opts.ell_schedule or _default_schedule(sys, k0, direction)
-    if not schedule:
-        raise InputError("empty far-site schedule (window too small)")
+    schedule = opts.ell_schedule or _default_schedule(
+        k0, sys.k_max if direction > 0 else sys.k_min)
     offsets = [direction * (ell - k0) for ell in schedule]
     if not all(a < b for a, b in zip([0] + offsets, offsets)):
         raise InputError(f"far sites {list(schedule)} must lie on the "
@@ -731,19 +748,14 @@ def herglotz_check(sys: HamiltonianSystem, z_grid, k0: int, alpha, *,
     """
     if (ell is None) == (direction is None):
         raise InputError("give exactly one of ell= (regular) or direction=")
-    zs = np.asarray(z_grid, dtype=complex).reshape(-1)
-    if np.any(zs.imag <= 0):
+    zs = _admissible_z(np.reshape(z_grid, -1))
+    if np.any(zs.imag < 0):
         raise InputError("grid must lie in the open upper half plane")
     if ell is not None:
-        # the grid and its conjugates as one evaluator batch
-        if zs.size:
-            disk_context(sys, complex(zs[0]), k0, ell, alpha)
-        bd = beta if beta is not None else dirichlet(sys.m)
-        both = np.concatenate([zs, zs.conj()])
-        M, smin, hit = regular_m_evaluator(sys, k0, ell, alpha, bd).extract(both)
-        if hit.any():
-            i = int(np.argmax(hit))
-            raise EigenvalueHitError(complex(both[i]), float(smin[i]))
+        # the grid and its conjugates as one batch (an empty grid checks alpha)
+        ctx = disk_context(sys, zs[0] if zs.size else 1j, k0, ell, alpha)
+        M, _ = _m_at(sys, ctx, beta if beta is not None else dirichlet(sys.m),
+                     np.concatenate([zs, zs.conj()]))
         pairs = zip(M[:zs.size], M[zs.size:])
         sgn = 1 if ell > k0 else -1
     else:
@@ -791,7 +803,7 @@ def regular_m_evaluator(sys: HamiltonianSystem, k0: int, ell: int, alpha, beta):
     """
     if ell == k0:
         raise InputError("ell must differ from k0")
-    k_inv = np.linalg.inv(initial_hat(sys, k0, alpha))
+    k_inv = _base_hat(sys, k0, alpha)[1]
     y0 = _ker_basis(_weighted(beta, sys, ell))[None]
 
     def extract(z):
@@ -938,8 +950,7 @@ def eigenvalues(sys: HamiltonianSystem, k0: int, ell: int, alpha: BoundaryData,
     """
     if ell == k0:
         raise InputError("ell must differ from k0")
-    if alpha.sign_class != "zero" or beta.sign_class != "zero":
-        raise InputError("eigenvalues require self-adjoint (sign class zero) data")
+    _self_adjoint(beta)
     a, b = float(interval[0]), float(interval[1])
     if not (np.isfinite(a) and np.isfinite(b) and b > a):
         raise InputError("interval must be finite and nondegenerate")

@@ -298,6 +298,57 @@ def test_green_and_solve_commands(free_fixture, tmp_path):
     meta = json.loads(sout.read_text())["meta"]
     assert float(meta["residual_max"]) < 1e-9
     assert meta["l2a_ok"] is True
+    # the left half line with Neumann data at k0: its window is cut at k0,
+    # and only the minus side has a flux
+    mout = tmp_path / "m.json"
+    rc3 = main(["solve", "--input", free_fixture, "--z", "0,1",
+                "--variant", "half-minus", "--alpha", "neumann", "--window=-10,10",
+                "--impulse-site", "-4", "--format", "json",
+                "--output", str(mout), "--no-timestamp"])
+    assert rc3 == 0
+    doc = json.loads(mout.read_text())
+    assert [r["k"] for r in doc["rows"]] == list(range(-10, 1))
+    assert doc["meta"]["variant"] == "half_minus" and doc["meta"]["l2a_ok"] is True
+    assert float(doc["meta"]["residual_max"]) < 1e-9
+    assert "flux_ratio_minus" in doc["meta"] and "flux_ratio_plus" not in doc["meta"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["mfun", "--ell", "11", "--z", "1,0"],
+    ["mfun", "--ell", "11", "--z-grid=-1:5:3,0:1:2"],
+    ["disk", "--z", "1,0", "--ell-max", "16"],
+    ["disk", "--z", "1,0", "--ell-schedule", ","],
+    ["limit", "--z", "1,0"],
+    ["green", "--z", "1,0", "--window=-5,5"],
+    ["solve", "--z", "1,0", "--window=-5,5"],
+])
+def test_a_real_z_is_an_input_error(free_fixture, capsys, argv):
+    # a z that parses but is real breaks the hypothesis Im z != 0 of every
+    # command that takes one, before any row is written
+    assert main(argv[:1] + ["--input", free_fixture, "--output", "-"] + argv[1:]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error: ") and "Im z != 0" in err
+
+
+@pytest.mark.parametrize("argv", [["limit"], ["green", "--window=-5,5"],
+                                  ["solve", "--window=-5,5"]])
+def test_base_data_that_is_not_self_adjoint_is_an_input_error(free_fixture, capsys, argv):
+    # [[1, i]] has sign class nonpositive, and its initial hat is singular
+    assert main(argv[:1] + ["--input", free_fixture, "--output", "-", "--z", "0.5,0.5",
+                            "--alpha", "[[[1,0],[0,1]]]"] + argv[1:]) == 2
+    assert "self-adjoint" in capsys.readouterr().err
+
+
+def test_disk_ell_max_below_k0_doubles_toward_it(free_fixture, capsys):
+    # the same doubling schedule as above k0, mirrored
+    for ell_max, ells in ((-16, [-4, -8, -16]), (-18, [-4, -8, -16, -18]),
+                          (16, [4, 8, 16]), (-3, [-3])):
+        assert main(["disk", "--input", free_fixture, "--z", "0.5,0.4",
+                     "--ell-max", str(ell_max), "--format", "json",
+                     "--no-timestamp"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [r["ell"] for r in rows] == ells
+    assert main(["disk", "--input", free_fixture, "--ell-max", "0"]) == 2
 
 
 @pytest.mark.parametrize("window", [["--window=0,1"],

@@ -391,6 +391,40 @@ def test_lagrange_telescoping_and_phi_sum():
     assert np.linalg.norm((g_ell - g_k0) - (z - np.conj(z)) * acc) < 1e-10
 
 
+def _coupled_m2_system(window=(0, 40)):
+    # A = [[I, C], [C*, I]] with ||C|| < 1: A is positive definite and both
+    # off-diagonal pencil blocks z C* + I and z C + I depend on z, so every
+    # step solves one 2 x 2 pencil block per site and z
+    C = np.array([[0.3, 0.2j], [-0.1, 0.25]])
+    A = np.block([[np.eye(2), C], [C.conj().T, np.eye(2)]])
+    B = lambda k: np.block([[np.diag([0.3 * np.cos(k), -0.2]), np.eye(2)],
+                            [np.eye(2), np.diag([0.1, 0.4 * np.sin(k)])]])
+    return hsys.HamiltonianSystem(2, window, A, B,
+                                  lambda k: np.diag([1.0 + 0.1 * (k % 3), 1.2]))
+
+
+def test_coupled_m2_trajectory_solves_both_recurrences():
+    sysc = _coupled_m2_system()
+    assert not any(sysc._offdiag_static[w][0] for w in ("(2,1)", "(1,2)"))
+    rng = np.random.default_rng(9)
+    init = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    for z in (0.4 + 0.7j, -1.1 + 0.3j):
+        # forward from 20 to 40 and backward from 20 to 0
+        hats = hp.hat_trajectory(sysc, z, 20, init, (0, 40)).data
+        sites = range(1, 41)
+        p11, p12, p21, p22 = sysc.pencil_blocks(z, sites)
+        u1, u2 = hats[:, :2], hats[:, 2:]  # psi1(k) and psi2(k + 1)
+        # rho(k) psi2(k+1) = P11 psi1(k) + P12 psi2(k),
+        # rho(k-1) psi1(k-1) = P21 psi1(k) + P22 psi2(k)
+        terms = [(sysc.rho(sites) @ u2[1:], p11 @ u1[1:], p12 @ u2[:-1]),
+                 (sysc.rho(range(0, 40)) @ u1[:-1], p21 @ u1[1:], p22 @ u2[:-1])]
+        for lhs, a, b in terms:
+            scale = np.linalg.norm(lhs, axis=(1, 2)) + np.linalg.norm(a, axis=(1, 2)) \
+                + np.linalg.norm(b, axis=(1, 2))
+            assert np.max(np.linalg.norm(lhs - a - b, axis=(1, 2)) / scale) < 1e-14
+    assert hp.lagrange_telescoping_check(sysc, 0.4 + 0.7j, -1.1 + 0.3j, 0, 40) < 1e-13
+
+
 def test_lagrange_streamed_long_window():
     sysr = htk.random_system(2, (0, 1000), seed=42, cls="general_A12zero")
     worst = hp.lagrange_telescoping_check(sysr, 0.9 + 0.4j, -0.3 + 1.1j, 0, 1000)

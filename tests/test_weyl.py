@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -281,6 +283,9 @@ def test_non_finite_z_is_an_input_error(z):
         hwl.disk_context(sysj, z, 0, 5, al)
     with pytest.raises(InputError, match="finite z"):
         hwl.limit_m(sysj, z, 0, al, +1)
+    # every grid point is checked, not only the first
+    with pytest.raises(InputError, match=re.escape(f"z={z}")):
+        hwl.herglotz_check(sysj, [1j, z], 0, al, ell=5)
 
 
 # ---------------------------------------------------------------------------
