@@ -16,7 +16,6 @@ __all__ = [
     "adjoint",
     "herm",
     "imag_part",
-    "real_part",
     "opnorm",
     "rcond",
     "smallest_singular_value",
@@ -63,11 +62,6 @@ def imag_part(a: np.ndarray) -> np.ndarray:
     """Matrix imaginary part (A - A*) / (2i), of one matrix or of each in a
     stack; Hermitian by construction."""
     return (a - adjoint(a)) / 2j
-
-
-def real_part(a: np.ndarray) -> np.ndarray:
-    """Matrix real part (A + A*) / 2 (alias of :func:`herm`)."""
-    return herm(a)
 
 
 def opnorm(a: np.ndarray):

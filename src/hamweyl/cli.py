@@ -25,7 +25,7 @@ from . import _linalg as la
 from . import green as hgreen
 from . import system as hsystem
 from . import weyl as hweyl
-from .errors import HamweylError, InputError
+from .errors import HamweylError, InputError, SteppingError
 
 __all__ = ["main", "build_parser"]
 
@@ -43,12 +43,13 @@ class UsageError(Exception):
 
 def _parse_numbers(text: str, what: str, kind=float, count=None, sep=","):
     """The ``sep``-separated numbers of ``text``, blank entries skipped, each
-    read by ``kind``; exactly ``count`` of them when ``count`` is given."""
+    read by ``kind``; exactly ``count`` of them when ``count`` is given, and
+    at least one."""
     try:
         values = [kind(x) for x in text.split(sep) if x.strip()]
     except ValueError:
         values = None
-    if values is None or count not in (None, len(values)):
+    if not values or count not in (None, len(values)):
         raise UsageError(f"cannot parse {what} {text!r}")
     return values
 
@@ -96,8 +97,8 @@ def _parse_boundary(text: str, m: int) -> hsystem.BoundaryData:
 
 
 def _parse_pairs(text: str) -> list:
-    return [_parse_numbers(chunk, "site pair k,l", int, 2)
-            for chunk in text.split(";") if chunk.strip()]
+    return _parse_numbers(text, "--pairs", sep=";",
+                          kind=lambda pair: _parse_numbers(pair, "site pair k,l", int, 2))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,12 +233,17 @@ def cmd_validate(args, sys_):
                          "kind": v.kind, "magnitude": v.magnitude,
                          "message": v.message})
         failed |= not wp.passed
-        dr = hsystem.check_definiteness(sys_, z, interval)
-        rows.append({"check": f"definiteness z={z}", "site": interval[0],
-                     "kind": dr.verdict, "magnitude": dr.min_eig,
-                     "message": f"min eig {dr.min_eig:.3e} on {dr.interval}"})
-        failed |= dr.verdict == "indefinite"
-        unresolved |= dr.verdict == "unresolved"
+        try:
+            dr = hsystem.check_definiteness(sys_, z, interval)
+        except SteppingError as e:  # a singular pencil leaves no verdict
+            row = {"site": e.site, "kind": "unresolved", "magnitude": e.rcond,
+                   "message": str(e)}
+        else:
+            row = {"site": interval[0], "kind": dr.verdict, "magnitude": dr.min_eig,
+                   "message": f"min eig {dr.min_eig:.3e} on {dr.interval}"}
+        rows.append({"check": f"definiteness z={z}", **row})
+        failed |= row["kind"] == "indefinite"
+        unresolved |= row["kind"] == "unresolved"
     # a definiteness verdict within the Gram rounding is a numerical
     # outcome (exit 3) unless some check failed outright (exit 2)
     status, code = (("FAIL", 2) if failed else ("unresolved", 3) if unresolved

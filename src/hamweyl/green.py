@@ -82,7 +82,6 @@ class GreensKernel:
     variant: str              # "whole" | "half_plus" | "half_minus"
     z: complex
     k0: int
-    alpha: object
     window: tuple[int, int]
     sys: HamiltonianSystem
     omega: np.ndarray
@@ -233,9 +232,8 @@ def _build(sys, z, k0, alpha, window, variant, M_plus, M_minus, certify=True):
     if bad.any():  # else the pairing's SVD norms raise LinAlgError
         raise KernelConstructionError("the solution families leave the float range "
                                       f"at site {lo + bad.argmax()} of [{lo}, {hi}]")
-    kernel = GreensKernel(variant=variant, z=z, k0=k0, alpha=alpha,
-                          window=(lo, hi), sys=sys, omega=omega,
-                          M_plus=mp, M_minus=mm, _up=up, _um=um, _psi=psi)
+    kernel = GreensKernel(variant=variant, z=z, k0=k0, window=(lo, hi), sys=sys,
+                          omega=omega, M_plus=mp, M_minus=mm, _up=up, _um=um, _psi=psi)
     # the pairing is exactly constant in k; far-site drift measures float
     # cancellation in the decaying family, not a formula error
     defects = _pairing_defects(sys, _hats(um[1])[:-1], _hats(up[0])[:-1],
@@ -305,8 +303,6 @@ class NonhomogeneousSolve:
     """Superposition solution y(k) = sum_ell K(k, ell) A(ell) f(ell) with
     residual, square-summability, and boundary diagnostics."""
 
-    kernel: GreensKernel
-    f: dict
     y: dict
     residual_by_site: dict[int, float]
     residual_max: float
@@ -433,7 +429,7 @@ def solve_nonhomogeneous(kernel: GreensKernel, f) -> NonhomogeneousSolve:
         ksq[k] = float(np.vdot(col[rows], a[rows] @ col[rows]).real)
 
     return NonhomogeneousSolve(
-        kernel=kernel, f=fd, y=dict(zip(range(lo, hi + 2), y)),
+        y=dict(zip(range(lo, hi + 2), y)),
         residual_by_site=residual_by_site,
         residual_max=residual_max,
         l2a_lhs=lhs, l2a_rhs=rhs,

@@ -70,8 +70,6 @@ __all__ = [
 
 def _as_state_data(data, m: int) -> np.ndarray:
     arr = np.asarray(data, dtype=complex)
-    if arr.ndim == 1:
-        arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[0] != 2 * m or not 1 <= arr.shape[1] <= 2 * m:
         raise InputError(f"state data must be (2m, r) with 1 <= r <= 2m, got {arr.shape}")
     return arr

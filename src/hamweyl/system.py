@@ -142,8 +142,8 @@ def I_rho(rho_k: np.ndarray) -> np.ndarray:
 def _coerce_site_values(values, window, m, name):
     """Normalize a per-site coefficient map to an (n, m, m) array.
 
-    Accepts a callable k -> matrix, a dict {k: matrix}, a single matrix or
-    scalar (constant in k), or an (n, m, m) array over the window.
+    Accepts a callable k -> matrix, a single matrix or scalar (constant in
+    k), or an (n, m, m) array over the window.
     """
     k_min, k_max = window
     n = k_max - k_min + 1
@@ -159,11 +159,6 @@ def _coerce_site_values(values, window, m, name):
 
     if callable(values):
         return np.stack([one(values(k)) for k in sites])
-    if isinstance(values, dict):
-        missing = [k for k in sites if k not in values]
-        if missing:
-            raise InputError(f"{name}: missing sites {missing[:5]}")
-        return np.stack([one(values[k]) for k in sites])
     arr = np.asarray(values, dtype=complex)
     if arr.ndim <= 2:
         return np.broadcast_to(one(arr), (n, m, m)).copy()
@@ -375,7 +370,6 @@ class Violation:
 
 @dataclass
 class ValidationReport:
-    check: str
     violations: list[Violation] = field(default_factory=list)
     n_sites: int = 0
 
@@ -384,26 +378,16 @@ class ValidationReport:
         return not self.violations
 
 
-def _interval_sites(sys: HamiltonianSystem, interval) -> range:
-    if interval is None:
-        return sys.sites
-    c, d = int(interval[0]), int(interval[1])
-    lo, hi = min(c, d), max(c, d)
-    for k in (lo, hi):
-        if not sys.in_reach(k):
-            raise DomainError(f"interval endpoint {k} outside extension-policy range")
-    return range(lo, hi + 1)
-
-
-def validate_pointwise(sys: HamiltonianSystem, interval=None) -> ValidationReport:
-    """Check Hermiticity of A and B, A >= 0, and rho > 0 site by site.
+def validate_pointwise(sys: HamiltonianSystem) -> ValidationReport:
+    """Check Hermiticity of A and B, A >= 0, and rho > 0 at every site of
+    the window.
 
     An empty violation list means every stored hypothesis holds to tolerance
     (tol_sym relative for Hermiticity, tol_psd on eigenvalues). The verdicts
     come from one stacked check per coefficient; defects and eigenvalues are
     reported at the failing sites.
     """
-    sites = _interval_sites(sys, interval)
+    sites = sys.sites
     names = ("A", "B", "rho")
     stacks = [sys.A(sites), sys.B(sites), sys.rho(sites)]
     min_a, min_r = (np.linalg.eigvalsh(la.herm(x))[:, 0] for x in stacks[::2])
@@ -424,13 +408,13 @@ def validate_pointwise(sys: HamiltonianSystem, interval=None) -> ValidationRepor
         return Violation(k, "rho_not_pd", -r, f"rho has eigenvalue {r:.2e} <= 0")
 
     # the failing sites in order, and at each its failing checks in order
-    return ValidationReport("pointwise", [violation(i, c) for i, c in np.argwhere(bad)],
+    return ValidationReport([violation(i, c) for i, c in np.argwhere(bad)],
                             len(sites))
 
 
-def check_wellposed(sys: HamiltonianSystem, z: complex,
-                    interval=None) -> ValidationReport:
-    """Condition report for the off-diagonal pencils at one z.
+def check_wellposed(sys: HamiltonianSystem, z: complex) -> ValidationReport:
+    """Condition report for the off-diagonal pencils at one z, at every
+    site of the window.
 
     Invertibility of z A12 + B12 for all z is equivalent to that of
     z A21 + B21, so both are checked; a block fails when its smallest
@@ -439,7 +423,7 @@ def check_wellposed(sys: HamiltonianSystem, z: complex,
     the block's norm is at most the pencil's) and uniformly tiny blocks,
     whose rcond stays near 1.
     """
-    sites = _interval_sites(sys, interval)
+    sites = sys.sites
     m = sys.m
     p = sys.pencil(z, sites)
     blocks = (p[:, :m, m:], p[:, m:, :m])
@@ -453,7 +437,7 @@ def check_wellposed(sys: HamiltonianSystem, z: complex,
                          f"({which[0]},{which[1]}) pencil rcond {rc:.2e}, "
                          f"smin {la.smallest_singular_value(x):.2e}")
 
-    return ValidationReport("wellposed", [violation(i, c) for i, c in np.argwhere(bad)],
+    return ValidationReport([violation(i, c) for i, c in np.argwhere(bad)],
                             len(sites))
 
 
@@ -463,7 +447,6 @@ class DefinitenessReport:
     verdict: str           # "definite" | "indefinite" | "unresolved"
     min_eig: float
     interval: tuple[int, int]
-    z: complex
 
     @property
     def definite(self) -> bool:
@@ -502,7 +485,7 @@ def check_definiteness(sys: HamiltonianSystem, z: complex, interval) -> Definite
     verdict = ("definite" if min_eig > max(TOL_DEF, floor)
                else "unresolved" if abs(min_eig) <= floor else "indefinite")
     return DefinitenessReport(gram=g, verdict=verdict, min_eig=min_eig,
-                              interval=(lo, hi), z=z)
+                              interval=(lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +494,7 @@ def check_definiteness(sys: HamiltonianSystem, z: complex, interval) -> Definite
 
 def _infer_m(values, k: int) -> int:
     """Block dimension of a per-site coefficient map, read at site k."""
-    probe = values(k) if callable(values) else (
-        values[k] if isinstance(values, dict) else values)
+    probe = values(k) if callable(values) else values
     arr = np.asarray(probe if not isinstance(probe, (int, float, complex))
                      else [[probe]])
     return 1 if arr.ndim < 2 else arr.shape[-1]

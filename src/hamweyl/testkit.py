@@ -26,6 +26,9 @@ from .system import (
 )
 from .weyl import eigenvalues
 
+_FIXED_POINT_ITER = 2000  # damped Riccati iterations per damping factor
+_RETRIES = 20             # draws random_system makes before it gives up
+
 __all__ = [
     "RegularBVP",
     "jacobi_bvp_oracle",
@@ -142,8 +145,7 @@ def _riccati_map_back(sys: HamiltonianSystem, z: complex, v: np.ndarray) -> np.n
 
 
 def constant_riccati_fixed_point(sys: HamiltonianSystem, z: complex,
-                                 direction: int = +1, max_iter: int = 2000,
-                                 tol: float = 1e-13) -> np.ndarray:
+                                 direction: int = +1, tol: float = 1e-13) -> np.ndarray:
     """Fixed point of the half-line Riccati recursion for constant coefficients.
 
     Solves V = P11 + P12 [rho V^{-1} rho - P22]^{-1} P21 and selects the
@@ -183,7 +185,7 @@ def constant_riccati_fixed_point(sys: HamiltonianSystem, z: complex,
     for damping in (1.0, 0.5, 0.25):
         v_try = -1j * sigma * (1.0 + abs(z)) * np.eye(m, dtype=complex)
         ok = False
-        for _ in range(max_iter):
+        for _ in range(_FIXED_POINT_ITER):
             f = step(sys, z, v_try)
             gap = la.opnorm(v_try - f)
             trace.append(gap)
@@ -240,7 +242,7 @@ def _probe_intervals(window) -> list[tuple[int, int]]:
 
 
 def random_system(m: int, window, seed: int,
-                  cls: str = "general_A12zero", retries: int = 20) -> HamiltonianSystem:
+                  cls: str = "general_A12zero") -> HamiltonianSystem:
     """Seeded random system guaranteed to satisfy the standing hypotheses.
 
     Classes:
@@ -253,8 +255,8 @@ def random_system(m: int, window, seed: int,
 
     Pointwise validity holds by construction; interval definiteness is
     verified post hoc on the default z sample and the draw is repeated on
-    failure (bounded retries), each attempt drawing on from the same
-    generator. Fixed seeds give bitwise-identical systems, because the
+    failure (at most ``_RETRIES`` draws), each attempt drawing on from the
+    same generator. Fixed seeds give bitwise-identical systems, because the
     stream is read in one fixed order. A Ginibre matrix G takes 2 m^2
     normals, its real part's first. In site order, from k_min:
 
@@ -281,7 +283,7 @@ def random_system(m: int, window, seed: int,
         raise InputError("window is empty")
     normal, uniform = rng.normal, rng.uniform
 
-    for _ in range(retries):
+    for _ in range(_RETRIES):
         if cls == "jacobi":
             x, w = np.empty((n, 2, m, m)), np.empty((n, m))
             for i in range(n):
@@ -340,5 +342,5 @@ def random_system(m: int, window, seed: int,
         if ok:
             return sys
     raise GenerationError(
-        f"could not generate a definite system in {retries} attempts "
+        f"could not generate a definite system in {_RETRIES} attempts "
         f"(m={m}, class={cls}, seed={seed})")

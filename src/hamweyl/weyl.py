@@ -32,7 +32,6 @@ from .propagate import (
     _steps,
     _transfers,
     _weighted,
-    a_form_sum,
     initial_hat,
     propagate_hats,
 )
@@ -48,6 +47,7 @@ _QUAD_TOL = 1e-9            # absolute Stieltjes quadrature tolerance per bin
 _MEASURE_TOL = 1e-6         # Richardson gap of a converged schedule, relative to the mass
 _FIT_Y_MAX = 1e6            # largest y of the large-argument Herglotz fit
 _XI_SINGULAR = 1e-12        # smin(M) / max(1, |M|) below which xi skips a point
+_JUMP_THRESHOLD = 1e-3      # trace increment above which a bin is part of a jump
 _RICCATI_SINGULAR = 1e-12   # rcond(u1) below which V is an error
 _RESIDUAL_SINGULAR = 1e-13  # rcond of V(k - 1) or of the inner matrix of an error
 
@@ -64,7 +64,6 @@ __all__ = [
     "sigma_of",
     "disk_context",
     "plus_interval",
-    "a_form_sum",
     "e_functional",
     "m_regular",
     "disk_membership",
@@ -189,13 +188,7 @@ class MFunction:
     """Regular-interval Weyl-Titchmarsh matrix with its pole diagnostic."""
 
     M: np.ndarray
-    context: DiskContext
-    beta: object
     smin: float
-
-    @property
-    def m(self) -> int:
-        return self.M.shape[0]
 
 
 # the one threshold of the "z is a pole of M" rule; sweep steps per QR
@@ -226,7 +219,8 @@ def _pole_rule(a: np.ndarray, b: np.ndarray):
 def _sweep_m(sys: HamiltonianSystem, k_inv: np.ndarray, starts, k0: int,
              y: np.ndarray, z: np.ndarray):
     """(M, smin, hit) for each member of a stack of solution families: at
-    every z of a batch for one member, or at one z for several.
+    every z of a batch for one member (which starts off k0), or at one z
+    for several.
 
     Member i is the family whose hats at ``starts[i]`` span the m columns
     of y[i] (2m x m); the sites lie on one side of k0, farthest first. One
@@ -252,8 +246,6 @@ def _sweep_m(sys: HamiltonianSystem, k_inv: np.ndarray, starts, k0: int,
         if n < len(joins) and joins[n] == j:
             stack, n = np.concatenate([stack, y[n:n + 1]]), n + 1
         stack = t @ stack
-    if len(stack) < len(z):  # one member and no steps: still shared
-        stack = np.broadcast_to(stack, z.shape + stack.shape[-2:])
     cd = np.swapaxes(k_inv @ stack, 1, 2)  # M^T = C^-T D^T
     mt, smin, hit = _pole_rule(cd[:, :, :sys.m], cd[:, :, sys.m:])
     return np.swapaxes(mt, 1, 2), smin, hit
@@ -289,7 +281,7 @@ def m_regular(sys: HamiltonianSystem, ctx: DiskContext, beta,
     if ctx.z.imag == 0:  # a real z needs self-adjoint far data
         _self_adjoint(beta)
     (M,), (smin,) = _m_at(sys, ctx, beta, [ctx.z])
-    return MFunction(M=M, context=ctx, beta=beta, smin=float(smin))
+    return MFunction(M=M, smin=float(smin))
 
 
 def _m_at(sys: HamiltonianSystem, ctx: DiskContext, beta, zs):
@@ -557,7 +549,7 @@ def _clip_psd(a: np.ndarray) -> np.ndarray:
 
 def _herglotz_cone(M: np.ndarray, sigma: int) -> np.ndarray:
     """M with sigma Im M clipped to the positive semidefinite cone."""
-    return la.real_part(M) + 1j * sigma * _clip_psd(sigma * la.imag_part(M))
+    return la.herm(M) + 1j * sigma * _clip_psd(sigma * la.imag_part(M))
 
 
 def _tail_basis(sys: HamiltonianSystem, z: complex, edge: int, direction: int):
@@ -1156,23 +1148,23 @@ def fit_herglotz_parts(m_eval, *, sigma: int = +1):
     ys = np.array([_FIT_Y_MAX / 4.0, _FIT_Y_MAX])
     vals = m_eval(1j * ys)
     c2 = _clip_psd(sigma * vals[-1] / (1j * ys[-1]))  # _clip_psd Hermitizes
-    c1 = la.real_part(sigma * vals[-1] - 1j * ys[-1] * c2)
+    c1 = la.herm(sigma * vals[-1] - 1j * ys[-1] * c2)
     return c1, c2
 
 
-def locate_jumps(measure: SpectralMeasure, threshold: float = 1e-3,
-                 richardson: bool = True):
+def locate_jumps(measure: SpectralMeasure, richardson: bool = True):
     """Cluster adjacent above-threshold bins into candidate point masses.
 
     Returns (positions, masses): mass-weighted centroids of maximal runs of
-    bins whose trace increment exceeds ``threshold``. A pole sitting near a
-    bin edge spreads over two neighbouring bins (the quadrature offset is
-    half the smoothing epsilon), so clustering is required before counting.
+    bins whose trace increment exceeds ``_JUMP_THRESHOLD``. A pole sitting
+    near a bin edge spreads over two neighbouring bins (the quadrature
+    offset is half the smoothing epsilon), so clustering is required before
+    counting.
     """
     tr = measure.trace_increments(richardson=richardson)
     centers = 0.5 * (measure.grid[:-1] + measure.grid[1:])
     # the runs [i, j) of hot bins start where hot rises and end where it falls
-    edges = np.diff(np.concatenate(([0], tr > threshold, [0])).astype(int))
+    edges = np.diff(np.concatenate(([0], tr > _JUMP_THRESHOLD, [0])).astype(int))
     runs = list(zip(np.flatnonzero(edges > 0), np.flatnonzero(edges < 0)))
     masses = [float(np.sum(tr[i:j])) for i, j in runs]
     positions = [float(np.sum(centers[i:j] * tr[i:j]) / w)
@@ -1182,14 +1174,13 @@ def locate_jumps(measure: SpectralMeasure, threshold: float = 1e-3,
 
 @dataclass
 class XiReport:
-    lambdas: np.ndarray
     xi: np.ndarray            # (n, m, m); NaN blocks where skipped
     skipped: list[int]
     range_defect: float       # max violation of 0 <= Xi <= I over the grid
 
 
-def xi_function(m_eval, lambda_grid, eps: float, *, sign: int = +1) -> XiReport:
-    """Phase matrix (1/pi) Im log(sign * M(lambda + i eps)) on a real grid.
+def xi_function(m_eval, lambda_grid, eps: float) -> XiReport:
+    """Phase matrix (1/pi) Im log M(lambda + i eps) on a real grid.
 
     ``m_eval`` evaluates the whole grid in one call (see
     :func:`spectral_measure`). Uses the principal matrix logarithm; grid
@@ -1197,7 +1188,7 @@ def xi_function(m_eval, lambda_grid, eps: float, *, sign: int = +1) -> XiReport:
     checked against [0, 1] and the worst violation is reported.
     """
     lam = np.asarray(lambda_grid, dtype=float).reshape(-1)
-    w = sign * m_eval(lam + 1j * float(eps))
+    w = m_eval(lam + 1j * float(eps))
     s = np.linalg.svd(w, compute_uv=False)
     keep = ~(s[:, -1] < _XI_SINGULAR * np.maximum(1.0, s[:, 0]))
     xi = np.full(w.shape, np.nan, dtype=complex)
@@ -1205,7 +1196,7 @@ def xi_function(m_eval, lambda_grid, eps: float, *, sign: int = +1) -> XiReport:
         xi[i] = la.herm(la.imag_part(scipy.linalg.logm(w[i]))) / np.pi
     eigs = np.linalg.eigvalsh(xi[keep])
     worst = float(np.max(np.maximum(0.0 - eigs[:, 0], eigs[:, -1] - 1.0), initial=0.0))
-    return XiReport(lambdas=lam, xi=xi, skipped=np.flatnonzero(~keep).tolist(),
+    return XiReport(xi=xi, skipped=np.flatnonzero(~keep).tolist(),
                     range_defect=worst)
 
 

@@ -109,7 +109,7 @@ def test_c03_energy_identity():
             mf = hwl.m_regular(sysr, ctx, bd, fund=fund)
             e_val = hwl.e_functional(sysr, ctx, mf.M, fund=fund)
             u = hp.weyl_solution(fund, mf.M)
-            s = hwl.a_form_sum(sysr, u, hwl.plus_interval(ctx.k0, ctx.ell))
+            s = hp.a_form_sum(sysr, u, hwl.plus_interval(ctx.k0, ctx.ell))
             lhs = 2 * ctx.sigma * la.imag_part(mf.M) + e_val
             rhs = 2 * abs(ctx.z.imag) * s
             worst = max(worst, la.opnorm(lhs - rhs) / (1.0 + la.opnorm(rhs)))

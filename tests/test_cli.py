@@ -79,6 +79,11 @@ def test_usage_errors(free_fixture):
     ["disk", "--z", "nan,1", "--ell-schedule", "4,8"],
     ["limit", "--z", "inf,1"],
     ["green", "--z", "0.5,inf", "--window=-5,5"],
+    ["limit", "--z", "0.5+0.4x"],
+    # a list option with no entries
+    ["disk", "--z", "0.5,0.5", "--ell-schedule", ","],
+    ["green", "--z", "0.5,0.5", "--window=-5,5", "--pairs", ";"],
+    ["measure", "--ell", "5", "--eps-schedule", ","],
 ])
 def test_bad_option_values_are_usage_errors(free_fixture, capsys, argv):
     assert main(argv[:1] + ["--input", free_fixture] + argv[1:]) == 1
@@ -537,3 +542,42 @@ def test_green_json_stdout_is_the_reference_encoding(free_fixture, capsys):
     doc = json.loads(out)
     assert len(doc["rows"]) == 21
     assert out == _reference_json(doc["meta"], doc["rows"])
+
+
+def test_validate_on_a_pencil_that_is_not_well_posed_exits_2(tmp_path, capsys):
+    # z A12 + B12 = -1 + 1 = 0 at every site: well-posedness fails, and the
+    # definiteness check cannot step, so its row is unresolved, not a crash
+    path = tmp_path / "singular.json"
+    hsys.save_coefficients(hsys.HamiltonianSystem(
+        1, (0, 6), [[1, 1], [1, 1]], [[0, 1], [1, 0]], 1.0), path)
+    assert main(["validate", "--input", str(path), "--z=-1,0", "--format", "json",
+                 "--no-timestamp"]) == 2
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert {r["kind"] for r in rows[:-1]} == {"pencil_12_singular", "pencil_21_singular"}
+    assert len(rows) == 15 and rows[-1]["check"] == "definiteness z=(-1+0j)"
+    assert rows[-1]["kind"] == "unresolved" and "pencil at site 1" in rows[-1]["message"]
+
+
+def test_limit_row_is_inconclusive_when_a_default_schedule_is_off_its_side(tmp_path, capsys):
+    # k0 past the right end of a periodic window: the + side's default
+    # schedule is the window edge, on the - side, which fails that row alone
+    from hamweyl import testkit as htk
+
+    r = htk.random_system(2, (0, 80), 4, "jacobi")
+    path = tmp_path / "periodic.json"
+    hsys.save_coefficients(hsys.HamiltonianSystem(2, r.window, r._A, r._B, r._rho,
+                                                  extension="periodic"), path)
+    assert main(["limit", "--input", str(path), "--k0", "100", "--format", "json",
+                 "--no-timestamp"]) == 0
+    plus, minus = json.loads(capsys.readouterr().out)["rows"]
+    assert plus["classification"] == "inconclusive" and plus["ells"] == ""
+    assert "far sites [92, 84, 80]" in plus["note"] and "M_00_re" not in plus
+    assert minus["classification"] == "limit_point"
+
+
+def test_z_in_the_complex_literal_form(free_fixture, capsys):
+    outs = []
+    for z in ("0.5,0.4", "0.5+0.4j"):
+        assert main(["limit", "--input", free_fixture, "--z", z, "--no-timestamp"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]

@@ -102,7 +102,7 @@ def test_lower_edge_psi2_is_computed_only_when_read():
     B[0, 0, 1] = 0.0
     bad = hsys.HamiltonianSystem(1, sysj.window, sysj._A, B, sysj._rho)
     traj = hp.hat_trajectory(bad, 0.5 + 0.5j, 0, np.eye(2, dtype=complex), (0, 8))
-    assert np.all(np.isfinite(hwl.a_form_sum(bad, traj, hwl.plus_interval(0, 8))))
+    assert np.all(np.isfinite(hp.a_form_sum(bad, traj, hwl.plus_interval(0, 8))))
     with pytest.raises(SteppingError):
         traj.plain(0)
 

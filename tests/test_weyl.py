@@ -1,4 +1,5 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ def test_energy_identity_both_directions():
                   np.array([[0.1 + 0.4j * ctx.sigma]])):
             e_val = hwl.e_functional(sysj, ctx, M, fund=fund)
             u = hp.weyl_solution(fund, M)
-            s = hwl.a_form_sum(sysj, u, hwl.plus_interval(0, ell))
+            s = hp.a_form_sum(sysj, u, hwl.plus_interval(0, ell))
             lhs = 2 * ctx.sigma * la.imag_part(M) + e_val
             rhs = 2 * abs(z.imag) * s
             assert la.opnorm(lhs - rhs) < 1e-10 * (1 + la.opnorm(rhs))
@@ -918,7 +919,7 @@ def test_limit_m_matches_unscaled_chase_bitwise():
         assert lim.gaps == gaps
         sigma = direction if z.imag > 0 else -direction
         w, v = np.linalg.eigh(sigma * la.imag_part(M))
-        proj = la.real_part(M) + 1j * sigma * la.herm(
+        proj = la.herm(M) + 1j * sigma * la.herm(
             (v * np.clip(w, 0.0, None)) @ v.conj().T)
         assert np.array_equal(lim.M_pm, proj)
 
@@ -996,6 +997,39 @@ def test_herglotz_check_regular_and_limit():
         ctx = hwl.disk_context(sysj, z, 0, 9, al)
         m_bad = hwl.m_regular(sysj, ctx, hsys.dirichlet(1)).M.conj().T
         assert la.min_eig_herm(ctx.sigma * la.imag_part(m_bad)) < 0
+
+
+@pytest.mark.parametrize("m_of, fault", [
+    (lambda z: None, "no M value"),
+    (lambda z: -1j * np.sign(z.imag) * np.eye(1), "Im part not definite"),
+    (lambda z: 1j * np.sign(z.imag) * np.ones((2, 2)), "rank deficient"),
+    (lambda z: 1j * np.eye(1), "conjugation symmetry defect"),
+], ids=["none", "not-herglotz", "rank", "conjugation"])
+def test_herglotz_check_flags_each_fault(monkeypatch, m_of, fault):
+    # the half-line M replaced by one that breaks the named property
+    monkeypatch.setattr(hwl, "limit_m", lambda sys_, z, *rest: SimpleNamespace(M_pm=m_of(z)))
+    rep = hwl.herglotz_check(make_free_jacobi((-10, 10)), [0.5 + 0.5j], 0,
+                             hsys.dirichlet(1), direction="+")
+    assert not rep.passed and not any(row["ok"] for row in rep.rows)
+    assert any(fault in v for v in rep.violations), rep.violations
+
+
+def test_limit_chase_with_a_pole_at_its_first_site_has_no_m():
+    # z is 1e-16 above 2 - 2 cos(pi / 8), an eigenvalue of the regular
+    # problem on [0, 8], the chase's first far site
+    sysj = hsys.jacobi_system(1.0, 0.0, (0, 100), extension="error")
+    z = complex(2.0 - 2.0 * np.cos(np.pi / 8), 1e-16)
+    lim = hwl.limit_m(sysj, z, 0, hsys.dirichlet(1), +1,
+                      hwl.LimitOptions(ell_schedule=[8, 16, 32]))
+    assert lim.M_pm is None and lim.ell_sequence == []
+    assert lim.classification == "inconclusive" and lim.cauchy_gap == np.inf
+    assert lim.note.startswith("M has a pole") and lim.note.endswith("at ell=8")
+
+
+def test_disk_membership_of_a_semidefinite_value_is_ambiguous():
+    assert hwl.disk_membership(np.diag([0.0, -1.0])) == "boundary_ambiguous"
+    assert hwl.disk_membership(np.diag([1e-12, -1.0])) == "boundary_ambiguous"
+    assert hwl.disk_membership(np.diag([1e-6, -1.0])) == "exterior"
 
 
 # ---------------------------------------------------------------------------
@@ -1271,3 +1305,13 @@ def test_riccati_residual_from_regular_solution():
     res = hwl.riccati_residual(sysr, z, rep.V)
     assert not res.errors
     assert res.max_norm < 1e-10
+
+
+def test_riccati_residual_records_singular_steps():
+    # free chain: rho = 1 and P22 = 1, so the inner matrix 1 / V(k - 1) - 1
+    # of the recursion vanishes at V(k - 1) = 1; V(k - 1) = 0 is singular
+    sysj = make_free_jacobi((-10, 10))
+    one, zero = np.eye(1, dtype=complex), np.zeros((1, 1), dtype=complex)
+    rep = hwl.riccati_residual(sysj, 1j, {0: zero, 1: one, 2: one, 5: one})
+    assert rep.errors == {1: "V(0) singular", 2: "inner matrix singular at site 2"}
+    assert rep.norms == {} and np.isnan(rep.max_norm)
