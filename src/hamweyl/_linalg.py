@@ -10,6 +10,9 @@ import numpy as np
 
 from .errors import InputError
 
+#: rcond below which a matrix that a result divides by counts as singular
+_SINGULAR_RCOND = 1e-13
+
 __all__ = [
     "all_finite",
     "as_complex_matrix",
@@ -188,22 +191,15 @@ def max_eig_herm(a: np.ndarray) -> float:
 
 
 def sqrtm_spd(a: np.ndarray) -> np.ndarray:
-    """Unique positive-definite square root of a Hermitian positive matrix,
-    or of each matrix of a stack.
-
-    Raises ValueError when a matrix is not positive definite.
-    """
+    """Unique positive-definite square root of a Hermitian positive definite
+    matrix, or of each matrix of a stack; the caller judges definiteness."""
     w, v = np.linalg.eigh(herm(as_complex_matrix(a)))
-    if w[..., 0].min() <= 0.0:
-        raise ValueError(f"matrix is not positive definite (min eigenvalue {np.min(w):.3e})")
     return (v * np.sqrt(w)[..., None, :]) @ adjoint(v)
 
 
 def invsqrtm_spd(a: np.ndarray) -> np.ndarray:
     """Inverse of :func:`sqrtm_spd`."""
     w, v = np.linalg.eigh(herm(as_complex_matrix(a)))
-    if w[..., 0].min() <= 0.0:
-        raise ValueError(f"matrix is not positive definite (min eigenvalue {np.min(w):.3e})")
     return (v / np.sqrt(w)[..., None, :]) @ adjoint(v)
 
 

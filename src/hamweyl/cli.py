@@ -21,16 +21,16 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import _linalg as la
 from . import green as hgreen
 from . import system as hsystem
 from . import weyl as hweyl
-from .errors import HamweylError, InputError, SteppingError
+from .errors import ConvergenceError, HamweylError, InputError, SteppingError
 
 __all__ = ["main", "build_parser"]
 
 COMMANDS = ("validate", "eig", "mfun", "disk", "limit", "green", "solve",
             "measure")
+_DEFAULT_INTERVAL = (-1.0, 5.0)  # eig's and measure's real interval
 
 
 class UsageError(Exception):
@@ -107,8 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Weyl-Titchmarsh computations for finite-difference "
                     "Hamiltonian systems")
     p.add_argument("command", nargs="?", choices=COMMANDS)
-    p.add_argument("--command", dest="command_opt", choices=COMMANDS,
-                   help="alternative to the positional command")
     p.add_argument("--input", required=False, help="coefficient file (JSON)")
     p.add_argument("--output", default="-", help="output path or - for stdout")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -263,7 +261,7 @@ def _regular_problem(args, sys_, command: str):
 def cmd_eig(args, sys_):
     ell, alpha, beta = _regular_problem(args, sys_, "eig")
     a, b = _parse_numbers(args.interval, "--interval a,b", count=2) \
-        if args.interval else (-1.0, 5.0)
+        if args.interval else _DEFAULT_INTERVAL
     eigs = hweyl.eigenvalues(sys_, args.k0, ell, alpha, beta, (a, b))
     rows = [{"index": i, "eigenvalue": float(lam)} for i, lam in enumerate(eigs)]
     return rows, {"k0": args.k0, "ell": ell, "count": len(eigs)}
@@ -279,15 +277,14 @@ def cmd_mfun(args, sys_):
         raise UsageError("give --z or --z-grid")
     ctx = hweyl.disk_context(sys_, zs[0], args.k0, ell, alpha)
     Ms, smins = hweyl._m_at(sys_, ctx, beta, hweyl._admissible_z(zs))
+    margins = hweyl._herglotz_margin(Ms, [hweyl.sigma_of(ell, args.k0, z) for z in zs])
     rows = []
-    for z, M, smin in zip(zs, Ms, smins):
-        herg = la.min_eig_herm(hweyl.sigma_of(ell, args.k0, z)
-                               * la.imag_part(M))
+    for z, M, smin, herg in zip(zs, Ms, smins, margins.tolist()):
         row = {"z_re": float(z.real), "z_im": float(z.imag)}
         row.update(_complex_columns("M", M))
         row["smin"] = float(smin)
         row["herglotz_min_eig"] = herg
-        row["herglotz_ok"] = bool(herg > 0)
+        row["herglotz_ok"] = herg > 0
         rows.append(row)
     return rows, {"k0": args.k0, "ell": ell, "points": len(rows)}
 
@@ -346,8 +343,13 @@ def _kernel_from_args(args, sys_):
     window = _parse_numbers(args.window, "--window lo,hi", int, 2) \
         if args.window else sys_.window
     variant = args.variant.replace("-", "_")
-    M = {side: hweyl.limit_m(sys_, z, args.k0, alpha, side).M_pm
-         for side in hgreen._SIDES[variant]}
+    M = {}
+    for side in hgreen._SIDES[variant]:
+        lim = hweyl.limit_m(sys_, z, args.k0, alpha, side)
+        if lim.classification == "inconclusive":
+            raise ConvergenceError(f"the {side} half-line M at z={z} is inconclusive: "
+                                   f"{lim.note}")
+        M[side] = lim.M_pm
     return hgreen._build(sys_, z, args.k0, alpha, hgreen._cut(variant, window, args.k0),
                          variant, M.get("+"), M.get("-"))
 
@@ -402,17 +404,17 @@ def cmd_solve(args, sys_):
 def cmd_measure(args, sys_):
     ell, alpha, beta = _regular_problem(args, sys_, "measure")
     interval = _parse_numbers(args.interval, "--interval a,b", count=2) \
-        if args.interval else (-1.0, 5.0)
+        if args.interval else _DEFAULT_INTERVAL
     eps = _parse_numbers(args.eps_schedule, "--eps-schedule")
-    sigma = 1 if ell > args.k0 else -1
     m_eval = hweyl.regular_m_evaluator(sys_, args.k0, ell, alpha, beta)
+    # the measure is read above the real axis, where sigma is sign(ell - k0)
     sm = hweyl.spectral_measure(m_eval, interval, args.grid_n, eps,
-                                sigma=sigma)
+                                sigma=hweyl.sigma_of(ell, args.k0, 1j))
     rows = []
-    for i in range(sm.n_bins):
+    for i, trace in enumerate(sm.trace_increments().tolist()):
         row = {"lambda_lo": float(sm.grid[i]), "lambda_hi": float(sm.grid[i + 1])}
         row.update(_complex_columns("Omega", sm.increments[i]))
-        row["trace"] = float(np.real(np.trace(sm.increments[i])))
+        row["trace"] = trace
         rows.append(row)
     return rows, {"k0": args.k0, "ell": ell, "eps_schedule": args.eps_schedule,
                   "converged": sm.converged, "convergence_gap": sm.convergence_gap}
@@ -427,19 +429,15 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
-    command = args.command or args.command_opt
-    if args.command and args.command_opt and args.command != args.command_opt:
-        print("error: positional command and --command disagree", file=sys.stderr)
-        return 1
-    if command is None:
+    if args.command is None:
         _PARSER.print_usage(sys.stderr)
         return 1
     try:
         if not args.input:
             raise UsageError("--input is required")
-        rows, meta, *code = DISPATCH[command](
+        rows, meta, *code = DISPATCH[args.command](
             args, hsystem.load_coefficients(args.input))
-        _write_output(rows, {"command": command, **meta}, args)
+        _write_output(rows, {"command": args.command, **meta}, args)
         return code[0] if code else 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

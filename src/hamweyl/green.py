@@ -37,7 +37,7 @@ from .propagate import (
     lagrange_bilinear,
 )
 from .system import HamiltonianSystem
-from .weyl import _admissible_z
+from .weyl import _admissible_z, _herglotz_margin, sigma_of
 
 __all__ = [
     "GreensKernel",
@@ -54,7 +54,6 @@ __all__ = [
 ]
 
 _CERTIFICATE_TOL = 1e-6  # the bar of the kernel delta defect and the solve residual
-_DIAGONAL_SINGULAR = 1e-13  # rcond of u1 or of V+ - V- below which a site is an error
 _N_PROBES = 4  # source sites next to k0 at which a kernel is certified
 
 # the sides of k0 whose decaying family (from M_plus, M_minus) a variant
@@ -136,17 +135,17 @@ class GreensKernel:
 
 def _herglotz_checked(M, side: str, variant: str, z: complex) -> np.ndarray:
     """M_plus (side "+") or M_minus of a ``variant`` kernel at z as a complex
-    matrix, once sigma Im M_plus > 0 > sigma Im M_minus, sigma = sign(Im z)."""
+    matrix, once sigma Im M_plus > 0 > sigma Im M_minus, sigma = sign(Im z),
+    up to a slack of 1e-10 (1 + ||M||)."""
     label = "M_plus" if side == "+" else "M_minus"
     if M is None:
         raise InputError(f"the {variant} kernel needs {label}")
     M = la.as_complex_matrix(M)
-    positive = (side == "+") == (z.imag > 0)
-    im = la.imag_part(M)
-    lo = la.min_eig_herm(im) if positive else -la.max_eig_herm(im)
-    if lo <= 0 and abs(lo) > 1e-10 * (1.0 + la.opnorm(M)):
+    sigma = sigma_of(1 if side == "+" else -1, 0, z)  # the sign of M's half line
+    lo = _herglotz_margin(M, sigma)
+    if lo < -1e-10 * (1.0 + la.opnorm(M)):
         raise KernelConstructionError(
-            f"Im {label} must be {'positive' if positive else 'negative'} definite "
+            f"Im {label} must be {'positive' if sigma > 0 else 'negative'} definite "
             f"at z={z} (offending eigenvalue {lo:.3e})")
     return M
 
@@ -205,7 +204,7 @@ def _build(sys, z, k0, alpha, window, variant, M_plus, M_minus, certify=True):
               for side, M in zip("+-", (M_plus, M_minus)))
     if len(sides) == 2:
         diff = mm - mp
-        if la.rcond(diff) < 1e-13:
+        if la.rcond(diff) < la._SINGULAR_RCOND:
             raise KernelConstructionError("M_minus - M_plus is singular")
         omega, target = np.linalg.inv(diff), diff
     else:
@@ -505,11 +504,11 @@ def diagonal_riccati_blocks(kernel: GreensKernel, sites=None) -> dict:
     # u2(k+1)), the diagonal entries from the plains at k of both families
     rows = np.array([kernel._rows(k, 2).start for k in sites], dtype=int)
     (vp, ok_p), (vm, ok_m) = (
-        _riccati(kernel.sys, sites, _hats(f[0])[rows], _DIAGONAL_SINGULAR)
+        _riccati(kernel.sys, sites, _hats(f[0])[rows])
         for f in (kernel._up, kernel._um))
     lead = ok_p & ok_m
     ok = lead.copy()
-    ok[lead] = ~(la.rcond(vp[lead] - vm[lead]) < _DIAGONAL_SINGULAR)
+    ok[lead] = ~(la.rcond(vp[lead] - vm[lead]) < la._SINGULAR_RCOND)
     errors = {k: "V_plus - V_minus singular" if a else "leading block singular"
               for k, a, b in zip(sites, lead, ok) if not b}
     rows, vp, vm = rows[ok], vp[ok], vm[ok]

@@ -29,7 +29,7 @@ the far site, also in the limit chase and the disk walk, or the decaying
 subspace of a constant tail from the window edge).
 One trajectory type, :class:`HatTrajectory`, serves the fundamental system
 (Theta and Phi are its left and right column blocks) and Weyl solutions; it
-computes its plain values once, on first read. Green's kernels hold their
+forms plain values from its hats on each read. Green's kernels hold their
 role families as arrays of plain values at [z, conj z] instead, stepped as
 one batch (:mod:`hamweyl.green`). Both convert between hats and plain values
 only by :func:`_plains` and :func:`_hats`, and form the Riccati variable
@@ -37,8 +37,6 @@ V(k) = rho(k) u2(k+1) u1(k)^{-1} only by :func:`_riccati`.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -222,10 +220,10 @@ class HatTrajectory:
     2m-column trajectory of :func:`fundamental`: its left m columns are
     Theta, its right m columns Phi.
 
-    The plain values (psi1(k); psi2(k)) are computed once, on first read, and
-    kept read-only: the sites above ``k_lo`` as one array sliced from the
-    hats, the lower edge on its own first read, since its psi2 costs the
-    pencil half of a backward step (which may raise :class:`SteppingError`).
+    The plain values (psi1(k); psi2(k)) are formed from the hats on each
+    read by :func:`_plains`; psi2 at ``k_lo`` only when a read starts there,
+    since it costs the pencil half of a backward step (which may raise
+    :class:`SteppingError`).
     """
 
     def __init__(self, sys: HamiltonianSystem, z: complex, k_lo: int,
@@ -276,31 +274,16 @@ class HatTrajectory:
         return self.hat(k)[self.m:]
 
     def plain(self, k: int) -> np.ndarray:
-        """Plain solution value (psi1(k); psi2(k)) as a read-only (2m, r) array."""
-        i = self._i(k)
-        return self._plain_above[i - 1] if i else self._plain_lo
+        """Plain solution value (psi1(k); psi2(k)) as a (2m, r) array."""
+        return self.plains(range(k, k + 1))[0]
 
     def plains(self, sites: range) -> np.ndarray:
-        """Plain values at a run of consecutive sites as an (n, 2m, r) array;
-        the lower edge is computed only when the run starts there."""
+        """Plain values at a run of consecutive sites as an (n, 2m, r) array."""
         i, j = self._rows(sites)
-        above = self._plain_above[max(i - 1, 0):max(j - 1, 0)]
         if i == 0 < j:
-            return np.concatenate((self._plain_lo[None], above))
-        return above
-
-    @cached_property
-    def _plain_above(self) -> np.ndarray:
-        out = _plains(self.data)
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def _plain_lo(self) -> np.ndarray:
-        t = _lower_edge_transfers(self.sys, self.z, self.k_lo)[0]
-        out = _plains(self.data[:1], t)[0]
-        out.setflags(write=False)
-        return out
+            t_lo = _lower_edge_transfers(self.sys, self.z, self.k_lo)[0]
+            return _plains(self.data[:j], t_lo)
+        return _plains(self.data[max(i - 1, 0):j])
 
 
 def _plains(hats: np.ndarray, t_lo: np.ndarray | None = None) -> np.ndarray:
@@ -324,13 +307,14 @@ def _hats(plains) -> np.ndarray:
     return np.concatenate((p[..., :-1, :m, :], p[..., 1:, m:, :]), axis=-2)
 
 
-def _riccati(sys: HamiltonianSystem, sites, hats: np.ndarray, singular_tol: float):
+def _riccati(sys: HamiltonianSystem, sites, hats: np.ndarray):
     """V(k) = rho(k) u2(k+1) u1(k)^{-1} of (n, 2m, m) hats (u1(k); u2(k+1))
-    at ``sites`` as an (n, m, m) stack, NaN where a hat is not finite or
-    rcond(u1(k)) is below ``singular_tol``, and the mask of the other sites."""
+    at ``sites`` as an (n, m, m) stack, NaN where a hat is not finite or u1(k)
+    is singular (rcond below ``_linalg._SINGULAR_RCOND``), and the mask of
+    the other sites."""
     u1 = hats[:, :sys.m]
     ok = np.isfinite(hats).all(axis=(1, 2))
-    ok[ok] = ~(la.rcond(u1[ok]) < singular_tol)
+    ok[ok] = ~(la.rcond(u1[ok]) < la._SINGULAR_RCOND)
     v = np.full(u1.shape, np.nan, dtype=complex)
     v[ok] = sys.rho(np.asarray(sites)[ok]) @ la.rsolve(hats[ok, sys.m:], u1[ok])
     return v, ok
@@ -430,12 +414,11 @@ def _step_defects(sys: HamiltonianSystem, z1: complex, z2: complex, k: int,
     each step; all n defects come from one stacked pairing, one stacked
     Psi* A Psi product and one stacked 2-norm.
     """
-    m = sys.m
     sites = range(k, k + cur1.shape[0])
     g_cur = lagrange_bilinear(sys, sites, cur1, cur2)
     g_prev = lagrange_bilinear(sys, range(k - 1, sites.stop - 1), prev1, prev2)
-    plain1 = np.concatenate((cur1[:, :m], prev1[:, m:]), axis=1)
-    plain2 = np.concatenate((cur2[:, :m], prev2[:, m:]), axis=1)
+    plain1, plain2 = (_plains(np.stack((prev, cur), axis=1))[:, 0]
+                      for prev, cur in ((prev1, cur1), (prev2, cur2)))
     rhs = (z2 - np.conj(z1)) * (la.adjoint(plain1) @ sys.A(sites) @ plain2)
     defect, n_cur, n_prev, n_rhs = np.linalg.norm(
         np.stack([(g_cur - g_prev) - rhs, g_cur, g_prev, rhs]), 2, axis=(2, 3))

@@ -89,6 +89,7 @@ TOL_PSD = 1e-10
 RCOND_MIN = 1e-12
 TOL_DEF = 1e-10
 _SIGN_TOL = 1e-12  # sign-class bound on the eigenvalues of Im(gamma1 gamma2*)
+_RANK_TOL = 1e-14  # least eigenvalue of gamma gamma* relative to the largest
 
 #: Multiple of 2m eps ||G|| below which the smallest eigenvalue of a Gram
 #: matrix G is rounding, not evidence of definiteness.
@@ -174,10 +175,11 @@ def _check_finite(*stacks) -> None:
 
 def _check_rho(rho: np.ndarray, sites) -> None:
     """Raise at the first site whose rho is not positive definite (the least
-    eigenvalue of its Hermitian part is not positive), one stacked test."""
-    bad = np.flatnonzero(np.linalg.eigvalsh(la.herm(rho))[:, 0] <= 0.0)
+    eigenvalue of its Hermitian part is not positive), one stacked test;
+    ``rho`` is the matrix at one site or the stack over a sequence."""
+    bad = np.flatnonzero(np.linalg.eigvalsh(la.herm(rho))[..., 0] <= 0.0)
     if bad.size:
-        raise InputError(f"rho at site {sites[bad[0]]} is not positive definite")
+        raise InputError(f"rho at site {np.ravel(sites)[bad[0]]} is not positive definite")
 
 
 class JacobiCoefficients:
@@ -581,19 +583,19 @@ def make_boundary_data(gamma_raw) -> BoundaryData:
     """Normalize an m x 2m matrix to gamma gamma* = I and classify it.
 
     The normalization (gamma gamma*)^{-1/2} gamma preserves the nullspace
-    conditions that matter downstream. Inputs with numerically deficient rank
-    or an indefinite Im(gamma1 gamma2*) are rejected.
+    conditions that matter downstream. Inputs whose rank it cannot resolve
+    (an eigenvalue of gamma gamma* at most ``_RANK_TOL`` times the largest)
+    or with an indefinite Im(gamma1 gamma2*) are rejected.
     """
     g = la.as_complex_matrix(gamma_raw)
     if g.ndim != 2 or g.shape[1] != 2 * g.shape[0]:
         raise InputError(f"boundary data must be m x 2m, got {g.shape}")
     m = g.shape[0]
-    s = np.linalg.svd(g, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= 1e-10 * s[0]:
-        raise InputError("boundary data is rank deficient "
-                         f"(smin={s[-1]:.2e}, smax={s[0]:.2e})")
-    gg = g @ g.conj().T
-    delta = la.invsqrtm_spd(gg) @ g
+    w, v = np.linalg.eigh(la.herm(g @ g.conj().T))
+    if not w[0] > _RANK_TOL * w[-1]:
+        raise InputError("boundary data is rank deficient (eigenvalues of "
+                         f"gamma gamma* from {w[0]:.2e} to {w[-1]:.2e})")
+    delta = (v / np.sqrt(w)) @ la.adjoint(v) @ g
     d1, d2 = delta[:, :m], delta[:, m:]
     im = la.imag_part(d1 @ d2.conj().T)
     eigs = np.linalg.eigvalsh(im)
@@ -641,9 +643,12 @@ def weighted_boundary(gamma: BoundaryData, sys: HamiltonianSystem, k) -> np.ndar
     """Weighted form gamma diag(rho(k)^{1/2}, rho(k)^{1/2}) as an m x 2m
     array, or as an (n, m, 2m) stack for a sequence of n sites.
 
-    rho^{1/2} is the unique positive-definite square root.
+    rho^{1/2} is the unique positive-definite square root; a rho that is not
+    positive definite raises :class:`InputError` naming its site.
     """
-    r = la.sqrtm_spd(sys.rho(k))
+    rho = sys.rho(k)
+    _check_rho(rho, k)
+    r = la.sqrtm_spd(rho)
     return np.concatenate([gamma.gamma1 @ r, gamma.gamma2 @ r], axis=-1)
 
 

@@ -169,7 +169,7 @@ def constant_riccati_fixed_point(sys: HamiltonianSystem, z: complex,
         # (V - P11)(rho^2 - P22 V) = P12 P21 V
         coeffs = [-p22, rho2 + p11 * p22 - p12 * p21, -p11 * rho2]
         if abs(coeffs[0]) < 1e-300:
-            roots = [coeffs[2] / coeffs[1]] if coeffs[1] != 0 else []
+            roots = [-coeffs[2] / coeffs[1]] if coeffs[1] != 0 else []
         else:
             roots = np.roots(coeffs)
         good = [r for r in roots

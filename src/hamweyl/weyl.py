@@ -48,8 +48,6 @@ _MEASURE_TOL = 1e-6         # Richardson gap of a converged schedule, relative t
 _FIT_Y_MAX = 1e6            # largest y of the large-argument Herglotz fit
 _XI_SINGULAR = 1e-12        # smin(M) / max(1, |M|) below which xi skips a point
 _JUMP_THRESHOLD = 1e-3      # trace increment above which a bin is part of a jump
-_RICCATI_SINGULAR = 1e-12   # rcond(u1) below which V is an error
-_RESIDUAL_SINGULAR = 1e-13  # rcond of V(k - 1) or of the inner matrix of an error
 
 __all__ = [
     "DiskContext",
@@ -99,6 +97,14 @@ def sigma_of(ell: int, k0: int, z: complex) -> int:
     if s == 0:
         raise InputError("sigma undefined: need ell != k0 and Im z != 0")
     return 1 if s > 0 else -1
+
+
+def _herglotz_margin(M: np.ndarray, sigma) -> np.ndarray:
+    """The least eigenvalue of sigma Im M, positive where M is
+    sigma-Herglotz: of one matrix, or of each in a stack with one sigma or
+    one per matrix."""
+    sigma = np.reshape(sigma, np.shape(sigma) + (1, 1))
+    return np.linalg.eigvalsh(la.herm(sigma * la.imag_part(M)))[..., 0]
 
 
 @dataclass(frozen=True)
@@ -179,8 +185,13 @@ def _disk_functional(sys, sigma: int, ell, hat: np.ndarray, M: np.ndarray) -> np
     E * 4**-e."""
     eye = np.broadcast_to(np.eye(sys.m, dtype=complex), M.shape)
     uhat = hat @ np.concatenate([eye, M], axis=-2)  # Psi^ (I; M)
-    g = la.adjoint(uhat) @ sys.j_rho(ell) @ uhat
-    return la.herm(-1j * sigma * g)
+    return _disk_form(sigma, sys.j_rho(ell), uhat)
+
+
+def _disk_form(sigma, jr: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sigma herm(-i u* J_rho u), the disk's form of the hat columns u, with
+    J_rho ``jr`` at their site; stacks broadcast."""
+    return la.herm(-1j * sigma * (la.adjoint(u) @ jr @ u))
 
 
 @dataclass
@@ -325,7 +336,7 @@ def lft_alpha_change(M_gamma, alpha: BoundaryData, gamma: BoundaryData) -> np.nd
     ajg = alpha.gamma @ j @ gamma.gamma.conj().T
     num = -ajg + ag @ M_gamma
     den = ag + ajg @ M_gamma
-    if la.rcond(den) < 1e-13:
+    if la.rcond(den) < la._SINGULAR_RCOND:
         raise TransformPoleError(
             "boundary-change transform has a singular denominator")
     return la.rsolve(num, den)
@@ -349,11 +360,9 @@ def _disk_diameter(sys, sigma: int, ell, hats: np.ndarray, exps) -> np.ndarray:
     logs keep every product finite; inf where an eigenvalue is not positive
     (the disk is unbounded there).
     """
-    phi = hats[..., sys.m:]
     sign = sigma * np.array([1, -1])[:, None, None]
     jr = np.expand_dims(sys.j_rho(ell), -3)  # shared by z and conj z
-    f22 = la.herm(-1j * sign * (la.adjoint(phi) @ jr @ phi))
-    lam = np.linalg.eigvalsh(f22)
+    lam = np.linalg.eigvalsh(_disk_form(sign, jr, hats[..., sys.m:]))
     logs = np.log2(lam, out=np.full_like(lam, -np.inf), where=lam > 0)
     return np.exp2(1.0 - 0.5 * logs.sum(axis=-2)
                    - np.sum(exps, axis=-1)[..., None])
@@ -749,11 +758,12 @@ def herglotz_check(sys: HamiltonianSystem, z_grid, k0: int, alpha, *,
         M, _ = _m_at(sys, ctx, beta if beta is not None else dirichlet(sys.m),
                      np.concatenate([zs, zs.conj()]))
         pairs = zip(M[:zs.size], M[zs.size:])
-        sgn = 1 if ell > k0 else -1
+        far = ell
     else:
-        sgn = _side(direction)
-        pairs = ((limit_m(sys, z, k0, alpha, sgn, opts).M_pm,
-                  limit_m(sys, np.conj(z), k0, alpha, sgn, opts).M_pm)
+        side = _side(direction)
+        far = k0 + side
+        pairs = ((limit_m(sys, z, k0, alpha, side, opts).M_pm,
+                  limit_m(sys, np.conj(z), k0, alpha, side, opts).M_pm)
                  for z in zs)
     rows, violations = [], []
     for z, (mz, mzbar) in zip(zs, pairs):
@@ -761,7 +771,7 @@ def herglotz_check(sys: HamiltonianSystem, z_grid, k0: int, alpha, *,
         if mz is None or mzbar is None:
             violations.append(f"z={z}: no M value")
             continue
-        im_min = la.min_eig_herm(sgn * la.imag_part(mz))
+        im_min = float(_herglotz_margin(mz, sigma_of(far, k0, z)))
         conj_defect = la.opnorm(mzbar - mz.conj().T) / (1.0 + la.opnorm(mz))
         rank_smin = la.smallest_singular_value(mz)
         scale = 1.0 + la.opnorm(mz)
@@ -1080,8 +1090,9 @@ def spectral_measure(m_eval, interval, grid_n: int, eps_schedule, *,
     ``_MEASURE_TOL`` flags the schedule as non-convergent (not fatal).
     Increments are Hermitized by one stacked eigendecomposition; eigenvalues
     in [-TOL_PSD, 0) are clipped to zero and bins with larger negatives
-    flagged. A non-finite interval or ``grid_n`` < 1 is an
-    :class:`InputError`, raised before any quadrature.
+    flagged. A non-finite interval, ``grid_n`` < 1 or an epsilon that is not
+    positive and finite is an :class:`InputError`, raised before any
+    quadrature.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
@@ -1089,8 +1100,8 @@ def spectral_measure(m_eval, interval, grid_n: int, eps_schedule, *,
     if int(grid_n) < 1:
         raise InputError(f"grid_n must be >= 1, got {grid_n}")
     eps_list = [float(e) for e in np.atleast_1d(np.asarray(eps_schedule, dtype=float))]
-    if not eps_list or any(e <= 0 for e in eps_list):
-        raise InputError("eps schedule must be positive")
+    if not eps_list or not all(0 < e < np.inf for e in eps_list):
+        raise InputError(f"eps schedule must be positive and finite, not {eps_list}")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise InputError("eps schedule must be strictly decreasing")
     base_edges = np.linspace(lo, hi, int(grid_n) + 1)
@@ -1234,7 +1245,7 @@ def riccati_from_solution(sys: HamiltonianSystem, U: HatTrajectory,
         raise InputError(f"a Weyl solution has ({2 * sys.m}, {sys.m}) hats, "
                          f"not {U.data.shape[1:]}: m columns of height 2m")
     k0 = U.k0 if k0 is None else k0
-    v, ok = _riccati(sys, U.sites, U.data, _RICCATI_SINGULAR)
+    v, ok = _riccati(sys, U.sites, U.data)
     good = [k for k, b in zip(U.sites, ok) if b]
     sigma = np.array([sigma_of(k if k != k0 else k0 + 1, k0, U.z) for k in good])
     sign = np.linalg.eigvalsh(la.herm(sigma[:, None, None] * la.imag_part(v[ok])))[:, -1]
@@ -1268,11 +1279,11 @@ def riccati_residual(sys: HamiltonianSystem, z: complex,
             continue
         p11, p12, p21, p22 = sys.pencil_blocks(z, k)
         rho_prev, v_prev = sys.rho(k - 1), V[k - 1]
-        if la.rcond(v_prev) < _RESIDUAL_SINGULAR:
+        if la.rcond(v_prev) < la._SINGULAR_RCOND:
             errors[k] = f"V({k - 1}) singular"
             continue
         inner = rho_prev @ np.linalg.inv(v_prev) @ rho_prev - p22
-        if la.rcond(inner) < _RESIDUAL_SINGULAR:
+        if la.rcond(inner) < la._SINGULAR_RCOND:
             errors[k] = f"inner matrix singular at site {k}"
             continue
         correction = p12 @ np.linalg.solve(inner, p21)

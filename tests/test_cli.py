@@ -130,16 +130,6 @@ def test_main_never_rebuilds_the_parser(free_fixture, monkeypatch):
     assert main(["limit", "--input", free_fixture, "--z", "0.5,0.5"]) == 0
 
 
-def test_command_flag_alias(free_fixture, tmp_path):
-    out = tmp_path / "e.csv"
-    rc = main(["--command", "eig", "--input", free_fixture, "--ell", "11",
-               "--interval=-0.5,4.5", "--grid-n", "801",
-               "--output", str(out), "--no-timestamp"])
-    assert rc == 0
-    rc2 = main(["eig", "--command", "mfun", "--input", free_fixture])
-    assert rc2 == 1  # disagreement
-
-
 def _free_dirichlet(ell, j0, j1):
     """Dirichlet eigenvalues 2 - 2 cos(j pi / ell), j = j0..j1, of the free
     chain on [0, ell]."""
@@ -412,6 +402,15 @@ def test_measure_command(free_fixture, tmp_path):
     assert sum(t for t in tr) > 0.05
 
 
+@pytest.mark.parametrize("eps", ["inf", "nan", "1e-4,nan", "inf,1e-5"])
+def test_measure_with_a_non_finite_eps_is_an_input_error(free_fixture, capsys, eps):
+    # before the schedule check these ran the quadrature until memory ran out
+    assert main(["measure", "--input", free_fixture, "--ell", "6",
+                 "--eps-schedule", eps]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error: eps schedule must be positive and finite")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_disk_on_a_long_window(tmp_path):
     # the fundamental hats pass the float range near ell = 450; the disk
@@ -581,3 +580,35 @@ def test_z_in_the_complex_literal_form(free_fixture, capsys):
         assert main(["limit", "--input", free_fixture, "--z", z, "--no-timestamp"]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("m,window,seed,k0", [(1, (0, 20), 3, 10), (2, (0, 30), 4, 15)])
+@pytest.mark.parametrize("z", ["1,0.2", "0.5,0.02"])
+def test_green_and_solve_refuse_an_inconclusive_half_line_m(tmp_path, capsys, m, window,
+                                                            seed, k0, z):
+    # a periodic system has no constant tail, and the chase stops at the
+    # window edge before its M converges; the kernel's delta certificate
+    # holds for any admissible pair, so it cannot see that M is wrong
+    from hamweyl import testkit as htk
+
+    r = htk.random_system(m, window, seed, "jacobi")
+    path = tmp_path / "periodic.json"
+    hsys.save_coefficients(hsys.HamiltonianSystem(m, r.window, r._A, r._B, r._rho,
+                                                  extension="periodic"), path)
+    common = ["--input", str(path), "--k0", str(k0), "--z", z, "--format", "json",
+              "--no-timestamp"]
+    assert main(["limit"] + common) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["classification"] for row in rows] == ["inconclusive", "inconclusive"]
+    for command, variant, side in (("green", "whole", "+"), ("solve", "whole", "+"),
+                                   ("green", "half-minus", "-"), ("solve", "half-plus", "+")):
+        assert main([command, "--variant", variant] + common) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(
+            f"numerical failure: the {side} half-line M at z=") and "inconclusive" in err
+        assert rows["+-".index(side)]["note"] in err
+
+
+def test_the_command_is_named_by_position_only(free_fixture, capsys):
+    assert main(["--command", "eig", "--input", free_fixture, "--ell", "11"]) == 1
+    assert "unrecognized arguments: --command" in capsys.readouterr().err

@@ -12,7 +12,7 @@ from hamweyl import _linalg as la
 from hamweyl import system as hsys
 from hamweyl import testkit as htk
 from hamweyl import weyl as hwl
-from hamweyl.errors import InputError, UnsupportedError
+from hamweyl.errors import ConvergenceError, InputError, UnsupportedError
 
 from conftest import make_free_jacobi
 
@@ -138,6 +138,55 @@ def test_fixed_point_input_validation():
     varying = hsys.jacobi_system(lambda k: 1.0, lambda k: float(k), (0, 5))
     with pytest.raises(InputError):
         htk.constant_riccati_fixed_point(varying, 1j, +1)
+
+
+def _p22_zero(b12):
+    """A = diag(1, 0): P22 vanishes, so the m = 1 root is linear."""
+    return hsys.HamiltonianSystem(1, (0, 10), np.diag([1.0, 0.0]),
+                                  [[0.0, b12], [b12, 0.0]], 1.0)
+
+
+def test_fixed_point_linear_root():
+    # (V - z)(1 - 0 V) = 4 V, so V = -z/3, which the damped iteration also
+    # reaches (it contracts by 1/4)
+    sysl, z = _p22_zero(2.0), 0.3 + 0.7j
+    assert hsys.validate_pointwise(sysl).passed and hsys.check_wellposed(sysl, z).passed
+    v = htk.constant_riccati_fixed_point(sysl, z, +1)[0, 0]
+    assert abs(v + z / 3) < 1e-15
+
+
+def test_fixed_point_with_no_root_of_its_branch():
+    # B12 = 1: the linear coefficient 1 - P12 P21 vanishes as well
+    with pytest.raises(ConvergenceError, match="no quadratic root"):
+        htk.constant_riccati_fixed_point(_p22_zero(1.0), 0.3 + 0.7j, +1)
+
+
+def test_fixed_point_stalled_iteration(monkeypatch):
+    # just above the band the iteration contracts too slowly to converge:
+    # m = 1 falls back to the closed root, m = 2 has none and raises
+    z = 0.01 + 1e-13j
+    calls = []
+    step = htk._riccati_map_back
+    monkeypatch.setattr(htk, "_riccati_map_back",
+                        lambda *a: calls.append(1) or step(*a))
+    v = htk.constant_riccati_fixed_point(make_free_jacobi((0, 10)), z, +1)[0, 0]
+    assert len(calls) == 3 * htk._FIXED_POINT_ITER  # every damping stalled
+    assert abs(v * v - z * v + z) < 1e-12 and v.imag < 0
+    free2 = hsys.jacobi_system(np.eye(2), np.zeros((2, 2)), (0, 10))
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        htk.constant_riccati_fixed_point(free2, z, +1)
+
+
+def test_fixed_point_rejects_a_wrong_iterate(monkeypatch):
+    # a step map with a wrong fixed point: for m = 1 it disagrees with the
+    # closed root, for m = 2 it lies on the other branch
+    monkeypatch.setattr(htk, "_riccati_map_back",
+                        lambda sys, z, v: 1j * np.eye(sys.m, dtype=complex))
+    with pytest.raises(ConvergenceError, match="disagrees with the closed quadratic root"):
+        htk.constant_riccati_fixed_point(make_free_jacobi((0, 10)), 1j, +1)
+    free2 = hsys.jacobi_system(np.eye(2), np.zeros((2, 2)), (0, 10))
+    with pytest.raises(ConvergenceError, match="wrong branch"):
+        htk.constant_riccati_fixed_point(free2, 1j, +1)
 
 
 # ---------------------------------------------------------------------------

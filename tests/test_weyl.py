@@ -10,7 +10,12 @@ from hamweyl import propagate as hp
 from hamweyl import system as hsys
 from hamweyl import testkit as htk
 from hamweyl import weyl as hwl
-from hamweyl.errors import EigenvalueHitError, InputError, SteppingError
+from hamweyl.errors import (
+    EigenvalueHitError,
+    InputError,
+    SteppingError,
+    TransformPoleError,
+)
 
 from conftest import boundary_family, make_free_jacobi
 
@@ -501,6 +506,12 @@ def test_lft_identity_and_inversion():
     assert np.allclose(out, -np.linalg.inv(M), atol=1e-12)
 
 
+def test_lft_with_a_singular_denominator_raises():
+    # from Neumann to Dirichlet base data, M = 0 maps to a pole
+    with pytest.raises(TransformPoleError, match="singular denominator"):
+        hwl.lft_alpha_change(np.zeros((1, 1)), hsys.dirichlet(1), hsys.neumann(1))
+
+
 def test_lft_matches_direct_computation():
     for seed, m in ((51, 1), (52, 2)):
         sysr = htk.random_system(m, (0, 12), seed=seed, cls="jacobi")
@@ -834,6 +845,17 @@ def test_limit_tail_without_split_raises():
         hwl.limit_m(sys_, 0.5 + 0.5j, 0, hsys.dirichlet(1), +1)
 
 
+def test_limit_exact_path_raises_at_a_pole(monkeypatch):
+    # a Herglotz M has no pole off the real axis: only a sweep patched to
+    # report one reaches this branch
+    def pole(sys, k_inv, starts, k0, y, z):
+        return np.full((1, 1, 1), np.nan, dtype=complex), np.array([1e-20]), np.array([True])
+
+    monkeypatch.setattr(hwl, "_sweep_m", pole)
+    with pytest.raises(EigenvalueHitError):
+        hwl.limit_m(make_free_jacobi((-20, 20)), 0.5 + 0.5j, 0, hsys.dirichlet(1), +1)
+
+
 def test_diameter_decreases_along_ell():
     sysj = make_free_jacobi((0, 160))
     al = hsys.dirichlet(1)
@@ -1151,6 +1173,18 @@ def test_measure_points_for_one_pole():
     exact = smoothed_bin_masses(np.array([lam]), np.array([[[w]]]),
                                 sm.grid + 0.5 * eps, eps)
     assert np.max(np.abs(sm.increments - exact)) < 1e-8
+
+
+@pytest.mark.parametrize("eps", [[np.inf], [np.nan], [1e-4, np.nan], [np.inf, 1e-5]])
+def test_measure_rejects_a_non_finite_eps_before_any_quadrature(eps):
+    # inf moved every bin edge to infinity and nan passed the schedule
+    # checks: either way no segment was ever accepted, and the open segments
+    # doubled each level until memory ran out
+    def evaluator(nu):
+        raise AssertionError("the quadrature ran")
+
+    with pytest.raises(InputError, match="positive and finite"):
+        hwl.spectral_measure(evaluator, (-1.0, 5.0), 40, eps)
 
 
 @pytest.mark.filterwarnings("ignore:spectral measure schedule not converged")
