@@ -180,14 +180,18 @@ def fails_check(a: np.ndarray, rule: str, limit: float, inv=None,
     return bad
 
 
-def min_eig_herm(a: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part of ``a``."""
-    return float(np.linalg.eigvalsh(herm(a))[0])
+def min_eig_herm(a: np.ndarray):
+    """Smallest eigenvalue of the Hermitian part of ``a``, a float; for a
+    stack of matrices, the array of each one's."""
+    w = np.linalg.eigvalsh(herm(a))[..., 0]
+    return w if w.ndim else float(w)
 
 
-def max_eig_herm(a: np.ndarray) -> float:
-    """Largest eigenvalue of the Hermitian part of ``a``."""
-    return float(np.linalg.eigvalsh(herm(a))[-1])
+def max_eig_herm(a: np.ndarray):
+    """Largest eigenvalue of the Hermitian part of ``a``, a float; for a
+    stack of matrices, the array of each one's."""
+    w = np.linalg.eigvalsh(herm(a))[..., -1]
+    return w if w.ndim else float(w)
 
 
 def sqrtm_spd(a: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -82,6 +83,7 @@ def _parse_z_grid(text: str) -> np.ndarray:
 
 
 def _parse_boundary(text: str, m: int) -> hsystem.BoundaryData:
+    """A preset or JSON boundary matrix, as boundary data of block size m."""
     t = text.strip().lower()
     if t == "dirichlet":
         return hsystem.dirichlet(m)
@@ -93,7 +95,7 @@ def _parse_boundary(text: str, m: int) -> hsystem.BoundaryData:
                          else complex(e) for e in row] for row in rows])
     except (ValueError, TypeError, IndexError) as e:
         raise UsageError(f"cannot parse boundary data {text!r}") from e
-    return hsystem.make_boundary_data(mat)
+    return hsystem._boundary_of_size(hsystem.make_boundary_data(mat), m)
 
 
 def _parse_pairs(text: str) -> list:
@@ -220,16 +222,12 @@ def cmd_validate(args, sys_):
     rows = []
     failed = unresolved = False
     rep = hsystem.validate_pointwise(sys_)
-    for v in rep.violations:
-        rows.append({"check": "pointwise", "site": v.site, "kind": v.kind,
-                     "magnitude": v.magnitude, "message": v.message})
+    rows.extend({"check": "pointwise", **dataclasses.asdict(v)} for v in rep.violations)
     failed |= not rep.passed
     for z in z_sample:
         wp = hsystem.check_wellposed(sys_, z)
-        for v in wp.violations:
-            rows.append({"check": f"wellposed z={z}", "site": v.site,
-                         "kind": v.kind, "magnitude": v.magnitude,
-                         "message": v.message})
+        rows.extend({"check": f"wellposed z={z}", **dataclasses.asdict(v)}
+                    for v in wp.violations)
         failed |= not wp.passed
         try:
             dr = hsystem.check_definiteness(sys_, z, interval)

@@ -69,11 +69,7 @@ class KernelConstructionError(HamweylError):
 
 
 class ConvergenceError(HamweylError):
-    """An iteration failed to converge; carries the iterate trace."""
-
-    def __init__(self, message: str, trace=None):
-        self.trace = list(trace) if trace is not None else []
-        super().__init__(message)
+    """An iteration or a limit failed to converge."""
 
 
 class GenerationError(HamweylError):

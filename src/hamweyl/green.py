@@ -133,14 +133,14 @@ class GreensKernel:
                      hi + 1 if "+" in sides else self.k0)
 
 
-def _herglotz_checked(M, side: str, variant: str, z: complex) -> np.ndarray:
-    """M_plus (side "+") or M_minus of a ``variant`` kernel at z as a complex
-    matrix, once sigma Im M_plus > 0 > sigma Im M_minus, sigma = sign(Im z),
-    up to a slack of 1e-10 (1 + ||M||)."""
+def _herglotz_checked(M, side: str, variant: str, z: complex, m: int) -> np.ndarray:
+    """M_plus (side "+") or M_minus of a ``variant`` kernel at z as a finite
+    complex m x m matrix, once sigma Im M_plus > 0 > sigma Im M_minus,
+    sigma = sign(Im z), up to a slack of 1e-10 (1 + ||M||)."""
     label = "M_plus" if side == "+" else "M_minus"
     if M is None:
         raise InputError(f"the {variant} kernel needs {label}")
-    M = la.as_complex_matrix(M)
+    M = la.as_complex_matrix(M, (m, m), label)
     sigma = sigma_of(1 if side == "+" else -1, 0, z)  # the sign of M's half line
     lo = _herglotz_margin(M, sigma)
     if lo < -1e-10 * (1.0 + la.opnorm(M)):
@@ -200,7 +200,7 @@ def _build(sys, z, k0, alpha, window, variant, M_plus, M_minus, certify=True):
         raise InputError(f"a {variant} window must contain k0 and end there on a "
                          f"side it does not couple, not {(lo, hi)}")
     m = sys.m
-    mp, mm = (_herglotz_checked(M, side, variant, z) if side in sides else None
+    mp, mm = (_herglotz_checked(M, side, variant, z, m) if side in sides else None
               for side, M in zip("+-", (M_plus, M_minus)))
     if len(sides) == 2:
         diff = mm - mp

@@ -46,6 +46,8 @@ from .system import (
     RCOND_MIN,
     BoundaryData,
     HamiltonianSystem,
+    _boundary_of_size,
+    _finite_z,
     _self_adjoint,
     symplectic_unit,
     weighted_boundary,
@@ -358,9 +360,7 @@ def _weighted(bd, sys: HamiltonianSystem, k) -> np.ndarray:
     sites; an m x 2m array is taken as already weighted."""
     if isinstance(bd, BoundaryData):
         return weighted_boundary(bd, sys, k)
-    at = la.as_complex_matrix(bd)
-    if at.shape != (sys.m, 2 * sys.m):
-        raise InputError(f"weighted boundary matrix must be m x 2m, got {at.shape}")
+    at = _boundary_of_size(bd, sys.m)
     return np.broadcast_to(at, np.shape(k) + at.shape)
 
 
@@ -451,6 +451,7 @@ def lagrange_telescoping_check(sys: HamiltonianSystem, z1: complex, z2: complex,
     hats before and after every step are kept, and the defects of all steps
     are computed at once after the stepping loop.
     """
+    z1, z2 = _finite_z(z1), _finite_z(z2)
     m = sys.m
     h1, h2 = (_as_state_data(np.eye(2 * m) if h is None else h, m)
               for h in (init1, init2))

@@ -177,7 +177,7 @@ def _check_rho(rho: np.ndarray, sites) -> None:
     """Raise at the first site whose rho is not positive definite (the least
     eigenvalue of its Hermitian part is not positive), one stacked test;
     ``rho`` is the matrix at one site or the stack over a sequence."""
-    bad = np.flatnonzero(np.linalg.eigvalsh(la.herm(rho))[..., 0] <= 0.0)
+    bad = np.flatnonzero(la.min_eig_herm(rho) <= 0.0)
     if bad.size:
         raise InputError(f"rho at site {np.ravel(sites)[bad[0]]} is not positive definite")
 
@@ -392,7 +392,7 @@ def validate_pointwise(sys: HamiltonianSystem) -> ValidationReport:
     sites = sys.sites
     names = ("A", "B", "rho")
     stacks = [sys.A(sites), sys.B(sites), sys.rho(sites)]
-    min_a, min_r = (np.linalg.eigvalsh(la.herm(x))[:, 0] for x in stacks[::2])
+    min_a, min_r = (la.min_eig_herm(x) for x in stacks[::2])
     bad = np.column_stack([la.fails_check(x, "hermitian", TOL_SYM) for x in stacks]
                           + [min_a < -TOL_PSD, min_r <= 0.0])
 
@@ -414,6 +414,16 @@ def validate_pointwise(sys: HamiltonianSystem) -> ValidationReport:
                             len(sites))
 
 
+def _finite_z(z) -> complex:
+    """z as a complex once it is finite, Im z = 0 allowed, as the pencil
+    and definiteness checks and the Lagrange identity need; else
+    :class:`InputError`."""
+    z = complex(z)
+    if not np.isfinite(z):
+        raise InputError(f"the spectral parameter must be finite, not z={z}")
+    return z
+
+
 def check_wellposed(sys: HamiltonianSystem, z: complex) -> ValidationReport:
     """Condition report for the off-diagonal pencils at one z, at every
     site of the window.
@@ -427,7 +437,7 @@ def check_wellposed(sys: HamiltonianSystem, z: complex) -> ValidationReport:
     """
     sites = sys.sites
     m = sys.m
-    p = sys.pencil(z, sites)
+    p = sys.pencil(_finite_z(z), sites)
     blocks = (p[:, :m, m:], p[:, m:, :m])
     bad = np.column_stack([la.fails_check(x, "smin", RCOND_MIN, scale=p)
                            for x in blocks])
@@ -472,6 +482,7 @@ def check_definiteness(sys: HamiltonianSystem, z: complex, interval) -> Definite
     """
     from . import propagate  # local import; propagate depends on this module
 
+    z = _finite_z(z)
     c, d = int(interval[0]), int(interval[1])
     lo, hi = min(c, d), max(c, d)
     with np.errstate(over="ignore", invalid="ignore"):  # G is checked below
@@ -639,13 +650,27 @@ def _self_adjoint(bd):
     return bd
 
 
+def _boundary_of_size(bd, m: int):
+    """``bd`` once it is boundary data of block size m: :class:`BoundaryData`
+    with m rows, or an m x 2m weighted array as a finite complex matrix;
+    else :class:`InputError`."""
+    if not isinstance(bd, BoundaryData):
+        return la.as_complex_matrix(bd, (m, 2 * m), "weighted boundary matrix")
+    if bd.m != m:
+        raise InputError(f"boundary data for block size m = {m} needs {m} rows, "
+                         f"not {bd.m}")
+    return bd
+
+
 def weighted_boundary(gamma: BoundaryData, sys: HamiltonianSystem, k) -> np.ndarray:
     """Weighted form gamma diag(rho(k)^{1/2}, rho(k)^{1/2}) as an m x 2m
     array, or as an (n, m, 2m) stack for a sequence of n sites.
 
-    rho^{1/2} is the unique positive-definite square root; a rho that is not
-    positive definite raises :class:`InputError` naming its site.
+    gamma has block size m; rho^{1/2} is the unique positive-definite
+    square root, and a rho that is not positive definite raises
+    :class:`InputError` naming its site.
     """
+    gamma = _boundary_of_size(gamma, sys.m)
     rho = sys.rho(k)
     _check_rho(rho, k)
     r = la.sqrtm_spd(rho)

@@ -176,11 +176,10 @@ def constant_riccati_fixed_point(sys: HamiltonianSystem, z: complex,
                 if (r.imag < 0) == want_neg and abs(r.imag) > 0]
         if not good:
             raise ConvergenceError(
-                f"no quadratic root with sigma Im V < 0 at z={z}", trace=list(roots))
+                f"no quadratic root with sigma Im V < 0 at z={z}")
         closed = np.array([[good[0]]], dtype=complex)
 
     step = _riccati_map_back if direction > 0 else _riccati_map
-    trace = []
     v = None
     for damping in (1.0, 0.5, 0.25):
         v_try = -1j * sigma * (1.0 + abs(z)) * np.eye(m, dtype=complex)
@@ -188,7 +187,6 @@ def constant_riccati_fixed_point(sys: HamiltonianSystem, z: complex,
         for _ in range(_FIXED_POINT_ITER):
             f = step(sys, z, v_try)
             gap = la.opnorm(v_try - f)
-            trace.append(gap)
             v_try = (1.0 - damping) * v_try + damping * f
             if gap <= tol * (1.0 + la.opnorm(v_try)):
                 ok = True
@@ -202,21 +200,18 @@ def constant_riccati_fixed_point(sys: HamiltonianSystem, z: complex,
             v = closed
         else:
             raise ConvergenceError(
-                f"Riccati fixed-point iteration did not converge at z={z}",
-                trace=trace[-20:])
+                f"Riccati fixed-point iteration did not converge at z={z}")
 
     if closed is not None:
         if la.opnorm(v - closed) > 1e-9 * (1.0 + la.opnorm(closed)):
             raise ConvergenceError(
-                "fixed-point iterate disagrees with the closed quadratic root",
-                trace=trace[-20:])
+                "fixed-point iterate disagrees with the closed quadratic root")
         v = closed
 
     branch = la.max_eig_herm(sigma * la.imag_part(v))
     if branch >= 0:
         raise ConvergenceError(
-            f"converged to the wrong branch (max eig of sigma Im V = {branch:.2e})",
-            trace=trace[-20:])
+            f"converged to the wrong branch (max eig of sigma Im V = {branch:.2e})")
     return v
 
 

@@ -39,8 +39,10 @@ from .system import (
     TOL_PSD,
     BoundaryData,
     HamiltonianSystem,
+    _boundary_of_size,
     _self_adjoint,
     dirichlet,
+    symplectic_unit,
 )
 
 _QUAD_TOL = 1e-9            # absolute Stieltjes quadrature tolerance per bin
@@ -91,6 +93,25 @@ def _admissible_z(z):
     return complex(zs[0]) if np.ndim(z) == 0 else zs
 
 
+def _positive(x, name: str):
+    """``x``, a number or a nonempty list of them (an epsilon or a
+    tolerance), once each is positive and finite; else :class:`InputError`
+    naming ``name``."""
+    a = np.asarray(x, dtype=float)
+    if not (a.size and np.all((a > 0) & (a < np.inf))):
+        raise InputError(f"{name} must be positive and finite, not {x}")
+    return x
+
+
+def _real_interval(interval) -> tuple[float, float]:
+    """The ends (a, b) of a real interval as floats once both are finite
+    with b > a; else :class:`InputError`."""
+    a, b = float(interval[0]), float(interval[1])
+    if not -np.inf < a < b < np.inf:
+        raise InputError(f"interval must be finite with b > a, not ({a}, {b})")
+    return a, b
+
+
 def sigma_of(ell: int, k0: int, z: complex) -> int:
     """sign((ell - k0) Im z); requires ell != k0 and Im z != 0."""
     s = (ell - k0) * z.imag
@@ -104,7 +125,7 @@ def _herglotz_margin(M: np.ndarray, sigma) -> np.ndarray:
     sigma-Herglotz: of one matrix, or of each in a stack with one sigma or
     one per matrix."""
     sigma = np.reshape(sigma, np.shape(sigma) + (1, 1))
-    return np.linalg.eigvalsh(la.herm(sigma * la.imag_part(M)))[..., 0]
+    return la.min_eig_herm(sigma * la.imag_part(M))
 
 
 @dataclass(frozen=True)
@@ -130,18 +151,17 @@ def disk_context(sys: HamiltonianSystem, z: complex, k0: int, ell: int,
     """Validated disk context.
 
     Requires an admissible z (:func:`_admissible_z`), ell != k0, and
-    self-adjoint base data. When A is not pointwise positive definite the
-    two-point interval must be long enough for the summed quadratic form to
-    be definite; A is examined only on intervals shorter than that, and a
-    RuntimeWarning says when it fails.
+    self-adjoint base data of block size m. When A is not pointwise positive
+    definite the two-point interval must be long enough for the summed
+    quadratic form to be definite; A is examined only on intervals shorter
+    than that, and a RuntimeWarning says when it fails.
     """
     z = _admissible_z(z)
     if ell == k0:
         raise InputError("disk context requires ell != k0")
-    alpha = _self_adjoint(alpha)
-    if abs(ell - k0) < 2 and not all(
-            la.min_eig_herm(sys.A(k)) > 0
-            for k in range(min(k0, ell), max(k0, ell) + 1)):
+    alpha = _boundary_of_size(_self_adjoint(alpha), sys.m)
+    if abs(ell - k0) < 2 and not np.all(
+            la.min_eig_herm(sys.A(range(min(k0, ell), max(k0, ell) + 1))) > 0):
         warnings.warn(
             "interval [k0, ell] may be too short for a definite quadratic "
             "form (A is not pointwise positive definite)", RuntimeWarning,
@@ -308,7 +328,8 @@ def _m_at(sys: HamiltonianSystem, ctx: DiskContext, beta, zs):
 
 def disk_membership(E: np.ndarray, tol: float = 1e-9) -> str:
     """Classify a disk-functional value: circle, interior, exterior, or
-    boundary_ambiguous."""
+    boundary_ambiguous, to a positive and finite ``tol``."""
+    _positive(tol, "tol")
     eigs = np.linalg.eigvalsh(la.herm(E))
     norm = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     if norm <= tol:
@@ -325,12 +346,11 @@ def lft_alpha_change(M_gamma, alpha: BoundaryData, gamma: BoundaryData) -> np.nd
 
     Maps the matrix computed with base data gamma to the one with base data
     alpha (far-end data fixed):
-    [-a J g* + a g* M] [a g* + a J g* M]^{-1}.
-    """
-    M_gamma = la.as_complex_matrix(M_gamma)
-    m = M_gamma.shape[0]
-    from .system import symplectic_unit
-
+    [-a J g* + a g* M] [a g* + a J g* M]^{-1}, for alpha and M_gamma of
+    gamma's block size."""
+    m = gamma.m
+    _boundary_of_size(alpha, m)
+    M_gamma = la.as_complex_matrix(M_gamma, (m, m), "M_gamma")
     j = symplectic_unit(m)
     ag = alpha.gamma @ gamma.gamma.conj().T
     ajg = alpha.gamma @ j @ gamma.gamma.conj().T
@@ -486,7 +506,7 @@ _UNIT_MARGIN = 64 * np.finfo(float).eps
 
 @dataclass
 class LimitOptions:
-    """Controls for :func:`limit_m`."""
+    """Controls for :func:`limit_m`; ``tol`` must be positive and finite."""
 
     ell_schedule: list[int] | None = None
     tol: float = 1e-9
@@ -631,9 +651,11 @@ def limit_m(sys: HamiltonianSystem, z: complex, k0: int, alpha,
     roundoff in valid runs).
     """
     opts = opts or LimitOptions()
+    _positive(opts.tol, "tol")
     direction = _side(direction)
     z = _admissible_z(z)
-    beta = _self_adjoint(opts.beta if opts.beta is not None else dirichlet(sys.m))
+    beta = opts.beta if opts.beta is not None else dirichlet(sys.m)
+    beta = _boundary_of_size(_self_adjoint(beta), sys.m)
     sigma = sigma_of(k0 + direction, k0, z)
     if opts.ell_schedule is None and sys.extension == "constant-edge":
         edge = max(sys.k_max, k0) if direction > 0 else min(sys.k_min, k0)
@@ -745,10 +767,12 @@ def herglotz_check(sys: HamiltonianSystem, z_grid, k0: int, alpha, *,
 
     Either a regular target (``ell`` and optional ``beta``) or a half-line
     target (``direction``) must be given. Checks the definite imaginary
-    part, the conjugation symmetry M(conj z) = M(z)*, and maximal rank.
+    part, the conjugation symmetry M(conj z) = M(z)* to a positive, finite
+    ``tol``, and maximal rank.
     """
     if (ell is None) == (direction is None):
         raise InputError("give exactly one of ell= (regular) or direction=")
+    _positive(tol, "tol")
     zs = _admissible_z(np.reshape(z_grid, -1))
     if np.any(zs.imag < 0):
         raise InputError("grid must lie in the open upper half plane")
@@ -771,7 +795,7 @@ def herglotz_check(sys: HamiltonianSystem, z_grid, k0: int, alpha, *,
         if mz is None or mzbar is None:
             violations.append(f"z={z}: no M value")
             continue
-        im_min = float(_herglotz_margin(mz, sigma_of(far, k0, z)))
+        im_min = _herglotz_margin(mz, sigma_of(far, k0, z))
         conj_defect = la.opnorm(mzbar - mz.conj().T) / (1.0 + la.opnorm(mz))
         rank_smin = la.smallest_singular_value(mz)
         scale = 1.0 + la.opnorm(mz)
@@ -953,9 +977,7 @@ def eigenvalues(sys: HamiltonianSystem, k0: int, ell: int, alpha: BoundaryData,
     if ell == k0:
         raise InputError("ell must differ from k0")
     _self_adjoint(beta)
-    a, b = float(interval[0]), float(interval[1])
-    if not (np.isfinite(a) and np.isfinite(b) and b > a):
-        raise InputError("interval must be finite and nondegenerate")
+    a, b = _real_interval(interval)
     data = _pencil_data(sys, k0, ell, alpha, beta)
     (n_a, n_b), (g_a, g_b) = _negative_index(data, np.array([a, b]))
     rank = np.arange(n_a + 1, n_b + 1)
@@ -994,8 +1016,8 @@ class SpectralMeasure:
 
     ``increments`` holds the smallest-epsilon values, ``increments_richardson``
     the linear-in-epsilon extrapolation from the last two schedule entries
-    (equal to ``increments`` for single-entry schedules). ``converged`` flags
-    the comparison of the last two epsilon passes against ``measure_tol``.
+    (the same array for single-entry schedules). ``converged`` flags the
+    comparison of the last two epsilon passes against ``measure_tol``.
     """
 
     grid: np.ndarray
@@ -1004,11 +1026,6 @@ class SpectralMeasure:
     increments_richardson: np.ndarray
     converged: bool
     convergence_gap: float
-    clip_flags: list[int] = field(default_factory=list)
-
-    @property
-    def n_bins(self) -> int:
-        return self.increments.shape[0]
 
     def total(self, richardson: bool = False) -> np.ndarray:
         inc = self.increments_richardson if richardson else self.increments
@@ -1088,20 +1105,17 @@ def spectral_measure(m_eval, interval, grid_n: int, eps_schedule, *,
     those of the smallest epsilon; a linear Richardson extrapolation across
     the last two epsilons is stored alongside, and disagreement beyond
     ``_MEASURE_TOL`` flags the schedule as non-convergent (not fatal).
-    Increments are Hermitized by one stacked eigendecomposition; eigenvalues
-    in [-TOL_PSD, 0) are clipped to zero and bins with larger negatives
-    flagged. A non-finite interval, ``grid_n`` < 1 or an epsilon that is not
-    positive and finite is an :class:`InputError`, raised before any
-    quadrature.
+    Increments are Hermitized by one stacked eigendecomposition (once for a
+    single-entry schedule); eigenvalues in [-TOL_PSD, 0) are clipped to
+    zero. An interval not finite with b > a, ``grid_n`` < 1 or an epsilon
+    that is not positive and finite is an :class:`InputError`, raised
+    before any quadrature.
     """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
-        raise InputError("interval must be finite and nondegenerate")
+    lo, hi = _real_interval(interval)
     if int(grid_n) < 1:
         raise InputError(f"grid_n must be >= 1, got {grid_n}")
     eps_list = [float(e) for e in np.atleast_1d(np.asarray(eps_schedule, dtype=float))]
-    if not eps_list or not all(0 < e < np.inf for e in eps_list):
-        raise InputError(f"eps schedule must be positive and finite, not {eps_list}")
+    _positive(eps_list, "eps schedule")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise InputError("eps schedule must be strictly decreasing")
     base_edges = np.linspace(lo, hi, int(grid_n) + 1)
@@ -1115,35 +1129,29 @@ def spectral_measure(m_eval, interval, grid_n: int, eps_schedule, *,
             integrand, base_edges + 0.5 * eps, _QUAD_TOL, width_floor=eps / 256.0,
             quad_rel=quad_rel) / np.pi)
 
-    inc = per_eps[-1]
-    if len(per_eps) == 2:
-        e1, e2 = eps_list[-2], eps_list[-1]
-        prev = per_eps[-2]
-        rich = inc + (inc - prev) * (e2 / (e1 - e2))
-        gap = float(np.max(np.abs(inc - prev)))
-        total = max(1.0, float(np.max(np.abs(np.sum(inc, axis=0)))))
-        converged = gap <= _MEASURE_TOL * total
-    else:
-        rich, gap, converged = inc.copy(), np.inf, False
-
-    clip_flags = []
-
     def clean(stack):
         w, v = np.linalg.eigh(la.herm(stack))
-        neg = np.flatnonzero(np.any(w < -TOL_PSD, axis=1)).tolist()
-        clip_flags.extend(i for i in neg if i not in clip_flags)
         w = np.where((w < 0) & (w >= -TOL_PSD), 0.0, w)
         return la.herm((v * w[:, None, :]) @ la.adjoint(v))
 
-    inc, rich = clean(inc), clean(rich)
-    if not converged and len(per_eps) == 2:
-        warnings.warn(
-            f"spectral measure schedule not converged (gap {gap:.2e}); "
-            "refine the epsilon schedule", RuntimeWarning, stacklevel=2)
+    raw = per_eps[-1]
+    inc = clean(raw)
+    rich, gap, converged = inc, np.inf, False
+    if len(per_eps) == 2:
+        e1, e2 = eps_list[-2], eps_list[-1]
+        prev = per_eps[-2]
+        rich = clean(raw + (raw - prev) * (e2 / (e1 - e2)))
+        gap = float(np.max(np.abs(raw - prev)))
+        total = max(1.0, float(np.max(np.abs(np.sum(raw, axis=0)))))
+        converged = gap <= _MEASURE_TOL * total
+        if not converged:
+            warnings.warn(
+                f"spectral measure schedule not converged (gap {gap:.2e}); "
+                "refine the epsilon schedule", RuntimeWarning, stacklevel=2)
     return SpectralMeasure(grid=base_edges, increments=inc,
                            epsilon_schedule=tuple(eps_list),
                            increments_richardson=rich, converged=converged,
-                           convergence_gap=gap, clip_flags=clip_flags)
+                           convergence_gap=gap)
 
 
 def fit_herglotz_parts(m_eval, *, sigma: int = +1):
@@ -1194,12 +1202,13 @@ def xi_function(m_eval, lambda_grid, eps: float) -> XiReport:
     """Phase matrix (1/pi) Im log M(lambda + i eps) on a real grid.
 
     ``m_eval`` evaluates the whole grid in one call (see
-    :func:`spectral_measure`). Uses the principal matrix logarithm; grid
-    points with numerically singular M are skipped and flagged. Eigenvalues of the result are
-    checked against [0, 1] and the worst violation is reported.
+    :func:`spectral_measure`), at a positive, finite ``eps``. Uses the
+    principal matrix logarithm; grid points with numerically singular M are
+    skipped and flagged. Eigenvalues of the result are checked against
+    [0, 1] and the worst violation is reported.
     """
     lam = np.asarray(lambda_grid, dtype=float).reshape(-1)
-    w = m_eval(lam + 1j * float(eps))
+    w = m_eval(lam + 1j * float(_positive(eps, "eps")))
     s = np.linalg.svd(w, compute_uv=False)
     keep = ~(s[:, -1] < _XI_SINGULAR * np.maximum(1.0, s[:, 0]))
     xi = np.full(w.shape, np.nan, dtype=complex)
@@ -1248,7 +1257,7 @@ def riccati_from_solution(sys: HamiltonianSystem, U: HatTrajectory,
     v, ok = _riccati(sys, U.sites, U.data)
     good = [k for k, b in zip(U.sites, ok) if b]
     sigma = np.array([sigma_of(k if k != k0 else k0 + 1, k0, U.z) for k in good])
-    sign = np.linalg.eigvalsh(la.herm(sigma[:, None, None] * la.imag_part(v[ok])))[:, -1]
+    sign = la.max_eig_herm(sigma[:, None, None] * la.imag_part(v[ok]))
     finite = np.isfinite(U.data).all(axis=(1, 2))
     return RiccatiSolutionReport(
         V=dict(zip(good, v[ok])), sign_max=dict(zip(good, sign.tolist())),

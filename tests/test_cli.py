@@ -612,3 +612,32 @@ def test_green_and_solve_refuse_an_inconclusive_half_line_m(tmp_path, capsys, m,
 def test_the_command_is_named_by_position_only(free_fixture, capsys):
     assert main(["--command", "eig", "--input", free_fixture, "--ell", "11"]) == 1
     assert "unrecognized arguments: --command" in capsys.readouterr().err
+
+
+_ONE_ROW = "[[1,0]]"  # boundary data of block size 1
+_SIZED = {
+    "limit": ["limit"],
+    "mfun": ["mfun", "--ell", "4", "--z", "0.5,0.5"],
+    "eig": ["eig", "--ell", "6"],
+    "disk": ["disk", "--ell-schedule", "4,8", "--z", "0.5,0.5"],
+    "measure": ["measure", "--ell", "6", "--grid-n", "4"],
+    "green": ["green", "--window=-5,5", "--z", "0.5,0.5"],
+    "solve": ["solve", "--window=-5,5", "--z", "0.5,0.5"],
+}
+_INPUT_RULE_CASES = (
+    [("m2", _SIZED[c] + ["--alpha", _ONE_ROW]) for c in _SIZED]
+    + [("m2", _SIZED[c] + ["--beta", _ONE_ROW]) for c in ("mfun", "eig", "disk", "measure")]
+    + [("m1", _SIZED["disk"] + ["--tol", tol]) for tol in ("nan", "-1", "0", "inf")])
+
+
+@pytest.mark.parametrize("m, argv", _INPUT_RULE_CASES,
+                         ids=[" ".join(argv) for _, argv in _INPUT_RULE_CASES])
+def test_input_that_breaks_a_rule_exits_2(tmp_path, capsys, m, argv):
+    # boundary data of another block size, and a --tol that is not positive
+    # and finite, fail the command before any row is written
+    path = tmp_path / "free.json"
+    p = np.eye(2) if m == "m2" else 1.0
+    hsys.save_coefficients(hsys.jacobi_system(p, 0 * p, (-20, 20)), path)
+    assert main(argv[:1] + ["--input", str(path), "--output", "-"] + argv[1:]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error: ") and "Traceback" not in err

@@ -153,6 +153,16 @@ def test_spd_roots_of_a_stack_equal_each_matrix_bitwise(m):
             assert np.array_equal(one, f(ai))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_extreme_eigenvalues_of_a_stack_equal_each_matrix_bitwise(m):
+    g = np.random.default_rng(80 + m).normal(size=(2, 5, m, m))
+    a = la.ginibre(g.transpose(1, 0, 2, 3))
+    for f in (la.min_eig_herm, la.max_eig_herm):
+        stacked = f(a)
+        assert stacked.shape == (5,) and isinstance(f(a[0]), float)
+        assert stacked.tolist() == [f(ai) for ai in a]
+
+
 # ---------------------------------------------------------------------------
 # Haar unitaries: one matrix is the one-member case of a stack
 # ---------------------------------------------------------------------------
